@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from .exactq import (
     EMPTY,
@@ -46,6 +46,7 @@ from .exactq import (
     affine_positivity_interval,
     rational_str,
 )
+from .classes import kappa_minimal, kappa_over_2g
 from .graphs import (
     DELTA_IRR,
     EDB,
@@ -88,14 +89,6 @@ def _check_parity(g: int, effdiv: str) -> None:
         raise ValueError("Hurwitz coefficients require even genus")
 
 
-def _q(g: int) -> Fraction:
-    return Fraction(2 * g - 2, 2 * g - 1)
-
-
-def _kappa(g: int) -> Fraction:
-    return Fraction(4 * g * (g - 1), 2 * g - 1)
-
-
 def _hur_ratio(g: int) -> Fraction:
     return Fraction(3 * g * g + 12 * g - 6, (g + 8) * (3 * g - 1))
 
@@ -110,7 +103,7 @@ def s_hor_affine(g: int, effdiv: str = "auto") -> AffineInY:
     _check_parity(g, effdiv)
     ratio = Fraction(g + 1, g + 3) if effdiv == BRILL_NOETHER else _hur_ratio(g)
     slope_w = Fraction(3 * (g + 3), g + 11)
-    return AffineInY(-1 - _q(g) + 2 * ratio, slope_w - 2 * ratio)
+    return AffineInY(-1 - kappa_over_2g(g) + 2 * ratio, slope_w - 2 * ratio)
 
 
 def y_hor(g: int) -> Fraction:
@@ -163,10 +156,10 @@ def six_coefficients(inv: GraphInvariants, g: int, effdiv: str = "auto") -> SixC
     ratio 12 w_Gamma / w_lambda, and the two-term split of s_Gamma."""
     effdiv = resolve_effdiv(g, effdiv)
     _check_parity(g, effdiv)
-    q = _q(g)
+    q = kappa_over_2g(g)
     r_gamma = (inv.b_NC + 1 + inv.delta_H) / inv.ell
     c_gamma = q * (inv.N_bot - r_gamma) - inv.kappa_bot
-    w_gamma = (inv.kappa_bot / _kappa(g) * (1 + Fraction(1, 2 * g - 1))
+    w_gamma = (inv.kappa_bot / kappa_minimal(g) * (1 + Fraction(1, 2 * g - 1))
                - Fraction(1, 2 * g - 1) + Fraction(inv.v_top - 1, 2))
     w_ratio = 12 * w_gamma / Fraction(g + 11, 2 * g - 2)
     w_bar = (2 * g - 2 - inv.P + inv.P_minus1) / (g + 11)
@@ -527,7 +520,6 @@ class _MinEngine:
             g = self.g
             singles = {h: self._type_scalars(h, 1, (2 * h - 1,)) for h in range(1, g + 1)}
             pairs = {h: self._type_scalars(h, 2, (h, h)) for h in range(1, g + 1)}
-            q_times_den = (2 * g - 2) * (self.den // (2 * g - 1))
             lines = []
 
             def walk(h: int, budget: int, g_b: int, u_sum: int, t_sum: int,
@@ -535,7 +527,7 @@ class _MinEngine:
                 if budget == 0:
                     if have_pair:
                         u = (self.k0 + 2 * g_b * self.q_num + u_sum
-                             - q_times_den // ell)
+                             - self.q_num // ell)
                         lines.append((self.k1 + t_sum, u, (g_b, spec)))
                     return
                 if h > budget:
@@ -647,32 +639,6 @@ class _MinEngine:
             inv = replace(inv, edge_classes=(OCT,), R_NC=r_nc,
                           b_NC=inv.ell * r_nc - 1)
         return s_gamma_affine(inv, self.g, self.effdiv)
-
-
-def _hbb_family(g: int) -> Iterable[LevelGraph]:
-    """All shape-HBB graphs of genus g passing the dimension filter: every
-    top vertex is a single-edge vertex (h, [2h-1]) or an equal-prong pair
-    (h, [h, h]), with at least one pair."""
-
-    def rec(h: int, budget: int, tops, have_pair: bool):
-        if budget == 0:
-            if have_pair:
-                yield tuple(tops)
-            return
-        if h > budget:
-            return
-        for n_single in range(budget // h + 1):
-            rem = budget - n_single * h
-            for n_pair in range(rem // (h + 1) + 1):
-                vertices = (tops + [TopVertex(h, (2 * h - 1,))] * n_single
-                            + [TopVertex(h, (h, h))] * n_pair)
-                yield from rec(h + 1, rem - n_pair * (h + 1), vertices,
-                               have_pair or n_pair > 0)
-
-    for g_b in range(g):
-        for tops in rec(1, g - g_b, [], False):
-            # a pair contributes E - v = 1, so the dimension filter holds
-            yield LevelGraph(g, g_b, (2 * g - 2,), tops)
 
 
 # ---------------------------------------------------------------------------
@@ -820,15 +786,30 @@ def certify_exact(req: CertRequest) -> Certificate:
     return _exact_certificate(req, effdiv, evaluate, atlas_count(g))
 
 
+def cert_requests(g_from: int, g_to: int, mode: str = "coarse",
+                  effective_divisor: str = "auto",
+                  y_policy: Union[str, Fraction] = "paper_recipe",
+                  hbb_shape_test: bool = True) -> list:
+    """One request per genus in [g_from, g_to]."""
+    if not 2 <= g_from <= g_to:
+        raise ValueError("need 2 <= g_from <= g_to")
+    return [CertRequest(g, mode, effective_divisor, y_policy, hbb_shape_test)
+            for g in range(g_from, g_to + 1)]
+
+
+def certify_request(req: CertRequest) -> Certificate:
+    """The certificate of a request, in its mode."""
+    if req.mode == "coarse":
+        return certify_coarse(req)
+    if req.mode == "exact":
+        return certify_exact(req)
+    raise ValueError(f"unknown certification mode: {req.mode!r}")
+
+
 def scan(g_from: int, g_to: int, mode: str = "coarse",
          effective_divisor: str = "auto",
          y_policy: Union[str, Fraction] = "paper_recipe",
          hbb_shape_test: bool = True) -> list:
     """One certificate per genus in [g_from, g_to]."""
-    if not 2 <= g_from <= g_to:
-        raise ValueError("need 2 <= g_from <= g_to")
-    out = []
-    for g in range(g_from, g_to + 1):
-        req = CertRequest(g, mode, effective_divisor, y_policy, hbb_shape_test)
-        out.append(certify_coarse(req) if mode == "coarse" else certify_exact(req))
-    return out
+    return [certify_request(req) for req in cert_requests(
+        g_from, g_to, mode, effective_divisor, y_policy, hbb_shape_test)]

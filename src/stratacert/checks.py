@@ -32,6 +32,7 @@ from .classes import (
     boundary_coeff_dnc,
     boundary_coeff_hur,
     kappa_mu,
+    kappa_over_2g,
     wplus_w_gamma,
     wplus_w_hor,
     wplus_w_lambda,
@@ -101,7 +102,7 @@ def assembly_affine_classes(graph: LevelGraph, effdiv: str,
     builders, as an affine function of y."""
     g = graph.genus
     inv = graph_invariants(graph, hbb_shape_test)
-    q = Fraction(2 * g - 2, 2 * g - 1)
+    q = kappa_over_2g(g)
     can = boundary_coeff_canonical(graph, hbb_shape_test)
     dnc = boundary_coeff_dnc(graph)
     w_term = 12 * wplus_w_gamma(graph) * inv.ell / wplus_w_lambda(g)
@@ -142,7 +143,7 @@ def assembly_scalar_failures(g: int, effdiv: Optional[str] = None,
     cancels exactly and the horizontal coefficient is s_hor(y)."""
     effdiv = resolve_effdiv(g, effdiv or "auto")
     bad = []
-    q = Fraction(2 * g - 2, 2 * g - 1)
+    q = kappa_over_2g(g)
     w_lam = wplus_w_lambda(g)
     if effdiv == "brill_noether":
         ratio = Fraction(g + 1, g + 3)

@@ -25,19 +25,11 @@ from .graphs import (
     LevelGraph,
     canonical_encoding,
     graph_invariants,
+    kappa_mu,
 )
 
 Signature = Tuple[int, ...]
 AlphaPartition = Tuple[int, ...]
-
-
-def kappa_mu(orders: Sequence[int]) -> Fraction:
-    """sum over entries m != -1 of m(m+2)/(m+1)."""
-    total = Fraction(0)
-    for m in orders:
-        if m != -1:
-            total += Fraction(m * (m + 2), m + 1)
-    return total
 
 
 def theta(orders: Sequence[int], alpha: Sequence[int]) -> Fraction:
@@ -55,8 +47,8 @@ def kappa_minimal(g: int) -> Fraction:
     return Fraction(4 * g * (g - 1), 2 * g - 1)
 
 
-def _q(g: int) -> Fraction:
-    # the recurring scale kappa_{(2g-2)} / 2g
+def kappa_over_2g(g: int) -> Fraction:
+    """The recurring scale kappa_{(2g-2)} / 2g; equals (2g-2)/(2g-1)."""
     return Fraction(2 * g - 2, 2 * g - 1)
 
 
@@ -240,9 +232,9 @@ def boundary_coeff_canonical(graph: LevelGraph, hbb_shape_test: bool = True) -> 
     g = graph.genus
     inv = graph_invariants(graph, hbb_shape_test)
     kappa_bot = kappa_mu(graph.bottom_orders())
-    coeff = -(inv.ell * kappa_bot - _q(g) * (inv.ell * inv.N_bot - 1))
+    coeff = -(inv.ell * kappa_bot - kappa_over_2g(g) * (inv.ell * inv.N_bot - 1))
     if inv.delta_H:
-        coeff -= _q(g)
+        coeff -= kappa_over_2g(g)
     return coeff
 
 
@@ -314,7 +306,7 @@ def scaled_canonical_class(g: int, graphs: Iterable[LevelGraph],
         canonical_encoding(graph): boundary_coeff_canonical(graph, hbb_shape_test)
         for graph in graphs
     }
-    return DivisorClass(lam=Fraction(12), d_h=-(1 + _q(g)), boundary=boundary)
+    return DivisorClass(lam=Fraction(12), d_h=-(1 + kappa_over_2g(g)), boundary=boundary)
 
 
 def d_nc_class(g: int, graphs: Iterable[LevelGraph]) -> DivisorClass:

@@ -22,13 +22,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import checks
-from .certify import (
-    CertRequest,
-    Certificate,
-    certify_coarse,
-    certify_exact,
-    rational_str,
-)
+from .certify import Certificate, cert_requests, certify_request, rational_str
 from .classes import (
     bn_class,
     d_nc_class,
@@ -39,8 +33,9 @@ from .classes import (
 )
 from .graphs import (
     enumerate_level_graphs,
-    read_atlas,
+    iter_atlas,
     sample_atlas,
+    validate,
     write_atlas,
 )
 from .pullback import image_correspondence, saturated_alpha, wplus_derivation_check
@@ -66,6 +61,13 @@ def _parse_y_policy(text: str):
         raise UsageError(f"bad y policy {text!r}: {exc}")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_int_list(text: str) -> tuple:
     try:
         return tuple(int(x) for x in text.split(",") if x.strip())
@@ -79,31 +81,32 @@ def build_parser() -> _Parser:
                                  "coefficients on minimal even-spin strata")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, genus=True):
+    def common(p, formats, default, genus=True):
         if genus:
             p.add_argument("--genus", type=int, required=True)
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        p.add_argument("--format", choices=formats, default=default)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes where supported; output bytes "
-                            "do not depend on this")
+
+    def workers(p):
+        p.add_argument("--workers", type=_positive_int, default=1,
+                       help="worker processes; output bytes do not depend on this")
+
+    all_formats = ("json", "csv", "text")
 
     p = sub.add_parser("enumerate", help="stream the atlas of boundary graphs")
-    common(p)
+    common(p, all_formats, "text")
     p.add_argument("--raw", action="store_true",
                    help="disable the dimension (nonemptiness) filter")
     p.add_argument("--atlas", default=None,
                    help="read graphs from a cached text atlas instead of enumerating")
-    p.set_defaults(format="text")
 
     p = sub.add_parser("invariants", help="per-graph invariant table")
-    common(p)
+    common(p, ("json", "csv"), "csv")
     p.add_argument("--atlas", default=None)
     p.add_argument("--no-hbb-shape", action="store_true")
-    p.set_defaults(format="csv")
 
     p = sub.add_parser("class", help="a divisor class over the atlas")
-    common(p)
+    common(p, ("json",), "json")
     p.add_argument("--which", required=True,
                    choices=("canonical", "dnc", "bn", "hur", "wplus", "genw"))
     p.add_argument("--form", choices=("raw", "reduced"), default="reduced")
@@ -113,14 +116,15 @@ def build_parser() -> _Parser:
     p.add_argument("--no-hbb-shape", action="store_true")
 
     p = sub.add_parser("certify", help="certify one genus")
-    common(p)
+    common(p, all_formats, "json")
     p.add_argument("--mode", choices=("coarse", "exact"), default="exact")
     p.add_argument("--effdiv", choices=("auto", "bn", "hur"), default="auto")
     p.add_argument("--y", default="auto", help="auto | recipe | a rational p/q")
     p.add_argument("--no-hbb-shape", action="store_true")
 
     p = sub.add_parser("scan", help="certify a genus range")
-    common(p, genus=False)
+    common(p, ("json", "csv"), "csv", genus=False)
+    workers(p)
     p.add_argument("--from", dest="g_from", type=int, required=True)
     p.add_argument("--to", dest="g_to", type=int, required=True)
     p.add_argument("--mode", choices=("coarse", "exact"), default="coarse")
@@ -129,16 +133,18 @@ def build_parser() -> _Parser:
     p.add_argument("--no-hbb-shape", action="store_true")
     p.add_argument("--timings", action="store_true",
                    help="fill the seconds column (breaks byte-reproducibility)")
-    p.set_defaults(format="csv")
 
     p = sub.add_parser("pullback-check",
                        help="verify the clutching-pullback derivation")
-    common(p)
+    common(p, ("json",), "json")
     p.add_argument("--mu", default=None, help="default g,g")
     p.add_argument("--k", type=int, default=1)
 
     p = sub.add_parser("identities", help="run the identity suites")
-    common(p, genus=False)
+    # the text report ignores --format; it is kept because it is part of
+    # the artifact's config line
+    common(p, all_formats, "json", genus=False)
+    workers(p)
     p.add_argument("--genus-max", type=int, required=True)
     p.add_argument("--full-max", type=int, default=10,
                    help="largest genus checked on the full atlas")
@@ -179,18 +185,30 @@ def _json_artifact(payload: dict, args) -> str:
 
 
 def _load_graphs(args):
-    if getattr(args, "atlas", None):
-        with open(args.atlas, encoding="utf-8") as fh:
-            graphs = read_atlas(fh)
-        for graph in graphs:
-            if graph.genus != args.genus:
-                raise UsageError("cached atlas genus does not match --genus")
-        return graphs
-    return list(enumerate_level_graphs(args.genus))
+    if not args.atlas:
+        return list(enumerate_level_graphs(args.genus))
+    g = args.genus
+    graphs = []
+    first_line = {}
+    with open(args.atlas, encoding="utf-8") as fh:
+        for lineno, graph in iter_atlas(fh):
+            where = f"{args.atlas} line {lineno}"
+            if graph.genus != g:
+                raise UsageError(f"{where}: cached atlas genus does not match --genus")
+            problems = validate(graph)
+            if problems:
+                raise UsageError(f"{where}: invalid graph: {'; '.join(problems)}")
+            if graph.bottom_legs != (2 * g - 2,):
+                raise UsageError(f"{where}: legs are not ({2 * g - 2},)")
+            if graph in first_line:
+                raise UsageError(f"{where}: repeats line {first_line[graph]}")
+            first_line[graph] = lineno
+            graphs.append(graph)
+    return graphs
 
 
 def _cmd_enumerate(args) -> int:
-    if getattr(args, "atlas", None):
+    if args.atlas:
         graphs = _load_graphs(args)
     else:
         graphs = enumerate_level_graphs(args.genus, dimension_filter=not args.raw)
@@ -203,8 +221,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_invariants(args) -> int:
     graphs = _load_graphs(args)
     buf = io.StringIO()
-    fmt = "csv" if args.format == "text" else args.format
-    write_atlas(graphs, buf, fmt=fmt, hbb_shape_test=not args.no_hbb_shape)
+    write_atlas(graphs, buf, fmt=args.format, hbb_shape_test=not args.no_hbb_shape)
     _emit(buf.getvalue() + _config_comment(args), args.out)
     return 0
 
@@ -262,11 +279,15 @@ def _scan_row(cert: Certificate, seconds: Optional[float]) -> str:
     ])
 
 
+def _requests(args, g_from: int, g_to: int) -> list:
+    return cert_requests(g_from, g_to, args.mode, args.effdiv,
+                         _parse_y_policy(args.y), not args.no_hbb_shape)
+
+
 def _cmd_certify(args) -> int:
-    req = CertRequest(args.genus, args.mode, args.effdiv,
-                      _parse_y_policy(args.y), not args.no_hbb_shape)
+    (req,) = _requests(args, args.genus, args.genus)
     print(f"certifying genus {args.genus} ({args.mode})...", file=sys.stderr)
-    cert = certify_coarse(req) if args.mode == "coarse" else certify_exact(req)
+    cert = certify_request(req)
     if args.format == "json":
         _emit(_json_artifact(cert.to_json(), args), args.out)
     elif args.format == "csv":
@@ -277,16 +298,31 @@ def _cmd_certify(args) -> int:
     return 0
 
 
+def _pmap(fn, tasks: list, workers: int):
+    """Ordered lazy map over at most ``workers`` processes; results are
+    identical for any worker count."""
+    size = min(workers, len(tasks))
+    if size > 1:
+        import multiprocessing as mp
+
+        with mp.Pool(size) as pool:
+            yield from pool.imap(fn, tasks)
+    else:
+        yield from map(fn, tasks)
+
+
+def _timed_certificate(req):
+    t0 = time.monotonic()
+    cert = certify_request(req)
+    return cert, time.monotonic() - t0
+
+
 def _cmd_scan(args) -> int:
     rows = []
     certs = []
-    for g in range(args.g_from, args.g_to + 1):
-        t0 = time.monotonic()
-        req = CertRequest(g, args.mode, args.effdiv,
-                          _parse_y_policy(args.y), not args.no_hbb_shape)
-        cert = certify_coarse(req) if args.mode == "coarse" else certify_exact(req)
-        dt = time.monotonic() - t0
-        print(f"genus {g}: {cert.status}", file=sys.stderr)
+    requests = _requests(args, args.g_from, args.g_to)
+    for cert, dt in _pmap(_timed_certificate, requests, args.workers):
+        print(f"genus {cert.genus}: {cert.status}", file=sys.stderr)
         certs.append(cert)
         rows.append(_scan_row(cert, dt if args.timings else None))
     if args.format == "json":
@@ -326,17 +362,6 @@ def _identity_task(task) -> tuple:
     checked, failures = checks.identity_suite(graphs, hbb_shape_test=hbb)
     failures.extend(checks.assembly_scalar_failures(g))
     return g, label, checked, failures
-
-
-def _pmap(fn, tasks, workers: int):
-    """Ordered map, optionally over a process pool; results are identical
-    for any worker count."""
-    if workers and workers > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(workers) as pool:
-            return list(pool.imap(fn, tasks))
-    return [fn(t) for t in tasks]
 
 
 def _cmd_identities(args) -> int:

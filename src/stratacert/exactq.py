@@ -106,15 +106,6 @@ class RationalInterval:
                 return False
         return True
 
-    def strictly_contains(self, y: RationalLike) -> bool:
-        """Membership in the interior (both endpoint comparisons strict)."""
-        y = Fraction(y)
-        if self.lo is not None and y <= self.lo:
-            return False
-        if self.hi is not None and y >= self.hi:
-            return False
-        return True
-
     def intersect(self, other: "RationalInterval") -> "RationalInterval":
         if self.lo is None:
             lo, lo_open = other.lo, other.lo_open

@@ -200,7 +200,7 @@ def classify_edges(graph: LevelGraph) -> tuple:
     return tuple(classes)
 
 
-def kappa_signature(orders: Sequence[int]) -> Fraction:
+def kappa_mu(orders: Sequence[int]) -> Fraction:
     """sum of m(m+2)/(m+1) over entries m != -1 (simple poles excluded)."""
     total = Fraction(0)
     for m in orders:
@@ -273,8 +273,8 @@ def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInv
     # kappa of the bottom level via the prong identity; the direct
     # signature evaluation lives in the divisor-class module and the two
     # routes are compared by the identity suite.
-    kappa_bot = kappa_signature(graph.bottom_legs) - (p_sum - p_inv)
-    kappa_top = kappa_signature(
+    kappa_bot = kappa_mu(graph.bottom_legs) - (p_sum - p_inv)
+    kappa_top = kappa_mu(
         tuple(p - 1 for p in prongs) + tuple(m for v in graph.top_vertices for m in v.legs)
     )
     r_nc = Fraction(0)
@@ -419,7 +419,6 @@ class _AtlasIndex:
     def __init__(self, g: int):
         self.g = g
         self.blocks = vertex_blocks(g)
-        self._rejected = {}
         n = len(self.blocks)
         # table[b][budget] = number of multisets from blocks[b:] of that
         # total weight; the d1 variant restricts to degree-1 blocks
@@ -446,77 +445,29 @@ class _AtlasIndex:
             self._any[b] = any_here
             self._d1[b] = d1_here
 
-    def count_any(self, budget: int, b: int) -> int:
-        """Multisets of types from blocks[b:] with total weight = budget."""
-        return self._any[b][budget]
-
-    def count_d1(self, budget: int, b: int) -> int:
-        """Same, restricted to degree-1 blocks only."""
-        return self._d1[b][budget]
+    def count(self, budget: int, b: int, need_d2: bool = False) -> int:
+        """Multisets of types from blocks[b:] with total weight = budget;
+        with ``need_d2``, only those holding a type of degree >= 2."""
+        total = self._any[b][budget]
+        return total - self._d1[b][budget] if need_d2 else total
 
     def count_for_bottom(self, g_b: int, dimension_filter: bool) -> int:
         budget = self.g - g_b
         if budget < 1:
             return 0
-        total = self.count_any(budget, 0)
-        if g_b == 0:
-            if dimension_filter:
-                total -= self.count_d1(budget, 0)
-            else:
-                total -= 1  # the unique single-edge multiset (unstable bottom)
-        return total
-
-    # -- ranking helpers -----------------------------------------------
-
-    def rank_of_d1_multiset(self, budget: int, mults: dict) -> int:
-        """Enumeration rank of a multiset supported on degree-1 blocks.
-
-        ``mults`` maps weight -> multiplicity.  Degree-1 blocks have a
-        single type, so no within-block combination rank arises.
-        """
-        rank = 0
-        rem = budget
-        for b, blk in enumerate(self.blocks):
-            if rem == 0:
-                break
-            k = mults.get(blk.weight, 0) if blk.degree == 1 else 0
-            if k == 0:
-                continue
-            rank += self.count_any(rem, b + 1)  # skip the k=0 subtree
-            for kk in range(1, k):
-                rank += _multiset_count(blk.size, kk) * self.count_any(rem - kk * blk.weight, b + 1)
-            rem -= k * blk.weight
-        return rank
-
-    def rejected_ranks(self, dimension_filter: bool) -> list:
-        """Raw ranks (at g_b = 0) of the multisets the filter removes."""
-        key = bool(dimension_filter)
-        cached = self._rejected.get(key)
-        if cached is not None:
-            return cached
-        budget = self.g
-        ranks = []
+        if g_b > 0:
+            return self.count(budget, 0)
         if dimension_filter:
-            # all multisets of degree-1 types = partitions of the budget
-            for parts in _partitions_any(budget):
-                mults = {}
-                for w in parts:
-                    mults[w] = mults.get(w, 0) + 1
-                ranks.append(self.rank_of_d1_multiset(budget, mults))
-        else:
-            ranks.append(self.rank_of_d1_multiset(budget, {budget: 1}))
-        ranks.sort()
-        self._rejected[key] = ranks
-        return ranks
+            return self.count(budget, 0, need_d2=True)
+        return self.count(budget, 0) - 1  # the single-edge multiset
 
-
-def _partitions_any(n: int, min_part: int = 1) -> Iterator[tuple]:
-    if n == 0:
-        yield ()
-        return
-    for p in range(min_part, n + 1):
-        for rest in _partitions_any(n - p, p):
-            yield (p,) + rest
+    def single_edge_rank(self) -> int:
+        """Raw rank (at g_b = 0) of the single-edge multiset: every block
+        before the weight-g degree-1 block is skipped, so only that
+        block's skip subtree precedes it."""
+        b = next(i for i, blk in enumerate(self.blocks)
+                 if blk.weight == self.g and blk.degree == 1)
+        return self.count(self.g, b + 1)
 
 
 _INDEX_CACHE = {}
@@ -636,30 +587,31 @@ def atlas_unrank(g: int, rank: int, dimension_filter: bool = True) -> LevelGraph
         if rank >= n_here:
             rank -= n_here
             continue
-        if g_b == 0:
-            # translate the filtered rank to a raw enumeration rank
-            for rr in idx.rejected_ranks(dimension_filter):
-                if rr <= rank:
-                    rank += 1
-        chosen = _unrank_choice(idx, g - g_b, rank)
+        need_d2 = g_b == 0 and dimension_filter
+        if g_b == 0 and not dimension_filter and rank >= idx.single_edge_rank():
+            rank += 1  # step over the one multiset raw mode rejects
+        chosen = _unrank_choice(idx, g - g_b, rank, need_d2)
         return _graph_from_choice(g, g_b, chosen)
     raise IndexError("atlas rank out of range")
 
 
-def _unrank_choice(idx: _AtlasIndex, budget: int, rank: int):
+def _unrank_choice(idx: _AtlasIndex, budget: int, rank: int, need_d2: bool):
+    """The rank-th multiset of total weight ``budget``; while ``need_d2``
+    is set, only multisets that still take a degree >= 2 type count."""
     blocks = idx.blocks
     chosen = ()
     b = 0
     while budget > 0:
         blk = blocks[b]
-        skip = idx.count_any(budget, b + 1)
+        skip = idx.count(budget, b + 1, need_d2)
         if rank < skip:
             b += 1
             continue
         rank -= skip
+        need_after = need_d2 and blk.degree == 1
         parts_total = 2 * blk.genus - 2 + blk.degree
         for k in range(1, budget // blk.weight + 1):
-            suffix = idx.count_any(budget - k * blk.weight, b + 1)
+            suffix = idx.count(budget - k * blk.weight, b + 1, need_after)
             ways = _multiset_count(blk.size, k)
             if suffix and rank < ways * suffix:
                 combo_rank, rank = divmod(rank, suffix)
@@ -669,6 +621,7 @@ def _unrank_choice(idx: _AtlasIndex, budget: int, rank: int):
                     for j, m in combo
                 )
                 budget -= k * blk.weight
+                need_d2 = need_after
                 b += 1
                 break
             rank -= ways * suffix
@@ -742,11 +695,15 @@ def write_atlas(graphs: Iterable[LevelGraph], out, fmt: str = "text",
         raise ValueError(f"unknown atlas format: {fmt}")
 
 
-def read_atlas(lines: Iterable[str]) -> list:
-    """Read a text atlas (one canonical encoding per line)."""
-    graphs = []
-    for line in lines:
+def iter_atlas(lines: Iterable[str]) -> Iterator[tuple]:
+    """(line number, graph) for each encoding line of a text atlas;
+    blank lines and ``#`` comments are skipped."""
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if line and not line.startswith("#"):
-            graphs.append(parse_canonical_encoding(line))
-    return graphs
+            yield lineno, parse_canonical_encoding(line)
+
+
+def read_atlas(lines: Iterable[str]) -> list:
+    """Read a text atlas (one canonical encoding per line)."""
+    return [graph for _, graph in iter_atlas(lines)]

@@ -22,7 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence
 
-from .classes import DivisorClass, validate_weierstrass_alpha, wplus_class
+from .classes import (
+    DivisorClass,
+    twist_improvement_bound,
+    validate_weierstrass_alpha,
+    wplus_class,
+)
 from .exactq import rational_str
 from .graphs import (
     LevelGraph,
@@ -177,16 +182,14 @@ def class_with_twist_bounds(g: int, mu: Sequence[int], alpha: Sequence[int],
     g(g-1)/2 + 1 and, on every other boundary divisor, the guaranteed
     twist gain plus the vanishing order ell (v_top - 1)/2."""
     validate_weierstrass_alpha(mu, alpha)
-    alpha_bot = Fraction(sum(alpha))
+    alpha_bot = sum(alpha)
     boundary: Dict[str, Fraction] = {}
     for enc, graph in graphs.items():
         if is_gamma1(graph, g):
             boundary[enc] = -(Fraction(g * (g - 1), 2) + 1)
             continue
         inv = graph_invariants(graph)
-        m_bot = Fraction(sum(graph.bottom_legs))
-        twist_gain = ((inv.ell // 2) * (alpha_bot - m_bot / 2)
-                      + Fraction(inv.ell, 8) * (inv.P - inv.P_minus1))
+        twist_gain = twist_improvement_bound(inv, alpha_bot, sum(graph.bottom_legs))
         vanishing = Fraction(inv.ell * (inv.v_top - 1), 2)
         boundary[enc] = -(twist_gain + vanishing)
     psi = tuple(Fraction(a * (a + 1), 2) for a in alpha)

@@ -204,3 +204,11 @@ def test_hull_matches_linear_scan():
             got, _ref = hull.query(yn, yd)
             expect = min(u * yd + t * yn for t, u, _ in lines)
             assert got == expect
+
+
+def test_scan_rejects_bad_range_and_mode():
+    for g_from, g_to in ((40, 30), (1, 2)):
+        with pytest.raises(ValueError):
+            scan(g_from, g_to)
+    with pytest.raises(ValueError):
+        scan(31, 31, "precise")

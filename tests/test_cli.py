@@ -129,6 +129,15 @@ def test_usage_errors(capsys):
     # parity mismatch: Brill--Noether needs odd genus
     assert run(capsys, "certify", "--genus", "8", "--mode", "exact",
                "--effdiv", "bn")[0] == 1
+    # genus ranges go through the same validation as the library scan
+    assert run(capsys, "scan", "--from", "40", "--to", "30")[0] == 1
+    assert run(capsys, "scan", "--from", "1", "--to", "2")[0] == 1
+    # each subcommand accepts only the formats and options it honours
+    assert run(capsys, "class", "--genus", "8", "--which", "hur",
+               "--format", "csv")[0] == 1
+    assert run(capsys, "pullback-check", "--genus", "4", "--format", "text")[0] == 1
+    assert run(capsys, "certify", "--genus", "31", "--mode", "coarse",
+               "--workers", "2")[0] == 1
 
 
 def test_out_file(tmp_path, capsys):
@@ -169,6 +178,68 @@ def test_identities_moderate_genus(capsys):
                        "--full-max", "8", "--samples", "40")
     assert code == 0
     assert "genus 12: 40 graphs (40 spread samples): ok" in out
+
+
+def test_workers_below_one_rejected(capsys):
+    assert run(capsys, "identities", "--genus-max", "3", "--workers", "0")[0] == 1
+    assert run(capsys, "scan", "--from", "29", "--to", "30", "--workers", "-1")[0] == 1
+
+
+def test_pool_size_is_capped_by_task_count(monkeypatch, capsys):
+    import multiprocessing
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    _, serial, _ = run(capsys, "scan", "--from", "29", "--to", "31", "--mode", "coarse")
+    code, pooled, _ = run(capsys, "scan", "--from", "29", "--to", "31",
+                          "--mode", "coarse", "--workers", "64")
+    assert code == 0 and pooled == serial
+    assert sizes == [3]
+    run(capsys, "scan", "--from", "31", "--to", "31", "--mode", "coarse",
+        "--workers", "8")
+    assert sizes == [3]  # a single task runs in-process
+
+
+def test_scan_workers_byte_identical(capsys):
+    argv = ("scan", "--mode", "exact", "--from", "8", "--to", "10", "--format", "json")
+    code1, out1, _ = run(capsys, *argv, "--workers", "1")
+    code2, out2, _ = run(capsys, *argv, "--workers", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
+def test_atlas_lines_are_validated(tmp_path, capsys):
+    bad = "g=5;gb=3;legs=8;top=[(9,[1])]\n"
+    cases = {
+        "invalid.txt": bad + bad,
+        "duplicate.txt": "g=5;gb=4;legs=8;top=[(1,[1])]\n" * 2,
+        "legs.txt": "g=5;gb=4;legs=4,4;top=[(1,[1])]\n",
+        "genus.txt": "g=4;gb=3;legs=6;top=[(1,[1])]\n",
+    }
+    for name, text in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "enumerate", "--genus", "5", "--atlas", str(path))
+        assert code == 1, name
+        assert out == ""
+        assert "line" in err
+    _, _, err = run(capsys, "enumerate", "--genus", "5",
+                    "--atlas", str(tmp_path / "duplicate.txt"))
+    assert "line 2: repeats line 1" in err
 
 
 def test_identities_workers_equivalence(capsys):

@@ -156,7 +156,7 @@ def test_counts_match_stream(g):
         assert len({canonical_encoding(x) for x in graphs}) == len(graphs)
 
 
-@pytest.mark.parametrize("g", range(2, 8))
+@pytest.mark.parametrize("g", range(2, 10))
 def test_unrank_matches_stream(g):
     for flag in (True, False):
         stream = list(enumerate_level_graphs(g, dimension_filter=flag))
