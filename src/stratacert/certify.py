@@ -19,13 +19,18 @@ Two exact engines are provided.
   y without touching individual graphs.  s_Gamma is additive over the
   top-vertex types of the graph, so the minimum over all graphs of a given
   genus is an unbounded-knapsack optimum over per-weight minima of
-  per-type affine contributions.  Two small families escape the additive
-  model and are enumerated exhaustively instead: single-edge graphs (their
-  edge can be an elliptic dumbbell rather than plain compact type) and the
-  banana-backbone shapes (their delta_H correction carries a non-additive
-  1/lcm).  Both deviations only lower s_Gamma, so the true minimum is the
-  minimum of the three parts.  The positivity interval of the concave
-  lower envelope is then located by exact Newton steps on active pieces.
+  per-type affine contributions.  Within a (weight, degree) block a type's
+  contribution is affine in iota = sum of its reciprocal prongs, so only
+  the two types that extremise iota (the balanced partition and
+  (1, ..., 1, n-d+1)) can attain the block minimum; the engine never
+  enumerates the other vertex types.  Two small families escape the
+  additive model and are enumerated exhaustively instead: single-edge
+  graphs (their edge can be an elliptic dumbbell rather than plain compact
+  type) and the banana-backbone shapes (their delta_H correction carries a
+  non-additive 1/lcm).  Both deviations only lower s_Gamma, so the true
+  minimum is the minimum of the three parts.  The positivity interval of
+  the concave lower envelope is then located by exact Newton steps on
+  active pieces.
 
 The engines agree coefficient-for-coefficient; the test suite checks this
 on full atlases at small genus.
@@ -58,7 +63,6 @@ from .graphs import (
     canonical_encoding,
     enumerate_level_graphs,
     graph_invariants,
-    partitions_exact,
 )
 
 BRILL_NOETHER = "brill_noether"
@@ -80,6 +84,11 @@ def resolve_effdiv(g: int, effdiv: str) -> str:
     if effdiv in ("hur", HURWITZ):
         return HURWITZ
     raise ValueError(f"unknown effective divisor choice: {effdiv!r}")
+
+
+def _check_genus(g: int) -> None:
+    if g < 2:
+        raise ValueError("genus must be >= 2")
 
 
 def _check_parity(g: int, effdiv: str) -> None:
@@ -291,6 +300,7 @@ def certify_coarse(req: CertRequest) -> Certificate:
     explicit fixed y) and that y satisfies the four bounds.
     """
     g = req.genus
+    _check_genus(g)
     effdiv = resolve_effdiv(g, req.effective_divisor)
     if g < 7:
         return Certificate(
@@ -349,6 +359,7 @@ def certify_exact_streaming(req: CertRequest) -> Certificate:
     relies on the agreement.
     """
     g = req.genus
+    _check_genus(g)
     effdiv = resolve_effdiv(g, req.effective_divisor)
     _check_parity(g, effdiv)
     rows = []
@@ -383,6 +394,29 @@ def certify_exact_streaming(req: CertRequest) -> Certificate:
 #   C(y) = -kappa + y J (g - 1).
 # Everything is an integer over DEN = 2 (2g-1) (g+11) B Lambda, with
 # Lambda = lcm(1..2g-1) and B the effective divisor's denominator.
+# Within a (weight, degree) block (u_k, t_k) is affine in iota_k, so the
+# per-weight hulls are built from the two types of extreme iota only
+# (_iota_extremes says why that suffices).
+
+
+def _iota_extremes(n: int, d: int) -> tuple:
+    """The partitions of n into d parts that minimise and maximise
+    iota = sum of reciprocals, in the order of ``partitions_exact``.
+
+    They are the only vertex types of a (weight, degree) block that can
+    attain the block's minimum.  For d >= 2, sigma = n is fixed by the
+    block, rho = iota / 2 and beta = irr iota / B, so every line u + t y of
+    the block is affine in iota; at any y the line of a type with iota
+    strictly between the extremes is a convex combination of the two
+    extreme lines and never lies below both.  Since 1/p is convex, iota is Schur-convex
+    (Marshall--Olkin, Inequalities: Theory of Majorization), so its range is
+    spanned by the balanced partition (minimum) and (1, ..., 1, n-d+1)
+    (maximum).  For d = 1 both are (n,).
+    """
+    q, r = divmod(n, d)
+    spread = (1,) * (d - 1) + (n - d + 1,)
+    balanced = (q,) * (d - r) + (q + 1,) * r
+    return (spread,) if spread == balanced else (spread, balanced)
 
 
 class _Hull:
@@ -481,7 +515,7 @@ class _MinEngine:
             lines_d2 = []
             for d in range(1, w + 1):
                 h = w + 1 - d
-                for parts in partitions_exact(2 * h - 2 + d, d):
+                for parts in _iota_extremes(2 * h - 2 + d, d):
                     u, t = self._type_scalars(h, d, parts)
                     entry = (t, u, (h, parts))
                     lines_all.append(entry)
@@ -775,6 +809,7 @@ def certify_exact(req: CertRequest) -> Certificate:
     runtime is polynomial in the genus while the result is identical.
     """
     g = req.genus
+    _check_genus(g)
     effdiv = resolve_effdiv(g, req.effective_divisor)
     _check_parity(g, effdiv)
     engine = _engine(g, effdiv)

@@ -112,8 +112,9 @@ def build_parser() -> _Parser:
     p.add_argument("--form", choices=("raw", "reduced"), default="reduced")
     p.add_argument("--mu", default=None, help="signature for genw, e.g. 4,4")
     p.add_argument("--alpha", default=None, help="twist partition for genw")
-    p.add_argument("--atlas", default=None)
-    p.add_argument("--no-hbb-shape", action="store_true")
+    p.add_argument("--atlas", default=None, help="not with --which genw")
+    p.add_argument("--no-hbb-shape", action="store_true",
+                   help="only with --which canonical")
 
     p = sub.add_parser("certify", help="certify one genus")
     common(p, all_formats, "json")
@@ -141,9 +142,8 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=1)
 
     p = sub.add_parser("identities", help="run the identity suites")
-    # the text report ignores --format; it is kept because it is part of
-    # the artifact's config line
-    common(p, all_formats, "json", genus=False)
+    # always a text report, so no --format
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     workers(p)
     p.add_argument("--genus-max", type=int, required=True)
     p.add_argument("--full-max", type=int, default=10,
@@ -228,8 +228,11 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_class(args) -> int:
     g = args.genus
-    hbb = not args.no_hbb_shape
+    if args.no_hbb_shape and args.which != "canonical":
+        raise UsageError("--no-hbb-shape applies only to --which canonical")
     if args.which == "genw":
+        if args.atlas:
+            raise UsageError("--atlas does not apply to --which genw")
         if not args.mu or not args.alpha:
             raise UsageError("genw requires --mu and --alpha")
         mu = _parse_int_list(args.mu)
@@ -239,7 +242,8 @@ def _cmd_class(args) -> int:
     else:
         graphs = _load_graphs(args)
         if args.which == "canonical":
-            cls = scaled_canonical_class(g, graphs, hbb_shape_test=hbb)
+            cls = scaled_canonical_class(g, graphs,
+                                         hbb_shape_test=not args.no_hbb_shape)
         elif args.which == "dnc":
             cls = d_nc_class(g, graphs)
         elif args.which == "bn":

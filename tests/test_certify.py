@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from stratacert import certify as certify_module
 from stratacert.certify import (
     BOUNDS_CONFLICT,
     CERTIFIED,
@@ -18,6 +20,9 @@ from stratacert.certify import (
     scan,
     six_coefficients,
     y_hor,
+    _Hull,
+    _iota_extremes,
+    _MinEngine,
 )
 from stratacert.checks import (
     DEFAULT_Y_SAMPLES,
@@ -25,7 +30,13 @@ from stratacert.checks import (
     assembly_scalar_failures,
     graph_identity_failures,
 )
-from stratacert.graphs import enumerate_level_graphs, graph_invariants, minimal_graph
+from stratacert.graphs import (
+    canonical_encoding,
+    enumerate_level_graphs,
+    graph_invariants,
+    minimal_graph,
+    partitions_exact,
+)
 
 EDB31 = minimal_graph(31, 30, [(1, (1,))])
 BANANA31 = minimal_graph(31, 0, [(30, (30, 30))])
@@ -190,10 +201,6 @@ def test_assembly_both_divisor_choices():
 
 
 def test_hull_matches_linear_scan():
-    import random
-
-    from stratacert.certify import _Hull
-
     rng = random.Random(424242)
     for _ in range(50):
         lines = [(rng.randint(-50, 50), rng.randint(-50, 50), i)
@@ -212,3 +219,72 @@ def test_scan_rejects_bad_range_and_mode():
             scan(g_from, g_to)
     with pytest.raises(ValueError):
         scan(31, 31, "precise")
+
+
+def _full_type_engine(g, effdiv):
+    """Oracle: the minimization engine with hulls over every vertex type."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify_module, "_iota_extremes",
+                   lambda n, d: tuple(partitions_exact(n, d)))
+        return _MinEngine(g, effdiv)
+
+
+def _oracle_ys():
+    rng = random.Random(20240531)
+    ys = [F(0), F(1), F(1, 2)]
+    while len(ys) < 43:
+        den = rng.randint(1, 500)
+        y = F(rng.randint(0, den), den)
+        if y not in ys:
+            ys.append(y)
+    return ys
+
+
+@pytest.mark.parametrize("g", range(4, 21))
+def test_extreme_type_hulls_match_full_type_oracle(g):
+    effdiv = resolve_effdiv(g, "auto")
+    engine = _MinEngine(g, effdiv)
+    oracle = _full_type_engine(g, effdiv)
+    for hulls, o_hulls in ((engine.hull_all, oracle.hull_all),
+                           (engine.hull_d2, oracle.hull_d2)):
+        assert hulls.keys() == o_hulls.keys()
+        assert all(hulls[w].lines == o_hulls[w].lines for w in hulls)
+    for y in _oracle_ys():
+        for hbb in (True, False):
+            value, witness, _ = engine.evaluate(y, hbb)
+            o_value, o_witness, _ = oracle.evaluate(y, hbb)
+            assert value == o_value, (g, y, hbb)
+            assert canonical_encoding(witness) == canonical_encoding(o_witness), (g, y, hbb)
+
+
+def test_iota_extremes_are_argmin_and_argmax():
+    for n in range(1, 31):
+        for d in range(1, n + 1):
+            parts = list(partitions_exact(n, d))
+            iotas = [sum(F(1, p) for p in ps) for ps in parts]
+            lo, hi = min(iotas), max(iotas)
+            argmin = [ps for ps, i in zip(parts, iotas) if i == lo]
+            argmax = [ps for ps, i in zip(parts, iotas) if i == hi]
+            assert len(argmin) == len(argmax) == 1
+            got = _iota_extremes(n, d)
+            assert set(got) == {argmin[0], argmax[0]}
+            # listed in partitions_exact order, without repeats
+            assert list(got) == [ps for ps in parts if ps in got]
+
+
+def test_g34_shape_test_off_is_infeasible():
+    # a pinned finding: coarse mode certifies genus 34, exact mode does not
+    cert = certify_exact(CertRequest(34, "exact", "auto", "paper_recipe", False))
+    assert cert.status == INFEASIBLE
+    assert cert.feasible.lo == F(10365, 41473)
+    assert cert.feasible.hi == F(10725, 50317)
+    assert cert.feasible.lo > cert.feasible.hi
+    assert cert.worst_margin == F(392256, 38532035)
+    assert cert.worst_graph == "g=34;gb=0;legs=66;top=[(16,[16,16]),(16,[16,16])]"
+
+
+def test_genus_below_two_rejected():
+    for certify in (certify_coarse, certify_exact, certify_exact_streaming):
+        for g in (-1, 0, 1):
+            with pytest.raises(ValueError, match="genus must be >= 2"):
+                certify(CertRequest(g))

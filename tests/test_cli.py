@@ -138,6 +138,16 @@ def test_usage_errors(capsys):
     assert run(capsys, "pullback-check", "--genus", "4", "--format", "text")[0] == 1
     assert run(capsys, "certify", "--genus", "31", "--mode", "coarse",
                "--workers", "2")[0] == 1
+    code, _, err = run(capsys, "class", "--genus", "4", "--which", "genw",
+                       "--mu", "4,4", "--alpha", "4,0", "--form", "raw",
+                       "--atlas", "/nonexistent/file")
+    assert code == 1 and "--atlas" in err
+    for which in ("dnc", "bn", "hur", "wplus", "genw"):
+        code, _, err = run(capsys, "class", "--genus", "4", "--which", which,
+                           "--mu", "4,4", "--alpha", "4,0", "--no-hbb-shape")
+        assert code == 1 and "--no-hbb-shape" in err, which
+    code, _, err = run(capsys, "identities", "--genus-max", "3", "--format", "text")
+    assert code == 1 and "--format" in err
 
 
 def test_out_file(tmp_path, capsys):
