@@ -24,13 +24,14 @@ Two exact engines are provided.
   the two types that extremise iota (the balanced partition and
   (1, ..., 1, n-d+1)) can attain the block minimum; the engine never
   enumerates the other vertex types.  Two small families escape the
-  additive model and are enumerated exhaustively instead: single-edge
-  graphs (their edge can be an elliptic dumbbell rather than plain compact
-  type) and the banana-backbone shapes (their delta_H correction carries a
-  non-additive 1/lcm).  Both deviations only lower s_Gamma, so the true
-  minimum is the minimum of the three parts.  The positivity interval of
-  the concave lower envelope is then located by exact Newton steps on
-  active pieces.
+  additive model and are handled on their own: the single-edge graphs
+  (their edge can be an elliptic dumbbell rather than plain compact type)
+  are enumerated, and the banana-backbone shapes (their delta_H correction
+  carries a non-additive 1/lcm) get their lower envelope from a recursion
+  memoized on (h, budget, lcm, have_pair).  Both deviations only lower
+  s_Gamma, so the true minimum is the minimum of the three parts.  The
+  positivity interval of the concave lower envelope is then located by
+  exact Newton steps on active pieces.
 
 The engines agree coefficient-for-coefficient; the test suite checks this
 on full atlases at small genus.
@@ -547,41 +548,57 @@ class _MinEngine:
         and equal-prong pairs (h, [h, h]) with at least one pair, and its
         per-type contributions match the generic additive model (OCT /
         NCT edge classes arise automatically); only the correction
-        -Q / lcm(prongs) is graph-global, so lines are generated by a
-        recursion carrying the running lcm.
+        -Q / lcm(prongs) is graph-global.
+
+        The choices are made for h = 1, 2, ... in turn, and the envelope is
+        built by a recursion memoized on the state (h, budget, ell,
+        have_pair): the next h, the top genus still to place, the lcm of
+        the prongs chosen so far and whether a pair was chosen.  A state's
+        value is the lower envelope of the lines of its completions, each
+        carrying the spec suffix that produces it.  The memo is exact
+        because the only non-additive term, -Q / lcm, depends on the path
+        only through ell.  Children are merged in ascending (ns, np) order
+        and _Hull keeps the first of equal lines, so the hull, refs
+        included, is the one of the plain walk over every graph.
         """
         if self._hbb_hull is None:
             g = self.g
             singles = {h: self._type_scalars(h, 1, (2 * h - 1,)) for h in range(1, g + 1)}
             pairs = {h: self._type_scalars(h, 2, (h, h)) for h in range(1, g + 1)}
-            lines = []
+            memo: dict = {}
 
-            def walk(h: int, budget: int, g_b: int, u_sum: int, t_sum: int,
-                     ell: int, have_pair: bool, spec: tuple):
+            def envelope(h: int, budget: int, ell: int, have_pair: bool) -> list:
                 if budget == 0:
-                    if have_pair:
-                        u = (self.k0 + 2 * g_b * self.q_num + u_sum
-                             - self.q_num // ell)
-                        lines.append((self.k1 + t_sum, u, (g_b, spec)))
-                    return
+                    return [(0, -(self.q_num // ell), ())] if have_pair else []
                 if h > budget:
-                    return
+                    return []
+                key = (h, budget, ell, have_pair)
+                if key in memo:
+                    return memo[key]
                 us, ts = singles[h]
                 up, tp = pairs[h]
                 ell_single = math.lcm(ell, 2 * h - 1)
+                lines = []
                 for ns in range(budget // h + 1):
                     rem = budget - ns * h
                     ell_s = ell_single if ns else ell
                     for np_ in range(rem // (h + 1) + 1):
                         ell_p = math.lcm(ell_s, h) if np_ else ell_s
-                        nspec = spec + ((h, ns, np_),) if (ns or np_) else spec
-                        walk(h + 1, rem - np_ * (h + 1), g_b,
-                             u_sum + ns * us + np_ * up,
-                             t_sum + ns * ts + np_ * tp,
-                             ell_p, have_pair or np_ > 0, nspec)
+                        rest = envelope(h + 1, rem - np_ * (h + 1), ell_p,
+                                        have_pair or np_ > 0)
+                        dt = ns * ts + np_ * tp
+                        du = ns * us + np_ * up
+                        step = ((h, ns, np_),) if (ns or np_) else ()
+                        lines.extend((t + dt, u + du, step + spec)
+                                     for t, u, spec in rest)
+                memo[key] = result = _Hull(lines).lines
+                return result
 
+            lines = []
             for g_b in range(g):
-                walk(1, g - g_b, g_b, 0, 0, 1, False, ())
+                base = self.k0 + 2 * g_b * self.q_num
+                lines.extend((self.k1 + t, base + u, (g_b, spec))
+                             for t, u, spec in envelope(1, g - g_b, 1, False))
             self._hbb_hull = _Hull(lines)
         return self._hbb_hull
 

@@ -240,6 +240,9 @@ def _cmd_class(args) -> int:
         graphs = list(image_correspondence(g, mu).values())
         cls = gen_weierstrass_class(mu, alpha, graphs, form=args.form)
     else:
+        for option, value in (("--mu", args.mu), ("--alpha", args.alpha)):
+            if value is not None:
+                raise UsageError(f"{option} applies only to --which genw")
         graphs = _load_graphs(args)
         if args.which == "canonical":
             cls = scaled_canonical_class(g, graphs,

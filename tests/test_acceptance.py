@@ -234,7 +234,7 @@ def test_criterion_6_exact_certification_sensitivity():
         f"{sensitivity.graph_count} graphs")
     status = "PASS (sensitivity)" if sensitivity.status == CERTIFIED else "FAIL"
     report(6, status, detail_default + " | " + detail_sens
-           + f" ({elapsed:.1f}s; expectation minutes)")
+           + f" ({elapsed:.1f}s; expectation under a second)")
     # the self-contained reproduction of the certified range holds with the
     # shape test disabled; the literal default-configuration claim is the
     # strict-xfail companion below

@@ -146,6 +146,12 @@ def test_usage_errors(capsys):
         code, _, err = run(capsys, "class", "--genus", "4", "--which", which,
                            "--mu", "4,4", "--alpha", "4,0", "--no-hbb-shape")
         assert code == 1 and "--no-hbb-shape" in err, which
+    code, _, err = run(capsys, "class", "--genus", "6", "--which", "hur",
+                       "--mu", "4,4", "--alpha", "9,9")
+    assert code == 1 and "--mu" in err
+    code, _, err = run(capsys, "class", "--genus", "4", "--which", "canonical",
+                       "--alpha", "4,0")
+    assert code == 1 and "--alpha" in err
     code, _, err = run(capsys, "identities", "--genus-max", "3", "--format", "text")
     assert code == 1 and "--format" in err
 
