@@ -31,10 +31,12 @@ Two exact engines are provided.
   memoized on (h, budget, lcm, have_pair).  Both deviations only lower
   s_Gamma, so the true minimum is the minimum of the three parts.  The
   positivity interval of the concave lower envelope is then located by
-  exact Newton steps on active pieces.
+  exact Newton steps on active pieces, once per engine and delta_H mode.
 
-The engines agree coefficient-for-coefficient; the test suite checks this
-on full atlases at small genus.
+The engines give the same status, y, feasible set, worst margin and graph
+count; the test suite checks this on full atlases at small genus.  Among
+graphs tied at the minimum they may name different witnesses, and with
+them the notes that quote the witness.
 """
 
 from __future__ import annotations
@@ -356,8 +358,10 @@ def _hbb_note(hbb: bool) -> str:
 def certify_exact_streaming(req: CertRequest) -> Certificate:
     """Reference implementation: enumerate every graph.  Small genus only.
 
-    Produces the same certificate as :func:`certify_exact`; the test suite
-    relies on the agreement.
+    Agrees with :func:`certify_exact` on everything but the witness: the
+    status, y, feasible set, worst margin and graph count are equal, while
+    worst_graph and the notes that name it may differ where graphs tie at
+    the minimum.  The test suite relies on the agreement.
     """
     g = req.genus
     _check_genus(g)
@@ -376,7 +380,7 @@ def certify_exact_streaming(req: CertRequest) -> Certificate:
                 best = (value, enc, aff)
         return best
 
-    return _exact_certificate(req, effdiv, evaluate, len(rows))
+    return _exact_certificate(req, effdiv, _Analysis(evaluate), len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +482,9 @@ class _MinEngine:
         self._build_type_hulls()
         self._e1_family = None
         self._hbb_hull = None
+        self._dp_affines: Dict[LevelGraph, AffineInY] = {}
+        self._hbb_affines: Dict[LevelGraph, AffineInY] = {}
+        self._analyses: Dict[bool, _Analysis] = {}
 
     # -- per-type contributions ------------------------------------------
 
@@ -529,7 +536,11 @@ class _MinEngine:
     # -- exhaustively enumerated special families --------------------------
 
     def e1_family(self) -> list:
-        """Single-edge graphs, with their true (possibly EDB) edge class."""
+        """Single-edge graphs, with their true (possibly EDB) edge class.
+
+        Rows are (u, t, affine, graph) in h order, where u + t y is
+        s_Gamma(y) * DEN; building the rows checks that both are integers.
+        """
         if self._e1_family is None:
             g = self.g
             rows = []
@@ -537,7 +548,12 @@ class _MinEngine:
                 graph = LevelGraph(g, g - h, (2 * g - 2,),
                                    (TopVertex(h, (2 * h - 1,)),))
                 inv = graph_invariants(graph, hbb_shape_test=False)
-                rows.append((s_gamma_affine(inv, g, self.effdiv), graph))
+                aff = s_gamma_affine(inv, g, self.effdiv)
+                u, t = aff.intercept * self.den, aff.slope * self.den
+                if u.denominator != 1 or t.denominator != 1:
+                    raise AssertionError("single-edge coefficients are not "
+                                         "integral over the engine denominator")
+                rows.append((u.numerator, t.numerator, aff, graph))
             self._e1_family = rows
         return self._e1_family
 
@@ -643,27 +659,24 @@ class _MinEngine:
             cand = const + 2 * g_b * self.q_num * yd + dp[g - g_b]
             if best_value is None or cand < best_value:
                 best_value, best_plan = cand, (g_b, None)
-        value = Fraction(best_value, self.den * yd)
+        scale = self.den * yd
         witness = self._reconstruct(best_plan, best_all, best_d2, choice)
         affine = self._dp_convention_affine(witness)
-        if affine(y) != value:
+        if affine(y) != Fraction(best_value, scale):
             raise AssertionError("minimization engine self-check failed")
-        for aff, graph in self.e1_family():
-            fval = aff(y)
-            if fval < value:
-                value, witness, affine = fval, graph, aff
+        for u, t, aff, graph in self.e1_family():
+            scaled = u * yd + t * yn
+            if scaled < best_value:
+                best_value, witness, affine = scaled, graph, aff
         if hbb:
             scaled, ref = self.hbb_hull().query(yn, yd)
-            fval = Fraction(scaled, self.den * yd)
-            if fval < value:
-                value = fval
+            if scaled < best_value:
+                best_value = scaled
                 witness = self.hbb_witness(ref)
-                affine = s_gamma_affine(
-                    graph_invariants(witness, hbb_shape_test=True),
-                    self.g, self.effdiv)
-                if affine(y) != value:
+                affine = self._hbb_affine(witness)
+                if affine(y) != Fraction(best_value, scale):
                     raise AssertionError("HBB family self-check failed")
-        return value, witness, affine
+        return Fraction(best_value, scale), witness, affine
 
     def _reconstruct(self, plan, best_all, best_d2, choice) -> LevelGraph:
         g_b, d2_weight = plan
@@ -682,14 +695,46 @@ class _MinEngine:
 
     def _dp_convention_affine(self, graph: LevelGraph) -> AffineInY:
         """s_Gamma under the additive-model conventions (plain compact type
-        on single-edge graphs, delta_H = 0); engine self-check only."""
-        inv = graph_invariants(graph, hbb_shape_test=False)
-        if inv.edges == 1 and EDB in inv.edge_classes:
-            p = inv.prongs[0]
-            r_nc = Fraction(2, p)
-            inv = replace(inv, edge_classes=(OCT,), R_NC=r_nc,
-                          b_NC=inv.ell * r_nc - 1)
-        return s_gamma_affine(inv, self.g, self.effdiv)
+        on single-edge graphs, delta_H = 0); engine self-check only.
+
+        Memoized per witness graph: the affine does not depend on y, and
+        the few witnesses recur across evaluate calls."""
+        affine = self._dp_affines.get(graph)
+        if affine is None:
+            inv = graph_invariants(graph, hbb_shape_test=False)
+            if inv.edges == 1 and EDB in inv.edge_classes:
+                p = inv.prongs[0]
+                r_nc = Fraction(2, p)
+                inv = replace(inv, edge_classes=(OCT,), R_NC=r_nc,
+                              b_NC=inv.ell * r_nc - 1)
+            affine = self._dp_affines[graph] = s_gamma_affine(inv, self.g, self.effdiv)
+        return affine
+
+    def _hbb_affine(self, graph: LevelGraph) -> AffineInY:
+        """s_Gamma of an HBB witness with the shape test on, memoized per
+        graph; HBB self-check only."""
+        affine = self._hbb_affines.get(graph)
+        if affine is None:
+            affine = self._hbb_affines[graph] = s_gamma_affine(
+                graph_invariants(graph, hbb_shape_test=True), self.g, self.effdiv)
+        return affine
+
+    # -- y-independent analysis ----------------------------------------------
+
+    def analysis(self, hbb: bool) -> "_Analysis":
+        """The positivity analysis of min s_Gamma in one delta_H mode.
+
+        It depends only on (g, effdiv, hbb), so it is made once per engine
+        and mode and shared by every certificate asked of the engine.
+        """
+        found = self._analyses.get(hbb)
+        if found is None:
+            def evaluate(y: Fraction):
+                value, witness, affine = self.evaluate(y, hbb)
+                return value, canonical_encoding(witness), affine
+
+            found = self._analyses[hbb] = _Analysis(evaluate)
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -748,27 +793,45 @@ def _root_from_outside(evaluate: Callable, outer: Fraction, f_outer):
     raise AssertionError("root finding did not converge")
 
 
-def _positivity_interval_concave(evaluate: Callable) -> RationalInterval:
-    """{y in [0,1] : F(y) > 0} for concave piecewise-affine F, exactly."""
-    zero, one = Fraction(0), Fraction(1)
-    f0 = evaluate(zero)
-    f1 = evaluate(one)
-    if f0[0] > 0 and f1[0] > 0:
-        # concavity: positive at both ends means positive throughout
-        return UNIT
-    if f0[0] <= 0 and f1[0] <= 0:
-        _, f_max = _max_concave(evaluate, zero, one)
-        if f_max[0] <= 0:
+class _Analysis:
+    """The y-independent part of an exact certificate.
+
+    For a concave piecewise-affine F on [0, 1], given by
+    ``evaluate(y) -> (F(y), witness encoding, active affine)``: the
+    positivity interval {y in [0,1] : F(y) > 0}, found when the analysis
+    is made, and F's maximum, found the first time it is asked for.
+    """
+
+    def __init__(self, evaluate: Callable):
+        self.evaluate = evaluate
+        self._maximum = None
+        self.interval = self._positivity_interval()
+
+    def maximum(self):
+        """(value, witness, affine) of evaluate at the maximum of F."""
+        if self._maximum is None:
+            _, self._maximum = _max_concave(self.evaluate, Fraction(0), Fraction(1))
+        return self._maximum
+
+    def _positivity_interval(self) -> RationalInterval:
+        evaluate = self.evaluate
+        zero, one = Fraction(0), Fraction(1)
+        f0 = evaluate(zero)
+        f1 = evaluate(one)
+        if f0[0] > 0 and f1[0] > 0:
+            # concavity: positive at both ends means positive throughout
+            return UNIT
+        if f0[0] <= 0 and f1[0] <= 0 and self.maximum()[0] <= 0:
             return EMPTY
-    if f0[0] > 0:
-        lo, lo_open = zero, False
-    else:
-        lo, lo_open = _root_from_outside(evaluate, zero, f0), True
-    if f1[0] > 0:
-        hi, hi_open = one, False
-    else:
-        hi, hi_open = _root_from_outside(evaluate, one, f1), True
-    return RationalInterval(lo, hi, lo_open, hi_open)
+        if f0[0] > 0:
+            lo, lo_open = zero, False
+        else:
+            lo, lo_open = _root_from_outside(evaluate, zero, f0), True
+        if f1[0] > 0:
+            hi, hi_open = one, False
+        else:
+            hi, hi_open = _root_from_outside(evaluate, one, f1), True
+        return RationalInterval(lo, hi, lo_open, hi_open)
 
 
 # ---------------------------------------------------------------------------
@@ -786,26 +849,25 @@ def _engine(g: int, effdiv: str) -> _MinEngine:
     return engine
 
 
-def _exact_certificate(req: CertRequest, effdiv: str, evaluate: Callable,
+def _exact_certificate(req: CertRequest, effdiv: str, analysis: _Analysis,
                        graph_count: int) -> Certificate:
     """Shared assembly of an exact-mode certificate.
 
-    ``evaluate(y) -> (min s_Gamma(y), witness encoding, active affine)``.
-    The feasible set is the positivity region of the concave minimum,
-    intersected with the horizontal constraint; for an infeasible result
-    the reported margin is the best achievable minimum over [0, 1].
+    ``analysis`` is that of y -> min s_Gamma(y) in the request's delta_H
+    mode.  The feasible set is the positivity region of the concave
+    minimum, intersected with the horizontal constraint; for an infeasible
+    result the reported margin is the best achievable minimum over [0, 1].
     """
     g = req.genus
-    f_interval = _positivity_interval_concave(evaluate)
+    f_interval = analysis.interval
     feasible = f_interval.intersect(
         affine_positivity_interval(s_hor_affine(g, effdiv), UNIT))
     y, status = _choose_y(g, req, feasible)
     notes = [_hbb_note(req.hbb_shape_test)]
     if status == CERTIFIED:
-        margin, worst, _ = evaluate(y)
+        margin, worst, _ = analysis.evaluate(y)
     else:
-        _, f_max = _max_concave(evaluate, Fraction(0), Fraction(1))
-        margin, worst, aff = f_max
+        margin, worst, aff = analysis.maximum()
         if max(aff(Fraction(0)), aff(Fraction(1))) < 0:
             notes.append(f"graph with negative coefficient for every y: {worst}")
         if not f_interval.is_empty() and y is not None and not feasible.contains(y):
@@ -823,19 +885,16 @@ def certify_exact(req: CertRequest) -> Certificate:
     Equivalent to intersecting the positivity intervals of s_hor and of
     every enumerated graph's s_Gamma; the minimum over graphs is found by
     weight-indexed optimization instead of per-graph streaming, so the
-    runtime is polynomial in the genus while the result is identical.
+    runtime is polynomial in the genus.  The engine, with its positivity
+    analysis for each delta_H mode, is kept per (genus, divisor), so a
+    later request for the same genus costs about one evaluate call.
     """
     g = req.genus
     _check_genus(g)
     effdiv = resolve_effdiv(g, req.effective_divisor)
     _check_parity(g, effdiv)
-    engine = _engine(g, effdiv)
-
-    def evaluate(y: Fraction):
-        value, witness, affine = engine.evaluate(y, req.hbb_shape_test)
-        return value, canonical_encoding(witness), affine
-
-    return _exact_certificate(req, effdiv, evaluate, atlas_count(g))
+    analysis = _engine(g, effdiv).analysis(req.hbb_shape_test)
+    return _exact_certificate(req, effdiv, analysis, atlas_count(g))
 
 
 def cert_requests(g_from: int, g_to: int, mode: str = "coarse",

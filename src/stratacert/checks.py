@@ -27,10 +27,9 @@ from .certify import (
     y_hor,
 )
 from .classes import (
-    boundary_coeff_bn,
-    boundary_coeff_canonical,
-    boundary_coeff_dnc,
-    boundary_coeff_hur,
+    _bn_coeff,
+    _canonical_coeff,
+    _hur_coeff,
     kappa_mu,
     kappa_over_2g,
     wplus_w_gamma,
@@ -38,7 +37,7 @@ from .classes import (
     wplus_w_lambda,
 )
 from .exactq import AffineInY, lcm_list
-from .graphs import RBT, LevelGraph, graph_invariants, validate
+from .graphs import RBT, GraphInvariants, LevelGraph, graph_invariants, validate
 
 DEFAULT_Y_SAMPLES = (
     Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
@@ -100,17 +99,20 @@ def assembly_affine_classes(graph: LevelGraph, effdiv: str,
                             hbb_shape_test: bool = True) -> AffineInY:
     """Boundary coefficient of the assembled class, via the divisor-class
     builders, as an affine function of y."""
+    return _assembly_affine(graph, graph_invariants(graph, hbb_shape_test), effdiv)
+
+
+def _assembly_affine(graph: LevelGraph, inv: GraphInvariants,
+                     effdiv: str) -> AffineInY:
     g = graph.genus
-    inv = graph_invariants(graph, hbb_shape_test)
     q = kappa_over_2g(g)
-    can = boundary_coeff_canonical(graph, hbb_shape_test)
-    dnc = boundary_coeff_dnc(graph)
+    can = _canonical_coeff(graph, inv)
     w_term = 12 * wplus_w_gamma(graph) * inv.ell / wplus_w_lambda(g)
     if effdiv == "brill_noether":
-        b = boundary_coeff_bn(graph)
+        b = _bn_coeff(graph, inv)
     else:
-        b = boundary_coeff_hur(graph)
-    return AffineInY(can - q * dnc + 2 * b, w_term - 2 * b)
+        b = _hur_coeff(graph, inv)
+    return AffineInY(can - q * inv.b_NC + 2 * b, w_term - 2 * b)
 
 
 def assembly_failures(graph: LevelGraph, effdiv: Optional[str] = None,
@@ -121,7 +123,7 @@ def assembly_failures(graph: LevelGraph, effdiv: Optional[str] = None,
     g = graph.genus
     effdiv = resolve_effdiv(g, effdiv or "auto")
     inv = graph_invariants(graph, hbb_shape_test)
-    via_classes = assembly_affine_classes(graph, effdiv, hbb_shape_test)
+    via_classes = _assembly_affine(graph, inv, effdiv)
     via_certifier = s_gamma_affine(inv, g, effdiv).scaled(inv.ell)
     bad = []
     if (via_classes.intercept != via_certifier.intercept

@@ -229,13 +229,7 @@ def reduce_class(c: DivisorClass, ctx: ClassContext) -> DivisorClass:
 
 def boundary_coeff_canonical(graph: LevelGraph, hbb_shape_test: bool = True) -> Fraction:
     """D_Gamma coefficient of the scaled canonical class (kappa/2g) c1(K)."""
-    g = graph.genus
-    inv = graph_invariants(graph, hbb_shape_test)
-    kappa_bot = kappa_mu(graph.bottom_orders())
-    coeff = -(inv.ell * kappa_bot - kappa_over_2g(g) * (inv.ell * inv.N_bot - 1))
-    if inv.delta_H:
-        coeff -= kappa_over_2g(g)
-    return coeff
+    return _canonical_coeff(graph, graph_invariants(graph, hbb_shape_test))
 
 
 def boundary_coeff_dnc(graph: LevelGraph) -> Fraction:
@@ -244,8 +238,31 @@ def boundary_coeff_dnc(graph: LevelGraph) -> Fraction:
 
 def boundary_coeff_bn(graph: LevelGraph) -> Fraction:
     """b_Gamma of the Brill--Noether class (odd genus)."""
+    return _bn_coeff(graph, graph_invariants(graph))
+
+
+def boundary_coeff_hur(graph: LevelGraph) -> Fraction:
+    """h_Gamma of the Hurwitz class (even genus)."""
+    return _hur_coeff(graph, graph_invariants(graph))
+
+
+# The helpers below take the graph's invariants from the caller, so one
+# graph_invariants call can serve every coefficient of the assembly check.
+# Only the canonical coefficient reads delta_H, the one invariant that
+# depends on the shape test.
+
+
+def _canonical_coeff(graph: LevelGraph, inv: GraphInvariants) -> Fraction:
     g = graph.genus
-    inv = graph_invariants(graph)
+    kappa_bot = kappa_mu(graph.bottom_orders())
+    coeff = -(inv.ell * kappa_bot - kappa_over_2g(g) * (inv.ell * inv.N_bot - 1))
+    if inv.delta_H:
+        coeff -= kappa_over_2g(g)
+    return coeff
+
+
+def _bn_coeff(graph: LevelGraph, inv: GraphInvariants) -> Fraction:
+    g = graph.genus
     total = Fraction(0)
     for p, target in zip(graph.prongs(), inv.delta_assignments):
         if target == DELTA_IRR:
@@ -256,10 +273,8 @@ def boundary_coeff_bn(graph: LevelGraph) -> Fraction:
     return inv.ell * total
 
 
-def boundary_coeff_hur(graph: LevelGraph) -> Fraction:
-    """h_Gamma of the Hurwitz class (even genus)."""
+def _hur_coeff(graph: LevelGraph, inv: GraphInvariants) -> Fraction:
     g = graph.genus
-    inv = graph_invariants(graph)
     den = (g + 8) * (3 * g - 1)
     total = Fraction(0)
     for p, target in zip(graph.prongs(), inv.delta_assignments):

@@ -32,6 +32,8 @@ from stratacert.checks import (
     graph_identity_failures,
 )
 from stratacert.graphs import (
+    LevelGraph,
+    TopVertex,
     canonical_encoding,
     enumerate_level_graphs,
     graph_invariants,
@@ -154,6 +156,11 @@ def test_resolve_effdiv():
         resolve_effdiv(31, "nope")
 
 
+# the two engines may pick different witnesses among graphs tied at the
+# minimum, so worst_graph and the notes that name it are not compared
+_WITNESS_FIELDS = ("worst_graph", "notes")
+
+
 @pytest.mark.parametrize("g,effdiv", [(7, "bn"), (8, "hur"), (9, "bn"),
                                       (10, "hur"), (11, "bn"), (12, "hur")])
 def test_engines_agree(g, effdiv):
@@ -165,6 +172,26 @@ def test_engines_agree(g, effdiv):
         assert a.feasible == b.feasible
         assert a.worst_margin == b.worst_margin
         assert a.graph_count == b.graph_count
+        a_json, b_json = a.to_json(), b.to_json()
+        for key in _WITNESS_FIELDS:
+            del a_json[key], b_json[key]
+        assert a_json == b_json
+
+
+def test_engines_differ_in_witness_at_a_tie_g4():
+    # a pinned finding: at the maximum of the minimum both engines reach the
+    # same margin through different tied graphs, and only the streaming
+    # engine's witness is negative for every y, so only it adds that note
+    req = CertRequest(4, "exact", "auto", "auto_midpoint", False)
+    a = certify_exact_streaming(req).to_json()
+    b = certify_exact(req).to_json()
+    assert a["status"] == b["status"] == INFEASIBLE
+    assert a["worst_margin"] == b["worst_margin"]
+    assert a["worst_graph"] == "g=4;gb=0;legs=6;top=[(1,[1,1,1,1])]"
+    assert b["worst_graph"] == "g=4;gb=0;legs=6;top=[(1,[1,1]),(1,[1,1])]"
+    negative_note = ("graph with negative coefficient for every y: "
+                     "g=4;gb=0;legs=6;top=[(1,[1,1,1,1])]")
+    assert a["notes"] == b["notes"] + [negative_note]
 
 
 def test_fixed_y_policy():
@@ -356,3 +383,93 @@ def test_hbb_hull_tie_break_matches_walk_oracle(g):
     engine = _MinEngine(g, "brill_noether")
     engine._type_scalars = lambda h, d, parts: (0, 0)
     assert engine.hbb_hull().lines == _hbb_walk_hull(engine).lines
+
+
+def _cert_policies():
+    return ["paper_recipe", "auto_midpoint"] + _oracle_ys()
+
+
+@pytest.mark.parametrize("g", range(4, 23))
+def test_warm_certificate_equals_fresh_engine(g, monkeypatch):
+    # the engine keeps its positivity analysis and witness affines across
+    # requests; none of that may change a certificate
+    monkeypatch.setattr(certify_module, "_ENGINE_CACHE", {})
+    for hbb in (False, True):
+        reqs = [CertRequest(g, "exact", "auto", policy, hbb)
+                for policy in _cert_policies()]
+        certify_exact(reqs[-1])  # every certificate below is warm
+        warm = [certify_exact(req).to_json() for req in reqs]
+        for req, cert in zip(reqs, warm):
+            certify_module._ENGINE_CACHE.clear()
+            assert certify_exact(req).to_json() == cert, (g, hbb, req.y_policy)
+
+
+@pytest.mark.parametrize("hbb", [False, True])
+def test_dp_self_check_runs_on_warm_evaluate(hbb, monkeypatch):
+    monkeypatch.setattr(certify_module, "_ENGINE_CACHE", {})
+    y = recipe_y(31)
+    certify_exact(CertRequest(31, "exact", "auto", y, hbb))
+    engine = certify_module._ENGINE_CACHE[(31, "brill_noether")]
+    engine.evaluate(y, hbb)  # the witness affine is memoized by now
+    monkeypatch.setattr(engine, "k0", engine.k0 + 1)
+    with pytest.raises(AssertionError, match="minimization engine self-check failed"):
+        engine.evaluate(y, hbb)
+
+
+def test_hbb_self_check_runs_on_warm_evaluate(monkeypatch):
+    monkeypatch.setattr(certify_module, "_ENGINE_CACHE", {})
+    y = recipe_y(31)
+    certify_exact(CertRequest(31, "exact", "auto", y, True))
+    engine = certify_module._ENGINE_CACHE[(31, "brill_noether")]
+    _, witness, _ = engine.evaluate(y, True)
+    assert witness == BANANA31  # an HBB witness, its affine memoized
+    lowered = _Hull([(t, u - 1, ref) for t, u, ref in engine.hbb_hull().lines])
+    monkeypatch.setattr(engine, "_hbb_hull", lowered)
+    with pytest.raises(AssertionError, match="HBB family self-check failed"):
+        engine.evaluate(y, True)
+
+
+@pytest.mark.parametrize("g", range(2, 23))
+def test_single_edge_scan_matches_fraction_oracle(g):
+    effdiv = resolve_effdiv(g, "auto")
+    engine = _MinEngine(g, effdiv)
+    dp_only = _MinEngine(g, effdiv)
+    dp_only._e1_family = []
+    family = []
+    for h in range(1, g):  # in h order: the first of tied graphs wins
+        graph = LevelGraph(g, g - h, (2 * g - 2,), (TopVertex(h, (2 * h - 1,)),))
+        family.append((s_gamma_affine(graph_invariants(graph, False), g, effdiv), graph))
+    for y in _oracle_ys():
+        for hbb in (False, True):
+            value, witness, _ = dp_only.evaluate(y, False)
+            for aff, graph in family:
+                if aff(y) < value:
+                    value, witness = aff(y), graph
+            if hbb:
+                scaled, ref = engine.hbb_hull().query(y.numerator, y.denominator)
+                if F(scaled, engine.den * y.denominator) < value:
+                    value = F(scaled, engine.den * y.denominator)
+                    witness = engine.hbb_witness(ref)
+            got_value, got_witness, _ = engine.evaluate(y, hbb)
+            assert got_value == value, (g, y, hbb)
+            assert got_witness == witness, (g, y, hbb)
+
+
+def test_single_edge_scan_keeps_the_first_of_tied_rows():
+    # no two single-edge graphs tie at the minimum of a real engine (none
+    # at g = 2..22), so the h-order tie-break is pinned on rows made to tie
+    engine = _MinEngine(10, "hurwitz")
+    low = -1000 * engine.den  # far below every other part
+    engine._e1_family = [(low, 0, aff, graph)
+                         for _, _, aff, graph in engine.e1_family()]
+    for y in _oracle_ys():
+        value, witness, _ = engine.evaluate(y, False)
+        assert value == -1000
+        assert witness == engine._e1_family[0][3]
+
+
+def test_single_edge_family_rejects_non_integral_coefficients(monkeypatch):
+    engine = _MinEngine(10, "hurwitz")
+    monkeypatch.setattr(engine, "den", engine.den + 1)
+    with pytest.raises(AssertionError, match="not integral"):
+        engine.e1_family()
