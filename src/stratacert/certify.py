@@ -27,11 +27,12 @@ Two exact engines are provided.
   additive model and are handled on their own: the single-edge graphs
   (their edge can be an elliptic dumbbell rather than plain compact type)
   are enumerated, and the banana-backbone shapes (their delta_H correction
-  carries a non-additive 1/lcm) get their lower envelope from a recursion
-  memoized on (h, budget, lcm, have_pair).  Both deviations only lower
-  s_Gamma, so the true minimum is the minimum of the three parts.  The
-  positivity interval of the concave lower envelope is then located by
-  exact Newton steps on active pieces, once per engine and delta_H mode.
+  carries a non-additive 1/lcm) are searched depth-first at each queried
+  y, cut by the knapsack's own minimum as a lower bound.  Both deviations
+  only lower s_Gamma, so the true minimum is the minimum of the three
+  parts.  The positivity interval of the concave lower envelope is then
+  located by exact Newton steps on active pieces, once per engine and
+  delta_H mode.
 
 The engines give the same status, y, feasible set, worst margin and graph
 count; the test suite checks this on full atlases at small genus.  Among
@@ -144,6 +145,11 @@ class SixCoefficients:
     t1_affine: AffineInY
     t2_affine: AffineInY
 
+    def s_gamma(self) -> AffineInY:
+        """s_Gamma(y) = c_Gamma + y (12 w_Gamma / w_lambda) + (1-y) b_Gamma."""
+        return AffineInY(self.c_gamma + self.b_gamma_six,
+                         self.w_ratio_term - self.b_gamma_six)
+
 
 def _b_gamma_six(inv: GraphInvariants, g: int, effdiv: str) -> Fraction:
     total = Fraction(0)
@@ -186,8 +192,7 @@ def six_coefficients(inv: GraphInvariants, g: int, effdiv: str = "auto") -> SixC
 
 def s_gamma_affine(inv: GraphInvariants, g: int, effdiv: str = "auto") -> AffineInY:
     """s_Gamma(y) = c_Gamma + y (12 w_Gamma / w_lambda) + (1-y) b_Gamma."""
-    six = six_coefficients(inv, g, effdiv)
-    return AffineInY(six.c_gamma + six.b_gamma_six, six.w_ratio_term - six.b_gamma_six)
+    return six_coefficients(inv, g, effdiv).s_gamma()
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +287,6 @@ def coarse_bounds(g: int) -> RationalInterval:
     return out.intersect(RationalInterval(lo=None, hi=hi, hi_open=False))
 
 
-def _coarse_margin(g: int, y: Fraction) -> Fraction:
-    """Smallest slack of the four closed-form bounds at y."""
-    slacks = [
-        y - y_hor(g),
-        y - Fraction(g + 11, 12 * g - 6),
-        y - Fraction(g + 12, 48 * g - 24),
-    ]
-    if g % 2:
-        slacks.append(Fraction(g - 5, 4 * g - 4) - y)
-    else:
-        slacks.append(Fraction(g * g - 7 * g, 4 * g * g + 16 * g - 8) - y)
-    return min(slacks)
-
-
 def certify_coarse(req: CertRequest) -> Certificate:
     """The closed-form certificate of the large-genus strategy.
 
@@ -305,6 +296,7 @@ def certify_coarse(req: CertRequest) -> Certificate:
     g = req.genus
     _check_genus(g)
     effdiv = resolve_effdiv(g, req.effective_divisor)
+    _check_parity(g, effdiv)
     if g < 7:
         return Certificate(
             genus=g, mode="coarse", effective_divisor=effdiv, y=None,
@@ -326,12 +318,11 @@ def certify_coarse(req: CertRequest) -> Certificate:
     elif feasible.is_empty():
         status = BOUNDS_CONFLICT
         margin = None
-    elif feasible.contains(y):
-        status = CERTIFIED
-        margin = _coarse_margin(g, y)
     else:
-        status = INFEASIBLE
-        margin = _coarse_margin(g, y)
+        status = CERTIFIED if feasible.contains(y) else INFEASIBLE
+        # the four bounds lie inside [0, 1], so the nearer end of feasible
+        # gives their smallest slack at y
+        margin = min(y - feasible.lo, feasible.hi - y)
     if status == CERTIFIED and g % 2 == 0:
         value = s_hor_affine(g, HURWITZ)(y)
         sign = "positive" if value > 0 else "NOT positive"
@@ -480,8 +471,11 @@ class _MinEngine:
         self.k0 = -4 * g * (g - 1) * (self.den // (2 * g - 1))  # -kappa * DEN
         self.k1 = 12 * (g - 1) * (self.den // (g + 11))  # J (g-1) * DEN
         self._build_type_hulls()
+        # (single, pair) scalars per top genus h for the HBB search
+        self._hbb_types = {h: (self._type_scalars(h, 1, (2 * h - 1,)),
+                               self._type_scalars(h, 2, (h, h)))
+                           for h in range(1, g + 1)}
         self._e1_family = None
-        self._hbb_hull = None
         self._dp_affines: Dict[LevelGraph, AffineInY] = {}
         self._hbb_affines: Dict[LevelGraph, AffineInY] = {}
         self._analyses: Dict[bool, _Analysis] = {}
@@ -557,66 +551,58 @@ class _MinEngine:
             self._e1_family = rows
         return self._e1_family
 
-    def hbb_hull(self) -> "_Hull":
-        """Lower envelope over all shape-HBB graphs with delta_H = 1.
+    def _hbb_search(self, yn: int, yd: int, dp: list, limit: int):
+        """(scaled value, ref) of the least shape-HBB graph at y = yn/yd
+        strictly below ``limit``, or None.
 
         The family is a multiset choice of single-edge vertices (h, [2h-1])
         and equal-prong pairs (h, [h, h]) with at least one pair, and its
         per-type contributions match the generic additive model (OCT /
         NCT edge classes arise automatically); only the correction
-        -Q / lcm(prongs) is graph-global.
-
-        The choices are made for h = 1, 2, ... in turn, and the envelope is
-        built by a recursion memoized on the state (h, budget, ell,
-        have_pair): the next h, the top genus still to place, the lcm of
-        the prongs chosen so far and whether a pair was chosen.  A state's
-        value is the lower envelope of the lines of its completions, each
-        carrying the spec suffix that produces it.  The memo is exact
-        because the only non-additive term, -Q / lcm, depends on the path
-        only through ell.  Children are merged in ascending (ns, np) order
-        and _Hull keeps the first of equal lines, so the hull, refs
-        included, is the one of the plain walk over every graph.
+        -Q / lcm(prongs) is graph-global.  The search makes the choices for
+        g_b = 0, 1, ..., then h = 1, 2, ... with (ns, np) ascending, and
+        cuts a node whose bound prefix + dp[budget] - Q / ell cannot beat
+        the best so far.  Every single and pair is a candidate of the
+        per-weight hull of its weight (block (h, 1), and the balanced
+        extreme of block (h + 1, 2)), so the knapsack dp of ``evaluate``
+        bounds the rest, and the lcm ell only grows.  Ties go as in
+        _Hull.query: least value, then least slope, then the first found.
         """
-        if self._hbb_hull is None:
-            g = self.g
-            singles = {h: self._type_scalars(h, 1, (2 * h - 1,)) for h in range(1, g + 1)}
-            pairs = {h: self._type_scalars(h, 2, (h, h)) for h in range(1, g + 1)}
-            memo: dict = {}
+        q_num = self.q_num
+        types = {h: (us * yd + ts * yn, ts, up * yd + tp * yn, tp)
+                 for h, ((us, ts), (up, tp)) in self._hbb_types.items()}
+        best = [limit, None, None]  # value, slope, ref
+        path: list = []
 
-            def envelope(h: int, budget: int, ell: int, have_pair: bool) -> list:
-                if budget == 0:
-                    return [(0, -(self.q_num // ell), ())] if have_pair else []
-                if h > budget:
-                    return []
-                key = (h, budget, ell, have_pair)
-                if key in memo:
-                    return memo[key]
-                us, ts = singles[h]
-                up, tp = pairs[h]
-                ell_single = math.lcm(ell, 2 * h - 1)
-                lines = []
-                for ns in range(budget // h + 1):
-                    rem = budget - ns * h
-                    ell_s = ell_single if ns else ell
-                    for np_ in range(rem // (h + 1) + 1):
-                        ell_p = math.lcm(ell_s, h) if np_ else ell_s
-                        rest = envelope(h + 1, rem - np_ * (h + 1), ell_p,
-                                        have_pair or np_ > 0)
-                        dt = ns * ts + np_ * tp
-                        du = ns * us + np_ * up
-                        step = ((h, ns, np_),) if (ns or np_) else ()
-                        lines.extend((t + dt, u + du, step + spec)
-                                     for t, u, spec in rest)
-                memo[key] = result = _Hull(lines).lines
-                return result
+        def search(g_b, h, budget, ell, have_pair, value, slope):
+            bound = value + dp[budget] - (q_num // ell) * yd
+            if bound > best[0] or (bound == best[0] and best[1] is None):
+                return
+            if budget == 0:
+                if have_pair and (bound < best[0] or slope < best[1]):
+                    spec = tuple(step for step in path if step[1] or step[2])
+                    best[:] = bound, slope, (g_b, spec)
+                return
+            if h > budget:
+                return
+            vs, ts, vp, tp = types[h]
+            ell_single = math.lcm(ell, 2 * h - 1)
+            for ns in range(budget // h + 1):
+                rem = budget - ns * h
+                ell_s = ell_single if ns else ell
+                for np_ in range(rem // (h + 1) + 1):
+                    path.append((h, ns, np_))
+                    search(g_b, h + 1, rem - np_ * (h + 1),
+                           math.lcm(ell_s, h) if np_ else ell_s,
+                           have_pair or np_ > 0, value + ns * vs + np_ * vp,
+                           slope + ns * ts + np_ * tp)
+                    path.pop()
 
-            lines = []
-            for g_b in range(g):
-                base = self.k0 + 2 * g_b * self.q_num
-                lines.extend((self.k1 + t, base + u, (g_b, spec))
-                             for t, u, spec in envelope(1, g - g_b, 1, False))
-            self._hbb_hull = _Hull(lines)
-        return self._hbb_hull
+        const = self.k0 * yd + self.k1 * yn
+        for g_b in range(self.g):
+            search(g_b, 1, self.g - g_b, 1, False,
+                   const + 2 * g_b * q_num * yd, self.k1)
+        return None if best[2] is None else (best[0], best[2])
 
     def hbb_witness(self, ref) -> LevelGraph:
         g_b, spec = ref
@@ -629,7 +615,10 @@ class _MinEngine:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, y: Fraction, hbb: bool):
-        """(min over the atlas of s_Gamma(y), witness graph, active affine)."""
+        """(min over the atlas of s_Gamma(y), witness graph, active affine).
+
+        With the shape test on, the HBB family is searched only where it
+        can go strictly below the knapsack and single-edge minimum."""
         g = self.g
         yn, yd = y.numerator, y.denominator
         if yd <= 0:
@@ -669,9 +658,9 @@ class _MinEngine:
             if scaled < best_value:
                 best_value, witness, affine = scaled, graph, aff
         if hbb:
-            scaled, ref = self.hbb_hull().query(yn, yd)
-            if scaled < best_value:
-                best_value = scaled
+            found = self._hbb_search(yn, yd, dp, best_value)
+            if found is not None:
+                best_value, ref = found
                 witness = self.hbb_witness(ref)
                 affine = self._hbb_affine(witness)
                 if affine(y) != Fraction(best_value, scale):

@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence
 
 from .certify import (
+    SixCoefficients,
     resolve_effdiv,
-    s_gamma_affine,
     s_hor_affine,
     six_coefficients,
     y_hor,
@@ -53,9 +53,14 @@ def is_rational_bottom_banana(graph: LevelGraph) -> bool:
 
 def graph_identity_failures(graph: LevelGraph, hbb_shape_test: bool = True) -> List[str]:
     """The per-graph identity battery; empty list when everything holds."""
+    inv = graph_invariants(graph, hbb_shape_test)
+    return _identity_failures(graph, inv, six_coefficients(inv, graph.genus))
+
+
+def _identity_failures(graph: LevelGraph, inv: GraphInvariants,
+                       six: SixCoefficients) -> List[str]:
     g = graph.genus
     bad = [f"validate: {msg}" for msg in validate(graph)]
-    inv = graph_invariants(graph, hbb_shape_test)
     if kappa_mu(graph.bottom_orders()) != inv.kappa_bot:
         bad.append("kappa_bot: direct signature evaluation != prong identity")
     if inv.N_top + inv.N_bot != 2 * g:
@@ -79,27 +84,18 @@ def graph_identity_failures(graph: LevelGraph, hbb_shape_test: bool = True) -> L
             bad.append("rational-bottom banana with P != 2g - 2")
     elif inv.P > 2 * g - 3:
         bad.append("P > 2g - 3 off the rational-bottom banana family")
-    effdiv = resolve_effdiv(g, "auto")
-    six = six_coefficients(inv, g, effdiv)
     lhs = six.w_ratio_term
     rhs = 12 * (six.w_bar + Fraction((g - 1) * (inv.v_top - 1), g + 11))
     if lhs != rhs:
         bad.append("decomposition 12 w_Gamma / w_lambda != "
                     "12 (w_bar + (g-1)(v_top-1)/(g+11))")
-    s_aff = s_gamma_affine(inv, g, effdiv)
+    s_aff = six.s_gamma()
     split = six.t1_affine + six.t2_affine
     for y in (Fraction(0), Fraction(1, 2), Fraction(1)):
         if split(y) > s_aff(y):
             bad.append("T1 + T2 exceeds s_Gamma")
             break
     return bad
-
-
-def assembly_affine_classes(graph: LevelGraph, effdiv: str,
-                            hbb_shape_test: bool = True) -> AffineInY:
-    """Boundary coefficient of the assembled class, via the divisor-class
-    builders, as an affine function of y."""
-    return _assembly_affine(graph, graph_invariants(graph, hbb_shape_test), effdiv)
 
 
 def _assembly_affine(graph: LevelGraph, inv: GraphInvariants,
@@ -121,10 +117,16 @@ def assembly_failures(graph: LevelGraph, effdiv: Optional[str] = None,
     """Check that the assembled boundary coefficient from the divisor-class
     route equals ell * s_Gamma(y) from the certifier route."""
     g = graph.genus
-    effdiv = resolve_effdiv(g, effdiv or "auto")
     inv = graph_invariants(graph, hbb_shape_test)
-    via_classes = _assembly_affine(graph, inv, effdiv)
-    via_certifier = s_gamma_affine(inv, g, effdiv).scaled(inv.ell)
+    six = six_coefficients(inv, g, resolve_effdiv(g, effdiv or "auto"))
+    return _assembly_failures(graph, inv, six, ys)
+
+
+def _assembly_failures(graph: LevelGraph, inv: GraphInvariants,
+                       six: SixCoefficients,
+                       ys: Sequence[Fraction] = DEFAULT_Y_SAMPLES) -> List[str]:
+    via_classes = _assembly_affine(graph, inv, six.effdiv)
+    via_certifier = six.s_gamma().scaled(inv.ell)
     bad = []
     if (via_classes.intercept != via_certifier.intercept
             or via_classes.slope != via_certifier.slope):
@@ -180,9 +182,12 @@ def identity_suite(graphs: Iterable[LevelGraph], hbb_shape_test: bool = True,
     failures: List[str] = []
     for graph in graphs:
         checked += 1
-        failures.extend(graph_identity_failures(graph, hbb_shape_test))
+        # one set of invariants and coefficients serves both batteries
+        inv = graph_invariants(graph, hbb_shape_test)
+        six = six_coefficients(inv, graph.genus)
+        failures.extend(_identity_failures(graph, inv, six))
         if with_assembly:
-            failures.extend(assembly_failures(graph, None, hbb_shape_test))
+            failures.extend(_assembly_failures(graph, inv, six))
         if len(failures) > 20:
             failures.append("... (stopping after 20 failures)")
             break

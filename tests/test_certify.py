@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from stratacert import certify as certify_module
+from stratacert import checks as checks_module
 from stratacert.certify import (
     BOUNDS_CONFLICT,
     CERTIFIED,
@@ -149,6 +150,37 @@ def test_coarse_certified_y_satisfies_bn_horizontal():
             assert s_hor_affine(cert.genus, "bn")(cert.y) > 0
 
 
+def test_coarse_rejects_divisor_of_wrong_parity():
+    # both modes reject it, rather than label a certificate with a
+    # divisor whose coefficients the genus does not define
+    for g, effdiv in ((31, "hur"), (30, "bn"), (4, "bn"), (5, "hur")):
+        for mode in ("coarse", "exact"):
+            with pytest.raises(ValueError, match="require"):
+                scan(g, g, mode, effdiv)
+    assert certify_coarse(CertRequest(31, "coarse", "bn")).status == CERTIFIED
+
+
+def _four_slacks(g, y):
+    """Oracle: the smallest slack at y of the four closed-form bounds."""
+    upper = (F(g - 5, 4 * g - 4) if g % 2
+             else F(g * g - 7 * g, 4 * g * g + 16 * g - 8))
+    return min(y - y_hor(g), y - F(g + 11, 12 * g - 6),
+               y - F(g + 12, 48 * g - 24), upper - y)
+
+
+def test_coarse_margin_is_the_least_slack_of_the_four_bounds():
+    checked = 0
+    for g in range(7, 201):
+        for y in [recipe_y(g), F(0), F(1), F(3, 20), F(1, 5)] + _oracle_ys()[3:13]:
+            if y is None:
+                continue
+            cert = certify_coarse(CertRequest(g, "coarse", "auto", y))
+            if cert.status != BOUNDS_CONFLICT:
+                assert cert.worst_margin == _four_slacks(g, y), (g, y)
+                checked += 1
+    assert checked > 2500
+
+
 def test_resolve_effdiv():
     assert resolve_effdiv(31, "auto") == "brill_noether"
     assert resolve_effdiv(34, "auto") == "hurwitz"
@@ -212,6 +244,24 @@ def test_identity_battery_small():
         for graph in enumerate_level_graphs(g):
             assert graph_identity_failures(graph) == []
             assert assembly_failures(graph) == []
+
+
+def test_identity_suite_shares_invariants_across_batteries(monkeypatch):
+    calls = {"graph_invariants": 0, "six_coefficients": 0}
+
+    def counted(name):
+        real = getattr(checks_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(checks_module, name, counted(name))
+    checked, failures = checks_module.identity_suite(enumerate_level_graphs(8))
+    assert (checked, failures) == (716, [])
+    assert calls == {"graph_invariants": 716, "six_coefficients": 716}
 
 
 def test_assembly_scalars_small():
@@ -318,11 +368,11 @@ def test_genus_below_two_rejected():
                 certify(CertRequest(g))
 
 
-def _hbb_walk_hull(engine):
-    """Oracle: the HBB hull from a plain walk over every shape-HBB graph.
+def _hbb_walk_lines(engine):
+    """Oracle: one line per shape-HBB graph, from a plain walk over them all.
 
-    It appends one line per graph, in depth-first order with ns, then np,
-    ascending, and takes the hull of the whole list.
+    Lines come in depth-first order with ns, then np, ascending: the order
+    in which the engine's search meets the graphs.
     """
     g, q_num = engine.g, engine.q_num
     singles = {h: engine._type_scalars(h, 1, (2 * h - 1,)) for h in range(1, g + 1)}
@@ -353,36 +403,171 @@ def _hbb_walk_hull(engine):
 
     for g_b in range(g):
         walk(1, g - g_b, g_b, 0, 0, 1, False, ())
+    return lines
+
+
+def _hbb_walk_hull(engine):
+    """Oracle: the lower envelope of every shape-HBB line.  Its query
+    applies the tie rule the engine's search must reproduce."""
+    return _Hull(_hbb_walk_lines(engine))
+
+
+def _hbb_memo_hull(engine):
+    """Oracle for genera where the walk is too slow: the same envelope from
+    a recursion memoized on (h, budget, ell, have_pair).  The only
+    non-additive term, -Q / lcm, depends on the path only through ell, and
+    children are merged in walk order, so the hull, refs included, is the
+    walk's."""
+    g = engine.g
+    singles = {h: engine._type_scalars(h, 1, (2 * h - 1,)) for h in range(1, g + 1)}
+    pairs = {h: engine._type_scalars(h, 2, (h, h)) for h in range(1, g + 1)}
+    memo = {}
+
+    def envelope(h, budget, ell, have_pair):
+        if budget == 0:
+            return [(0, -(engine.q_num // ell), ())] if have_pair else []
+        if h > budget:
+            return []
+        key = (h, budget, ell, have_pair)
+        if key in memo:
+            return memo[key]
+        us, ts = singles[h]
+        up, tp = pairs[h]
+        ell_single = math.lcm(ell, 2 * h - 1)
+        lines = []
+        for ns in range(budget // h + 1):
+            rem = budget - ns * h
+            ell_s = ell_single if ns else ell
+            for np_ in range(rem // (h + 1) + 1):
+                ell_p = math.lcm(ell_s, h) if np_ else ell_s
+                rest = envelope(h + 1, rem - np_ * (h + 1), ell_p,
+                                have_pair or np_ > 0)
+                dt = ns * ts + np_ * tp
+                du = ns * us + np_ * up
+                step = ((h, ns, np_),) if (ns or np_) else ()
+                lines.extend((t + dt, u + du, step + spec) for t, u, spec in rest)
+        memo[key] = result = _Hull(lines).lines
+        return result
+
+    lines = []
+    for g_b in range(g):
+        base = engine.k0 + 2 * g_b * engine.q_num
+        lines.extend((engine.k1 + t, base + u, (g_b, spec))
+                     for t, u, spec in envelope(1, g - g_b, 1, False))
     return _Hull(lines)
+
+
+def _hbb_search(engine, y, limit):
+    """The engine's HBB search at y, bounded by the knapsack over the
+    engine's per-weight hulls, as evaluate fills it."""
+    yn, yd = y.numerator, y.denominator
+    dp = [0] * (engine.g + 1)
+    for total in range(1, engine.g + 1):
+        dp[total] = min(dp[total - w] + engine.hull_all[w].query(yn, yd)[0]
+                        for w in range(1, total + 1))
+    return engine._hbb_search(yn, yd, dp, limit)
+
+
+def _engine_with_scalars(g, effdiv, scalars):
+    """An engine whose per-type contributions (hulls and HBB types alike)
+    are ``scalars(engine, h, d, parts)``."""
+    engine = _MinEngine.__new__(_MinEngine)
+    engine._type_scalars = lambda h, d, parts: scalars(engine, h, d, parts)
+    engine.__init__(g, effdiv)
+    return engine
+
+
+def _above_every_line(lines):
+    """(yn, yd) -> a scaled value above every one of the lines at yn/yd."""
+    u_max = max(u for _, u, _ in lines)
+    t_min, t_max = min(t for t, _, _ in lines), max(t for t, _, _ in lines)
+    return lambda yn, yd: u_max * yd + max(t_min * yn, t_max * yn) + 1
+
+
+def _check_search_against_hull(engine, hull, y, above):
+    # with a limit above every line the search must find the least one;
+    # with the least value itself as limit it must find nothing (strict <)
+    yn, yd = y.numerator, y.denominator
+    expect = hull.query(yn, yd)
+    assert _hbb_search(engine, y, above(yn, yd)) == expect, (engine.g, y)
+    assert _hbb_search(engine, y, expect[0]) is None, (engine.g, y)
 
 
 @pytest.mark.parametrize("effdiv", ["brill_noether", "hurwitz"])
 @pytest.mark.parametrize("g", range(2, 23))
 def test_hbb_hull_matches_walk_oracle(g, effdiv):
     engine = _MinEngine(g, effdiv)
-    oracle = _MinEngine(g, effdiv)
-    oracle._hbb_hull = _hbb_walk_hull(oracle)
-    hull = engine.hbb_hull()
-    assert hull.lines == oracle._hbb_hull.lines
-    assert hull.breaks == oracle._hbb_hull.breaks
-    if effdiv != resolve_effdiv(g, "auto"):
-        return  # s_Gamma itself is defined only for the parity's divisor
+    lines = _hbb_walk_lines(engine)
+    hull = _Hull(lines)
+    if g <= 12:  # keep the memo oracle of the larger genera honest
+        assert _hbb_memo_hull(engine).lines == hull.lines
+    above = _above_every_line(lines)
     for y in _oracle_ys():
-        value, witness, _ = engine.evaluate(y, True)
-        o_value, o_witness, _ = oracle.evaluate(y, True)
-        assert value == o_value, (g, y)
-        assert canonical_encoding(witness) == canonical_encoding(o_witness), (g, y)
+        _check_search_against_hull(engine, hull, y, above)
+
+
+@pytest.mark.parametrize("g", [23, 25, 28, 31])
+def test_hbb_search_matches_memo_oracle(g):
+    engine = _MinEngine(g, resolve_effdiv(g, "auto"))
+    hull = _hbb_memo_hull(engine)
+    above = _above_every_line(hull.lines)  # the least line is among them
+    for y in _oracle_ys():
+        _check_search_against_hull(engine, hull, y, above)
 
 
 @pytest.mark.parametrize("g", range(4, 13))
 def test_hbb_hull_tie_break_matches_walk_oracle(g):
-    # no tied lines reach the real hulls (none at g = 2..22, 25, 28 or 31),
-    # so the tie-break is pinned on an engine whose vertex types all
-    # contribute nothing: lines then tie whenever two graphs share g_b and
-    # the lcm, and the hull must keep the walk's first
-    engine = _MinEngine(g, "brill_noether")
-    engine._type_scalars = lambda h, d, parts: (0, 0)
-    assert engine.hbb_hull().lines == _hbb_walk_hull(engine).lines
+    # no tied graphs reach the real minima (none at g = 2..22, 25, 28 or
+    # 31), so the tie-break is pinned on made-up contributions.  When every
+    # vertex type contributes nothing, lines tie whenever two graphs share
+    # g_b and the lcm; when each contributes 2 Q per unit of weight, which
+    # cancels the 2 Q g_b of the bottom, they tie across g_b as well.  The
+    # search must keep the walk's first.
+    for scalars in (lambda *_: (0, 0),
+                    lambda engine, h, d, parts: (2 * engine.q_num * (h + d - 1), 0)):
+        engine = _engine_with_scalars(g, "brill_noether", scalars)
+        lines = _hbb_walk_lines(engine)
+        hull = _Hull(lines)
+        above = _above_every_line(lines)
+        for y in _oracle_ys():
+            _check_search_against_hull(engine, hull, y, above)
+
+
+def test_hbb_search_breaks_value_ties_by_least_slope():
+    # at a breakpoint of the envelope two lines of different slope tie;
+    # _Hull.query names the one of least slope, which Newton's steps rely
+    # on.  Seeded per-type contributions make such ties, and the case that
+    # matters is the one where the winner comes later in search order.
+    rng = random.Random(8128)
+    table = {}
+
+    def scalars(engine, h, d, parts):
+        key = (h, d, parts)
+        if key not in table:
+            table[key] = (rng.randint(-9, 9) * engine.den, rng.randint(-9, 9) * engine.den)
+        return table[key]
+
+    later_winners = 0
+    for g in range(5, 10):
+        table.clear()
+        engine = _engine_with_scalars(g, "brill_noether", scalars)
+        lines = _hbb_walk_lines(engine)
+        order = {ref: i for i, (_, _, ref) in reversed(list(enumerate(lines)))}
+        hull = _Hull(lines)
+        above = _above_every_line(lines)
+        for (num, den), left, right in zip(hull.breaks, hull.lines, hull.lines[1:]):
+            _check_search_against_hull(engine, hull, F(num, den), above)
+            later_winners += order[right[2]] > order[left[2]]
+    assert later_winners > 0
+
+def test_g60_default_certificate():
+    # the genus at which the banana-backbone search gets its widest
+    # exercise in the suite; its witness is the equal-prong banana again
+    cert = certify_exact(CertRequest(60, "exact"))
+    assert cert.status == INFEASIBLE
+    assert cert.feasible.is_empty()
+    assert cert.worst_margin == F(-11400798, 1258897073)
+    assert cert.worst_graph == "g=60;gb=0;legs=118;top=[(59,[59,59])]"
 
 
 def _cert_policies():
@@ -423,8 +608,8 @@ def test_hbb_self_check_runs_on_warm_evaluate(monkeypatch):
     engine = certify_module._ENGINE_CACHE[(31, "brill_noether")]
     _, witness, _ = engine.evaluate(y, True)
     assert witness == BANANA31  # an HBB witness, its affine memoized
-    lowered = _Hull([(t, u - 1, ref) for t, u, ref in engine.hbb_hull().lines])
-    monkeypatch.setattr(engine, "_hbb_hull", lowered)
+    single, (u, t) = engine._hbb_types[30]
+    monkeypatch.setitem(engine._hbb_types, 30, (single, (u - 1, t)))
     with pytest.raises(AssertionError, match="HBB family self-check failed"):
         engine.evaluate(y, True)
 
@@ -435,6 +620,7 @@ def test_single_edge_scan_matches_fraction_oracle(g):
     engine = _MinEngine(g, effdiv)
     dp_only = _MinEngine(g, effdiv)
     dp_only._e1_family = []
+    hbb_hull = _hbb_walk_hull(engine)
     family = []
     for h in range(1, g):  # in h order: the first of tied graphs wins
         graph = LevelGraph(g, g - h, (2 * g - 2,), (TopVertex(h, (2 * h - 1,)),))
@@ -446,7 +632,7 @@ def test_single_edge_scan_matches_fraction_oracle(g):
                 if aff(y) < value:
                     value, witness = aff(y), graph
             if hbb:
-                scaled, ref = engine.hbb_hull().query(y.numerator, y.denominator)
+                scaled, ref = hbb_hull.query(y.numerator, y.denominator)
                 if F(scaled, engine.den * y.denominator) < value:
                     value = F(scaled, engine.den * y.denominator)
                     witness = engine.hbb_witness(ref)

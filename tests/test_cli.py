@@ -129,6 +129,9 @@ def test_usage_errors(capsys):
     # parity mismatch: Brill--Noether needs odd genus
     assert run(capsys, "certify", "--genus", "8", "--mode", "exact",
                "--effdiv", "bn")[0] == 1
+    code, _, err = run(capsys, "certify", "--genus", "31", "--mode", "coarse",
+                       "--effdiv", "hur")
+    assert code == 1 and "even genus" in err
     # genus ranges go through the same validation as the library scan
     assert run(capsys, "scan", "--from", "40", "--to", "30")[0] == 1
     assert run(capsys, "scan", "--from", "1", "--to", "2")[0] == 1
