@@ -24,9 +24,9 @@ Two exact engines are provided.
   the two types that extremise iota (the balanced partition and
   (1, ..., 1, n-d+1)) can attain the block minimum; the engine never
   enumerates the other vertex types.  Two small families escape the
-  additive model and are handled on their own: the single-edge graphs
-  (their edge can be an elliptic dumbbell rather than plain compact type)
-  are enumerated, and the banana-backbone shapes (their delta_H correction
+  additive model and are handled on their own: the two single-edge graphs
+  whose edge is an elliptic dumbbell rather than plain compact type are
+  listed, and the banana-backbone shapes (their delta_H correction
   carries a non-additive 1/lcm) are searched depth-first at each queried
   y, cut by the knapsack's own minimum as a lower bound.  Both deviations
   only lower s_Gamma, so the true minimum is the minimum of the three
@@ -79,42 +79,48 @@ BOUNDS_CONFLICT = "coarse_bounds_conflict"
 RECIPE_EPS = Fraction(1, 100000)
 
 
+def _divisor(g: int) -> tuple:
+    """(name, den, hor, sep) of the effective divisor genus g uses.
+
+    The genus decides it: Brill--Noether for odd g, Hurwitz for even g.
+    Its horizontal ratio is hor / den, and a boundary edge with prong p
+    contributes 2 hor / (den p) when non-separating and
+    12 i (g - i) sep / (den p) when it separates genus i from g - i.
+    """
+    if g % 2:
+        return BRILL_NOETHER, g + 3, g + 1, 1
+    return HURWITZ, (g + 8) * (3 * g - 1), 3 * g * g + 12 * g - 6, 3 * g + 4
+
+
 def resolve_effdiv(g: int, effdiv: str) -> str:
-    """auto -> Brill--Noether for odd genus, Hurwitz for even genus."""
-    if effdiv in ("auto", None):
-        return BRILL_NOETHER if g % 2 else HURWITZ
-    if effdiv in ("bn", BRILL_NOETHER):
-        return BRILL_NOETHER
-    if effdiv in ("hur", HURWITZ):
-        return HURWITZ
-    raise ValueError(f"unknown effective divisor choice: {effdiv!r}")
-
-
-def _check_genus(g: int) -> None:
-    if g < 2:
-        raise ValueError("genus must be >= 2")
-
-
-def _check_parity(g: int, effdiv: str) -> None:
-    if effdiv == BRILL_NOETHER and g % 2 == 0:
+    """The divisor genus g uses, checked against the one a request names:
+    ``auto`` (or None), ``bn``/``brill_noether`` for odd g, or
+    ``hur``/``hurwitz`` for even g."""
+    if effdiv not in ("auto", None, "bn", BRILL_NOETHER, "hur", HURWITZ):
+        raise ValueError(f"unknown effective divisor choice: {effdiv!r}")
+    name = _divisor(g)[0]
+    if effdiv in ("bn", BRILL_NOETHER) and name != BRILL_NOETHER:
         raise ValueError("Brill--Noether coefficients require odd genus")
-    if effdiv == HURWITZ and g % 2 == 1:
+    if effdiv in ("hur", HURWITZ) and name != HURWITZ:
         raise ValueError("Hurwitz coefficients require even genus")
+    return name
 
 
-def _hur_ratio(g: int) -> Fraction:
-    return Fraction(3 * g * g + 12 * g - 6, (g + 8) * (3 * g - 1))
+def _check_request(req: CertRequest) -> str:
+    """The divisor name of a request, after checking its genus and divisor."""
+    if req.genus < 2:
+        raise ValueError("genus must be >= 2")
+    return resolve_effdiv(req.genus, req.effective_divisor)
 
 
-def s_hor_affine(g: int, effdiv: str = "auto") -> AffineInY:
+def s_hor_affine(g: int) -> AffineInY:
     """The horizontal coefficient of the assembled class as a function of y.
 
     The slope term 12 w_hor / w_lambda simplifies to 3(g+3)/(g+11); the
     effective divisor contributes its horizontal ratio with weight 2 - 2y.
     """
-    effdiv = resolve_effdiv(g, effdiv)
-    _check_parity(g, effdiv)
-    ratio = Fraction(g + 1, g + 3) if effdiv == BRILL_NOETHER else _hur_ratio(g)
+    _, den, hor, _ = _divisor(g)
+    ratio = Fraction(hor, den)
     slope_w = Fraction(3 * (g + 3), g + 11)
     return AffineInY(-1 - kappa_over_2g(g) + 2 * ratio, slope_w - 2 * ratio)
 
@@ -136,7 +142,6 @@ class SixCoefficients:
     """The per-graph coefficient data of the convex combination."""
 
     genus: int
-    effdiv: str
     c_gamma: Fraction
     r_gamma: Fraction
     b_gamma_six: Fraction
@@ -151,29 +156,20 @@ class SixCoefficients:
                          self.w_ratio_term - self.b_gamma_six)
 
 
-def _b_gamma_six(inv: GraphInvariants, g: int, effdiv: str) -> Fraction:
+def _b_gamma_six(inv: GraphInvariants, g: int) -> Fraction:
+    _, den, hor, sep = _divisor(g)
     total = Fraction(0)
-    if effdiv == BRILL_NOETHER:
-        for p, target in zip(inv.prongs, inv.delta_assignments):
-            if target == DELTA_IRR:
-                total += Fraction(2 * (g + 1), (g + 3) * p)
-            else:
-                total += Fraction(12 * target * (g - target), (g + 3) * p)
-    else:
-        den = (g + 8) * (3 * g - 1)
-        for p, target in zip(inv.prongs, inv.delta_assignments):
-            if target == DELTA_IRR:
-                total += Fraction(2 * (3 * g * g + 12 * g - 6), den * p)
-            else:
-                total += Fraction(12 * target * (g - target) * (3 * g + 4), den * p)
+    for p, target in zip(inv.prongs, inv.delta_assignments):
+        if target == DELTA_IRR:
+            total += Fraction(2 * hor, den * p)
+        else:
+            total += Fraction(12 * target * (g - target) * sep, den * p)
     return total
 
 
-def six_coefficients(inv: GraphInvariants, g: int, effdiv: str = "auto") -> SixCoefficients:
+def six_coefficients(inv: GraphInvariants, g: int) -> SixCoefficients:
     """c_Gamma, R_Gamma, the normalized effective-divisor coefficient, the
     ratio 12 w_Gamma / w_lambda, and the two-term split of s_Gamma."""
-    effdiv = resolve_effdiv(g, effdiv)
-    _check_parity(g, effdiv)
     q = kappa_over_2g(g)
     r_gamma = (inv.b_NC + 1 + inv.delta_H) / inv.ell
     c_gamma = q * (inv.N_bot - r_gamma) - inv.kappa_bot
@@ -181,18 +177,18 @@ def six_coefficients(inv: GraphInvariants, g: int, effdiv: str = "auto") -> SixC
                - Fraction(1, 2 * g - 1) + Fraction(inv.v_top - 1, 2))
     w_ratio = 12 * w_gamma / Fraction(g + 11, 2 * g - 2)
     w_bar = (2 * g - 2 - inv.P + inv.P_minus1) / (g + 11)
-    b_six = _b_gamma_six(inv, g, effdiv)
+    b_six = _b_gamma_six(inv, g)
     t1 = AffineInY(
         -q * (inv.v_top - 1) + b_six - inv.P_minus1 - q * r_gamma,
         Fraction(12 * (g - 1) * (inv.v_top - 1), g + 11) - b_six,
     )
     t2 = AffineInY(Fraction(inv.P, 2 * g - 1) - q, 12 * w_bar)
-    return SixCoefficients(g, effdiv, c_gamma, r_gamma, b_six, w_ratio, w_bar, t1, t2)
+    return SixCoefficients(g, c_gamma, r_gamma, b_six, w_ratio, w_bar, t1, t2)
 
 
-def s_gamma_affine(inv: GraphInvariants, g: int, effdiv: str = "auto") -> AffineInY:
+def s_gamma_affine(inv: GraphInvariants, g: int) -> AffineInY:
     """s_Gamma(y) = c_Gamma + y (12 w_Gamma / w_lambda) + (1-y) b_Gamma."""
-    return six_coefficients(inv, g, effdiv).s_gamma()
+    return six_coefficients(inv, g).s_gamma()
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +197,16 @@ def s_gamma_affine(inv: GraphInvariants, g: int, effdiv: str = "auto") -> Affine
 
 @dataclass(frozen=True)
 class CertRequest:
+    """What to certify.
+
+    The genus alone decides the effective divisor: Brill--Noether for odd
+    genus, Hurwitz for even.  ``effective_divisor`` stays a field so that
+    requests built positionally keep their meaning; it accepts ``auto`` or
+    the divisor the genus uses (``bn``/``brill_noether`` for odd genus,
+    ``hur``/``hurwitz`` for even), and every certifier raises ValueError
+    for any other value.
+    """
+
     genus: int
     mode: str = "exact"  # "coarse" | "exact"
     effective_divisor: str = "auto"
@@ -294,9 +300,7 @@ def certify_coarse(req: CertRequest) -> Certificate:
     explicit fixed y) and that y satisfies the four bounds.
     """
     g = req.genus
-    _check_genus(g)
-    effdiv = resolve_effdiv(g, req.effective_divisor)
-    _check_parity(g, effdiv)
+    effdiv = _check_request(req)
     if g < 7:
         return Certificate(
             genus=g, mode="coarse", effective_divisor=effdiv, y=None,
@@ -324,7 +328,7 @@ def certify_coarse(req: CertRequest) -> Certificate:
         # gives their smallest slack at y
         margin = min(y - feasible.lo, feasible.hi - y)
     if status == CERTIFIED and g % 2 == 0:
-        value = s_hor_affine(g, HURWITZ)(y)
+        value = s_hor_affine(g)(y)
         sign = "positive" if value > 0 else "NOT positive"
         notes.append(
             "hurwitz-substituted horizontal coefficient at the chosen y is "
@@ -355,13 +359,11 @@ def certify_exact_streaming(req: CertRequest) -> Certificate:
     the minimum.  The test suite relies on the agreement.
     """
     g = req.genus
-    _check_genus(g)
-    effdiv = resolve_effdiv(g, req.effective_divisor)
-    _check_parity(g, effdiv)
+    _check_request(req)
     rows = []
     for graph in enumerate_level_graphs(g):
         inv = graph_invariants(graph, req.hbb_shape_test)
-        rows.append((s_gamma_affine(inv, g, effdiv), inv.encoding))
+        rows.append((s_gamma_affine(inv, g), inv.encoding))
 
     def evaluate(y: Fraction):
         best = None
@@ -371,13 +373,13 @@ def certify_exact_streaming(req: CertRequest) -> Certificate:
                 best = (value, enc, aff)
         return best
 
-    return _exact_certificate(req, effdiv, _Analysis(evaluate), len(rows))
+    return _exact_certificate(req, _Analysis(evaluate), len(rows))
 
 
 # ---------------------------------------------------------------------------
 # exact mode: minimization engine
 #
-# Scaled-integer model.  Fix g and the effective divisor; write
+# Scaled-integer model.  Fix g, and with it the effective divisor; write
 #   Q = (2g-2)/(2g-1),  kappa = 4g(g-1)/(2g-1),  J = 12/(g+11).
 # A graph with bottom genus g_b and vertex-type multiplicities m_k has
 #   s(y) = C(y) + 2 Q g_b + sum_k m_k (u_k + t_k y)
@@ -461,11 +463,10 @@ class _Hull:
 class _MinEngine:
     """Exact minimum of s_Gamma(y) over the full genus-g atlas."""
 
-    def __init__(self, g: int, effdiv: str):
+    def __init__(self, g: int):
         self.g = g
-        self.effdiv = effdiv
         self.lam = math.lcm(*range(1, 2 * g))
-        self.bden = (g + 3) if effdiv == BRILL_NOETHER else (g + 8) * (3 * g - 1)
+        _, self.bden, self.bhor, self.bsep = _divisor(g)
         self.den = 2 * (2 * g - 1) * (g + 11) * self.bden * self.lam
         self.q_num = (2 * g - 2) * (self.den // (2 * g - 1))  # Q * DEN
         self.k0 = -4 * g * (g - 1) * (self.den // (2 * g - 1))  # -kappa * DEN
@@ -490,18 +491,11 @@ class _MinEngine:
             p = parts[0]
             rho_den = 2 * (den // p)
             i = min(h, g - h)
-            if self.effdiv == BRILL_NOETHER:
-                beta_den = 12 * i * (g - i) * (den // (self.bden * p))
-            else:
-                beta_den = 12 * i * (g - i) * (3 * g + 4) * (den // (self.bden * p))
+            beta_den = 12 * i * (g - i) * self.bsep * (den // (self.bden * p))
         else:
             half = den // 2
             rho_den = sum(half // p for p in parts)
-            if self.effdiv == BRILL_NOETHER:
-                irr = 2 * (g + 1)
-            else:
-                irr = 2 * (3 * g * g + 12 * g - 6)
-            beta_den = sum(irr * (den // (self.bden * p)) for p in parts)
+            beta_den = sum(2 * self.bhor * (den // (self.bden * p)) for p in parts)
         diff_den = sigma * den - iota_den  # (sigma - iota) * DEN
         q_rho = rho_den * (2 * g - 2) // (2 * g - 1)
         u = (d - 1) * self.q_num - q_rho + diff_den + beta_den
@@ -530,7 +524,13 @@ class _MinEngine:
     # -- exhaustively enumerated special families --------------------------
 
     def e1_family(self) -> list:
-        """Single-edge graphs, with their true (possibly EDB) edge class.
+        """The single-edge graphs whose edge is an elliptic dumbbell (EDB).
+
+        Those are the top genus h = 1 and h = g - 1 (one graph at g = 2).
+        For 2 <= h <= g - 2 the edge is plain compact type with bottom
+        genus at least 2, so the graph's s_Gamma is exactly the additive
+        model's, which the knapsack already bounds; under evaluate's
+        strict < such a row could never win, so none is built.
 
         Rows are (u, t, affine, graph) in h order, where u + t y is
         s_Gamma(y) * DEN; building the rows checks that both are integers.
@@ -538,11 +538,11 @@ class _MinEngine:
         if self._e1_family is None:
             g = self.g
             rows = []
-            for h in range(1, g):
+            for h in sorted({1, g - 1}):
                 graph = LevelGraph(g, g - h, (2 * g - 2,),
                                    (TopVertex(h, (2 * h - 1,)),))
                 inv = graph_invariants(graph, hbb_shape_test=False)
-                aff = s_gamma_affine(inv, g, self.effdiv)
+                aff = s_gamma_affine(inv, g)
                 u, t = aff.intercept * self.den, aff.slope * self.den
                 if u.denominator != 1 or t.denominator != 1:
                     raise AssertionError("single-edge coefficients are not "
@@ -696,7 +696,7 @@ class _MinEngine:
                 r_nc = Fraction(2, p)
                 inv = replace(inv, edge_classes=(OCT,), R_NC=r_nc,
                               b_NC=inv.ell * r_nc - 1)
-            affine = self._dp_affines[graph] = s_gamma_affine(inv, self.g, self.effdiv)
+            affine = self._dp_affines[graph] = s_gamma_affine(inv, self.g)
         return affine
 
     def _hbb_affine(self, graph: LevelGraph) -> AffineInY:
@@ -705,7 +705,7 @@ class _MinEngine:
         affine = self._hbb_affines.get(graph)
         if affine is None:
             affine = self._hbb_affines[graph] = s_gamma_affine(
-                graph_invariants(graph, hbb_shape_test=True), self.g, self.effdiv)
+                graph_invariants(graph, hbb_shape_test=True), self.g)
         return affine
 
     # -- y-independent analysis ----------------------------------------------
@@ -713,7 +713,7 @@ class _MinEngine:
     def analysis(self, hbb: bool) -> "_Analysis":
         """The positivity analysis of min s_Gamma in one delta_H mode.
 
-        It depends only on (g, effdiv, hbb), so it is made once per engine
+        It depends only on (g, hbb), so it is made once per engine
         and mode and shared by every certificate asked of the engine.
         """
         found = self._analyses.get(hbb)
@@ -827,18 +827,17 @@ class _Analysis:
 # the public exact certifier
 
 
-_ENGINE_CACHE: Dict[tuple, _MinEngine] = {}
+_ENGINE_CACHE: Dict[int, _MinEngine] = {}
 
 
-def _engine(g: int, effdiv: str) -> _MinEngine:
-    key = (g, effdiv)
-    engine = _ENGINE_CACHE.get(key)
+def _engine(g: int) -> _MinEngine:
+    engine = _ENGINE_CACHE.get(g)
     if engine is None:
-        engine = _ENGINE_CACHE[key] = _MinEngine(g, effdiv)
+        engine = _ENGINE_CACHE[g] = _MinEngine(g)
     return engine
 
 
-def _exact_certificate(req: CertRequest, effdiv: str, analysis: _Analysis,
+def _exact_certificate(req: CertRequest, analysis: _Analysis,
                        graph_count: int) -> Certificate:
     """Shared assembly of an exact-mode certificate.
 
@@ -850,7 +849,7 @@ def _exact_certificate(req: CertRequest, effdiv: str, analysis: _Analysis,
     g = req.genus
     f_interval = analysis.interval
     feasible = f_interval.intersect(
-        affine_positivity_interval(s_hor_affine(g, effdiv), UNIT))
+        affine_positivity_interval(s_hor_affine(g), UNIT))
     y, status = _choose_y(g, req, feasible)
     notes = [_hbb_note(req.hbb_shape_test)]
     if status == CERTIFIED:
@@ -863,7 +862,7 @@ def _exact_certificate(req: CertRequest, effdiv: str, analysis: _Analysis,
             notes.append("boundary coefficients admit positive y but the "
                          "chosen y or the horizontal constraint fails")
     return Certificate(
-        genus=g, mode="exact", effective_divisor=effdiv, y=y,
+        genus=g, mode="exact", effective_divisor=_divisor(g)[0], y=y,
         feasible=feasible, graph_count=graph_count, worst_graph=worst,
         worst_margin=margin, status=status, notes=tuple(notes))
 
@@ -875,25 +874,22 @@ def certify_exact(req: CertRequest) -> Certificate:
     every enumerated graph's s_Gamma; the minimum over graphs is found by
     weight-indexed optimization instead of per-graph streaming, so the
     runtime is polynomial in the genus.  The engine, with its positivity
-    analysis for each delta_H mode, is kept per (genus, divisor), so a
+    analysis for each delta_H mode, is kept per genus, so a
     later request for the same genus costs about one evaluate call.
     """
     g = req.genus
-    _check_genus(g)
-    effdiv = resolve_effdiv(g, req.effective_divisor)
-    _check_parity(g, effdiv)
-    analysis = _engine(g, effdiv).analysis(req.hbb_shape_test)
-    return _exact_certificate(req, effdiv, analysis, atlas_count(g))
+    _check_request(req)
+    analysis = _engine(g).analysis(req.hbb_shape_test)
+    return _exact_certificate(req, analysis, atlas_count(g))
 
 
-def cert_requests(g_from: int, g_to: int, mode: str = "coarse",
-                  effective_divisor: str = "auto",
+def cert_requests(g_from: int, g_to: int, mode: str = "coarse", *,
                   y_policy: Union[str, Fraction] = "paper_recipe",
                   hbb_shape_test: bool = True) -> list:
     """One request per genus in [g_from, g_to]."""
     if not 2 <= g_from <= g_to:
         raise ValueError("need 2 <= g_from <= g_to")
-    return [CertRequest(g, mode, effective_divisor, y_policy, hbb_shape_test)
+    return [CertRequest(g, mode, y_policy=y_policy, hbb_shape_test=hbb_shape_test)
             for g in range(g_from, g_to + 1)]
 
 
@@ -906,10 +902,9 @@ def certify_request(req: CertRequest) -> Certificate:
     raise ValueError(f"unknown certification mode: {req.mode!r}")
 
 
-def scan(g_from: int, g_to: int, mode: str = "coarse",
-         effective_divisor: str = "auto",
+def scan(g_from: int, g_to: int, mode: str = "coarse", *,
          y_policy: Union[str, Fraction] = "paper_recipe",
          hbb_shape_test: bool = True) -> list:
     """One certificate per genus in [g_from, g_to]."""
     return [certify_request(req) for req in cert_requests(
-        g_from, g_to, mode, effective_divisor, y_policy, hbb_shape_test)]
+        g_from, g_to, mode, y_policy=y_policy, hbb_shape_test=hbb_shape_test)]

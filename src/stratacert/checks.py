@@ -17,15 +17,9 @@ family, ``P <= 2g - 3`` off it).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
-from .certify import (
-    SixCoefficients,
-    resolve_effdiv,
-    s_hor_affine,
-    six_coefficients,
-    y_hor,
-)
+from .certify import SixCoefficients, s_hor_affine, six_coefficients, y_hor
 from .classes import (
     _bn_coeff,
     _canonical_coeff,
@@ -98,34 +92,29 @@ def _identity_failures(graph: LevelGraph, inv: GraphInvariants,
     return bad
 
 
-def _assembly_affine(graph: LevelGraph, inv: GraphInvariants,
-                     effdiv: str) -> AffineInY:
+def _assembly_affine(graph: LevelGraph, inv: GraphInvariants) -> AffineInY:
+    # the divisor-class route: Brill--Noether for odd genus, Hurwitz for even
     g = graph.genus
     q = kappa_over_2g(g)
     can = _canonical_coeff(graph, inv)
     w_term = 12 * wplus_w_gamma(graph) * inv.ell / wplus_w_lambda(g)
-    if effdiv == "brill_noether":
-        b = _bn_coeff(graph, inv)
-    else:
-        b = _hur_coeff(graph, inv)
+    b = _bn_coeff(graph, inv) if g % 2 else _hur_coeff(graph, inv)
     return AffineInY(can - q * inv.b_NC + 2 * b, w_term - 2 * b)
 
 
-def assembly_failures(graph: LevelGraph, effdiv: Optional[str] = None,
-                      hbb_shape_test: bool = True,
+def assembly_failures(graph: LevelGraph, *, hbb_shape_test: bool = True,
                       ys: Sequence[Fraction] = DEFAULT_Y_SAMPLES) -> List[str]:
     """Check that the assembled boundary coefficient from the divisor-class
     route equals ell * s_Gamma(y) from the certifier route."""
-    g = graph.genus
     inv = graph_invariants(graph, hbb_shape_test)
-    six = six_coefficients(inv, g, resolve_effdiv(g, effdiv or "auto"))
+    six = six_coefficients(inv, graph.genus)
     return _assembly_failures(graph, inv, six, ys)
 
 
 def _assembly_failures(graph: LevelGraph, inv: GraphInvariants,
                        six: SixCoefficients,
                        ys: Sequence[Fraction] = DEFAULT_Y_SAMPLES) -> List[str]:
-    via_classes = _assembly_affine(graph, inv, six.effdiv)
+    via_classes = _assembly_affine(graph, inv)
     via_certifier = six.s_gamma().scaled(inv.ell)
     bad = []
     if (via_classes.intercept != via_certifier.intercept
@@ -141,19 +130,18 @@ def _assembly_failures(graph: LevelGraph, inv: GraphInvariants,
     return bad
 
 
-def assembly_scalar_failures(g: int, effdiv: Optional[str] = None,
+def assembly_scalar_failures(g: int, *,
                              ys: Sequence[Fraction] = DEFAULT_Y_SAMPLES) -> List[str]:
     """The graph-independent coordinates of the assembled class: lambda
     cancels exactly and the horizontal coefficient is s_hor(y)."""
-    effdiv = resolve_effdiv(g, effdiv or "auto")
     bad = []
     q = kappa_over_2g(g)
     w_lam = wplus_w_lambda(g)
-    if effdiv == "brill_noether":
+    if g % 2:  # Brill--Noether
         ratio = Fraction(g + 1, g + 3)
-    else:
+    else:  # Hurwitz
         ratio = Fraction(3 * g * g + 12 * g - 6, (g + 8) * (3 * g - 1))
-    hor = s_hor_affine(g, effdiv)
+    hor = s_hor_affine(g)
     for y in ys:
         lam = 12 - y * Fraction(12) / w_lam * w_lam - (1 - y) * 2 * 6
         if lam != 0:
@@ -170,7 +158,7 @@ def y_hor_root_failures(g_values: Iterable[int]) -> List[str]:
     for g in g_values:
         if g % 2 == 0:
             continue
-        if y_hor(g) != s_hor_affine(g, "brill_noether").root():
+        if y_hor(g) != s_hor_affine(g).root():
             bad.append(f"y_hor({g}) is not the root of s_hor")
     return bad
 

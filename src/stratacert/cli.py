@@ -109,7 +109,8 @@ def build_parser() -> _Parser:
     common(p, ("json",), "json")
     p.add_argument("--which", required=True,
                    choices=("canonical", "dnc", "bn", "hur", "wplus", "genw"))
-    p.add_argument("--form", choices=("raw", "reduced"), default="reduced")
+    p.add_argument("--form", choices=("raw", "reduced"), default="reduced",
+                   help="raw only with --which wplus or genw")
     p.add_argument("--mu", default=None, help="signature for genw, e.g. 4,4")
     p.add_argument("--alpha", default=None, help="twist partition for genw")
     p.add_argument("--atlas", default=None, help="not with --which genw")
@@ -119,7 +120,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("certify", help="certify one genus")
     common(p, all_formats, "json")
     p.add_argument("--mode", choices=("coarse", "exact"), default="exact")
-    p.add_argument("--effdiv", choices=("auto", "bn", "hur"), default="auto")
     p.add_argument("--y", default="auto", help="auto | recipe | a rational p/q")
     p.add_argument("--no-hbb-shape", action="store_true")
 
@@ -129,7 +129,6 @@ def build_parser() -> _Parser:
     p.add_argument("--from", dest="g_from", type=int, required=True)
     p.add_argument("--to", dest="g_to", type=int, required=True)
     p.add_argument("--mode", choices=("coarse", "exact"), default="coarse")
-    p.add_argument("--effdiv", choices=("auto", "bn", "hur"), default="auto")
     p.add_argument("--y", default="recipe")
     p.add_argument("--no-hbb-shape", action="store_true")
     p.add_argument("--timings", action="store_true",
@@ -148,7 +147,7 @@ def build_parser() -> _Parser:
     p.add_argument("--genus-max", type=int, required=True)
     p.add_argument("--full-max", type=int, default=10,
                    help="largest genus checked on the full atlas")
-    p.add_argument("--samples", type=int, default=500,
+    p.add_argument("--samples", type=_positive_int, default=500,
                    help="spread-sample size above --full-max")
     p.add_argument("--no-hbb-shape", action="store_true")
     return parser
@@ -209,6 +208,9 @@ def _load_graphs(args):
 
 def _cmd_enumerate(args) -> int:
     if args.atlas:
+        if args.raw:
+            # a cached atlas holds only graphs that pass validate
+            raise UsageError("--raw does not apply to --atlas")
         graphs = _load_graphs(args)
     else:
         graphs = enumerate_level_graphs(args.genus, dimension_filter=not args.raw)
@@ -230,6 +232,8 @@ def _cmd_class(args) -> int:
     g = args.genus
     if args.no_hbb_shape and args.which != "canonical":
         raise UsageError("--no-hbb-shape applies only to --which canonical")
+    if args.form == "raw" and args.which not in ("wplus", "genw"):
+        raise UsageError("--form raw applies only to --which wplus or genw")
     if args.which == "genw":
         if args.atlas:
             raise UsageError("--atlas does not apply to --which genw")
@@ -287,8 +291,8 @@ def _scan_row(cert: Certificate, seconds: Optional[float]) -> str:
 
 
 def _requests(args, g_from: int, g_to: int) -> list:
-    return cert_requests(g_from, g_to, args.mode, args.effdiv,
-                         _parse_y_policy(args.y), not args.no_hbb_shape)
+    return cert_requests(g_from, g_to, args.mode, y_policy=_parse_y_policy(args.y),
+                         hbb_shape_test=not args.no_hbb_shape)
 
 
 def _cmd_certify(args) -> int:

@@ -631,11 +631,14 @@ def _unrank_choice(idx: _AtlasIndex, budget: int, rank: int, need_d2: bool):
 
 
 def sample_atlas(g: int, count: int, dimension_filter: bool = True) -> list:
-    """Deterministic spread sample: ``count`` graphs at evenly spaced ranks."""
+    """Deterministic spread sample: ``count`` >= 1 graphs at evenly spaced
+    ranks."""
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
     total = atlas_count(g, dimension_filter)
     if count >= total:
         return list(enumerate_level_graphs(g, dimension_filter))
-    if count <= 1:
+    if count == 1:
         ranks = [0]
     else:
         ranks = sorted({(i * (total - 1)) // (count - 1) for i in range(count)})

@@ -105,7 +105,7 @@ def test_criterion_1_coarse_scan_reproduces_genus_bounds():
 def test_criterion_2_horizontal_threshold_equivalence():
     t0 = time.time()
     for g in range(9, 102, 2):
-        assert y_hor(g) == s_hor_affine(g, "brill_noether").root()
+        assert y_hor(g) == s_hor_affine(g).root()
     assert y_hor(31) == F(147, 793)
     report(2, "PASS",
            f"y_hor equals the exact s_hor root for odd g in [9, 101]; "

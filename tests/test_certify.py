@@ -11,9 +11,11 @@ from stratacert.certify import (
     CERTIFIED,
     INFEASIBLE,
     CertRequest,
+    cert_requests,
     certify_coarse,
     certify_exact,
     certify_exact_streaming,
+    certify_request,
     coarse_bounds,
     recipe_y,
     resolve_effdiv,
@@ -47,19 +49,12 @@ BANANA31 = minimal_graph(31, 0, [(30, (30, 30))])
 
 
 def test_s_hor_affine_g31():
-    aff = s_hor_affine(31, "bn")
+    aff = s_hor_affine(31)
     assert aff.intercept == F(-105, 1037)
     assert aff.slope == F(65, 119)
     assert aff.root() == F(147, 793)
     # slope building block 12 w_hor / w_lambda = 3(g+3)/(g+11)
     assert F(3 * (31 + 3), 31 + 11) == F(17, 7)
-
-
-def test_s_hor_parity_rejected():
-    with pytest.raises(ValueError):
-        s_hor_affine(32, "bn")
-    with pytest.raises(ValueError):
-        s_hor_affine(31, "hur")
 
 
 def test_y_hor_values():
@@ -74,11 +69,11 @@ def test_y_hor_values():
 
 @pytest.mark.parametrize("g", range(9, 102, 2))
 def test_y_hor_is_the_root_of_s_hor(g):
-    assert s_hor_affine(g, "bn").root() == y_hor(g)
+    assert s_hor_affine(g).root() == y_hor(g)
 
 
 def test_six_coefficients_edb31():
-    six = six_coefficients(graph_invariants(EDB31), 31, "bn")
+    six = six_coefficients(graph_invariants(EDB31), 31)
     assert six.r_gamma == 4
     assert six.c_gamma == F(-360, 61)
     assert six.w_ratio_term == F(120, 7)
@@ -86,11 +81,11 @@ def test_six_coefficients_edb31():
 
 
 def test_banana31_is_negative_for_every_y_with_shape_test():
-    aff = s_gamma_affine(graph_invariants(BANANA31, True), 31, "bn")
+    aff = s_gamma_affine(graph_invariants(BANANA31, True), 31)
     assert aff(F(0)) == F(-7, 1037)
     assert aff(F(1)) < 0
     # without the shape correction it is positive near the recipe y
-    aff0 = s_gamma_affine(graph_invariants(BANANA31, False), 31, "bn")
+    aff0 = s_gamma_affine(graph_invariants(BANANA31, False), 31)
     assert aff0(recipe_y(31)) > 0
     assert aff0(F(0)) == F(27, 1037)
 
@@ -147,7 +142,7 @@ def test_coarse_certified_y_satisfies_bn_horizontal():
     # form that defines y_hor (odd genus); even genus is reported via notes
     for cert in scan(29, 60, "coarse"):
         if cert.status == CERTIFIED and cert.genus % 2 == 1:
-            assert s_hor_affine(cert.genus, "bn")(cert.y) > 0
+            assert s_hor_affine(cert.genus)(cert.y) > 0
 
 
 def test_coarse_rejects_divisor_of_wrong_parity():
@@ -156,7 +151,7 @@ def test_coarse_rejects_divisor_of_wrong_parity():
     for g, effdiv in ((31, "hur"), (30, "bn"), (4, "bn"), (5, "hur")):
         for mode in ("coarse", "exact"):
             with pytest.raises(ValueError, match="require"):
-                scan(g, g, mode, effdiv)
+                certify_request(CertRequest(g, mode, effdiv))
     assert certify_coarse(CertRequest(31, "coarse", "bn")).status == CERTIFIED
 
 
@@ -184,8 +179,15 @@ def test_coarse_margin_is_the_least_slack_of_the_four_bounds():
 def test_resolve_effdiv():
     assert resolve_effdiv(31, "auto") == "brill_noether"
     assert resolve_effdiv(34, "auto") == "hurwitz"
+    assert resolve_effdiv(31, "bn") == resolve_effdiv(31, "brill_noether") == "brill_noether"
+    assert resolve_effdiv(34, "hur") == resolve_effdiv(34, "hurwitz") == "hurwitz"
     with pytest.raises(ValueError):
         resolve_effdiv(31, "nope")
+    # the genus decides the divisor; naming the other one is an error
+    with pytest.raises(ValueError, match="require odd genus"):
+        resolve_effdiv(32, "bn")
+    with pytest.raises(ValueError, match="require even genus"):
+        resolve_effdiv(31, "hurwitz")
 
 
 # the two engines may pick different witnesses among graphs tied at the
@@ -270,12 +272,21 @@ def test_assembly_scalars_small():
     assert len(DEFAULT_Y_SAMPLES) == 10
 
 
-def test_assembly_both_divisor_choices():
-    # parity decides the divisor, but both variants must assemble exactly
-    for graph in enumerate_level_graphs(7):
-        assert assembly_failures(graph, "brill_noether") == []
-    for graph in enumerate_level_graphs(8):
-        assert assembly_failures(graph, "hurwitz") == []
+def test_stale_divisor_argument_fails_loudly():
+    # the divisor is no longer a parameter; an old positional divisor must
+    # raise rather than bind to the parameter that now follows
+    graph = minimal_graph(8, 7, [(1, (1,))])
+    inv = graph_invariants(graph)
+    for call in (lambda: assembly_failures(graph, "hurwitz"),
+                 lambda: assembly_scalar_failures(8, "hurwitz"),
+                 lambda: s_hor_affine(8, "hurwitz"),
+                 lambda: six_coefficients(inv, 8, "hurwitz"),
+                 lambda: s_gamma_affine(inv, 8, "hurwitz"),
+                 lambda: _MinEngine(8, "hurwitz"),
+                 lambda: scan(8, 8, "exact", "hurwitz"),
+                 lambda: cert_requests(8, 8, "exact", "hurwitz")):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_hull_matches_linear_scan():
@@ -299,12 +310,12 @@ def test_scan_rejects_bad_range_and_mode():
         scan(31, 31, "precise")
 
 
-def _full_type_engine(g, effdiv):
+def _full_type_engine(g):
     """Oracle: the minimization engine with hulls over every vertex type."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(certify_module, "_iota_extremes",
                    lambda n, d: tuple(partitions_exact(n, d)))
-        return _MinEngine(g, effdiv)
+        return _MinEngine(g)
 
 
 def _oracle_ys():
@@ -320,9 +331,8 @@ def _oracle_ys():
 
 @pytest.mark.parametrize("g", range(4, 21))
 def test_extreme_type_hulls_match_full_type_oracle(g):
-    effdiv = resolve_effdiv(g, "auto")
-    engine = _MinEngine(g, effdiv)
-    oracle = _full_type_engine(g, effdiv)
+    engine = _MinEngine(g)
+    oracle = _full_type_engine(g)
     for hulls, o_hulls in ((engine.hull_all, oracle.hull_all),
                            (engine.hull_d2, oracle.hull_d2)):
         assert hulls.keys() == o_hulls.keys()
@@ -468,12 +478,12 @@ def _hbb_search(engine, y, limit):
     return engine._hbb_search(yn, yd, dp, limit)
 
 
-def _engine_with_scalars(g, effdiv, scalars):
+def _engine_with_scalars(g, scalars):
     """An engine whose per-type contributions (hulls and HBB types alike)
     are ``scalars(engine, h, d, parts)``."""
     engine = _MinEngine.__new__(_MinEngine)
     engine._type_scalars = lambda h, d, parts: scalars(engine, h, d, parts)
-    engine.__init__(g, effdiv)
+    engine.__init__(g)
     return engine
 
 
@@ -493,10 +503,23 @@ def _check_search_against_hull(engine, hull, y, above):
     assert _hbb_search(engine, y, expect[0]) is None, (engine.g, y)
 
 
+# (den, hor, sep) of each effective divisor, written out at any genus
+_DIVISOR_CONSTANTS = {
+    "brill_noether": lambda g: (g + 3, g + 1, 1),
+    "hurwitz": lambda g: ((g + 8) * (3 * g - 1), 3 * g * g + 12 * g - 6, 3 * g + 4),
+}
+
+
 @pytest.mark.parametrize("effdiv", ["brill_noether", "hurwitz"])
 @pytest.mark.parametrize("g", range(2, 23))
-def test_hbb_hull_matches_walk_oracle(g, effdiv):
-    engine = _MinEngine(g, effdiv)
+def test_hbb_hull_matches_walk_oracle(g, effdiv, monkeypatch):
+    # the genus uses one divisor; an engine built on the other one's
+    # constants checks the search on a second set of type scalars
+    if (g % 2 == 1) == (effdiv == "brill_noether"):
+        assert certify_module._divisor(g) == (effdiv,) + _DIVISOR_CONSTANTS[effdiv](g)
+    monkeypatch.setattr(certify_module, "_divisor",
+                        lambda g: (effdiv,) + _DIVISOR_CONSTANTS[effdiv](g))
+    engine = _MinEngine(g)
     lines = _hbb_walk_lines(engine)
     hull = _Hull(lines)
     if g <= 12:  # keep the memo oracle of the larger genera honest
@@ -508,7 +531,7 @@ def test_hbb_hull_matches_walk_oracle(g, effdiv):
 
 @pytest.mark.parametrize("g", [23, 25, 28, 31])
 def test_hbb_search_matches_memo_oracle(g):
-    engine = _MinEngine(g, resolve_effdiv(g, "auto"))
+    engine = _MinEngine(g)
     hull = _hbb_memo_hull(engine)
     above = _above_every_line(hull.lines)  # the least line is among them
     for y in _oracle_ys():
@@ -525,7 +548,7 @@ def test_hbb_hull_tie_break_matches_walk_oracle(g):
     # search must keep the walk's first.
     for scalars in (lambda *_: (0, 0),
                     lambda engine, h, d, parts: (2 * engine.q_num * (h + d - 1), 0)):
-        engine = _engine_with_scalars(g, "brill_noether", scalars)
+        engine = _engine_with_scalars(g, scalars)
         lines = _hbb_walk_lines(engine)
         hull = _Hull(lines)
         above = _above_every_line(lines)
@@ -550,7 +573,7 @@ def test_hbb_search_breaks_value_ties_by_least_slope():
     later_winners = 0
     for g in range(5, 10):
         table.clear()
-        engine = _engine_with_scalars(g, "brill_noether", scalars)
+        engine = _engine_with_scalars(g, scalars)
         lines = _hbb_walk_lines(engine)
         order = {ref: i for i, (_, _, ref) in reversed(list(enumerate(lines)))}
         hull = _Hull(lines)
@@ -594,7 +617,7 @@ def test_dp_self_check_runs_on_warm_evaluate(hbb, monkeypatch):
     monkeypatch.setattr(certify_module, "_ENGINE_CACHE", {})
     y = recipe_y(31)
     certify_exact(CertRequest(31, "exact", "auto", y, hbb))
-    engine = certify_module._ENGINE_CACHE[(31, "brill_noether")]
+    engine = certify_module._ENGINE_CACHE[31]
     engine.evaluate(y, hbb)  # the witness affine is memoized by now
     monkeypatch.setattr(engine, "k0", engine.k0 + 1)
     with pytest.raises(AssertionError, match="minimization engine self-check failed"):
@@ -605,7 +628,7 @@ def test_hbb_self_check_runs_on_warm_evaluate(monkeypatch):
     monkeypatch.setattr(certify_module, "_ENGINE_CACHE", {})
     y = recipe_y(31)
     certify_exact(CertRequest(31, "exact", "auto", y, True))
-    engine = certify_module._ENGINE_CACHE[(31, "brill_noether")]
+    engine = certify_module._ENGINE_CACHE[31]
     _, witness, _ = engine.evaluate(y, True)
     assert witness == BANANA31  # an HBB witness, its affine memoized
     single, (u, t) = engine._hbb_types[30]
@@ -616,15 +639,14 @@ def test_hbb_self_check_runs_on_warm_evaluate(monkeypatch):
 
 @pytest.mark.parametrize("g", range(2, 23))
 def test_single_edge_scan_matches_fraction_oracle(g):
-    effdiv = resolve_effdiv(g, "auto")
-    engine = _MinEngine(g, effdiv)
-    dp_only = _MinEngine(g, effdiv)
+    engine = _MinEngine(g)
+    dp_only = _MinEngine(g)
     dp_only._e1_family = []
     hbb_hull = _hbb_walk_hull(engine)
     family = []
     for h in range(1, g):  # in h order: the first of tied graphs wins
         graph = LevelGraph(g, g - h, (2 * g - 2,), (TopVertex(h, (2 * h - 1,)),))
-        family.append((s_gamma_affine(graph_invariants(graph, False), g, effdiv), graph))
+        family.append((s_gamma_affine(graph_invariants(graph, False), g), graph))
     for y in _oracle_ys():
         for hbb in (False, True):
             value, witness, _ = dp_only.evaluate(y, False)
@@ -644,7 +666,7 @@ def test_single_edge_scan_matches_fraction_oracle(g):
 def test_single_edge_scan_keeps_the_first_of_tied_rows():
     # no two single-edge graphs tie at the minimum of a real engine (none
     # at g = 2..22), so the h-order tie-break is pinned on rows made to tie
-    engine = _MinEngine(10, "hurwitz")
+    engine = _MinEngine(10)
     low = -1000 * engine.den  # far below every other part
     engine._e1_family = [(low, 0, aff, graph)
                          for _, _, aff, graph in engine.e1_family()]
@@ -655,7 +677,7 @@ def test_single_edge_scan_keeps_the_first_of_tied_rows():
 
 
 def test_single_edge_family_rejects_non_integral_coefficients(monkeypatch):
-    engine = _MinEngine(10, "hurwitz")
+    engine = _MinEngine(10)
     monkeypatch.setattr(engine, "den", engine.den + 1)
     with pytest.raises(AssertionError, match="not integral"):
         engine.e1_family()

@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from stratacert.cli import main
+
+EXPECTED = Path(__file__).parent / "expected"
 
 
 def run(capsys, *argv):
@@ -126,12 +131,9 @@ def test_usage_errors(capsys):
     assert run(capsys, "certify", "--genus", "31", "--y", "zz")[0] == 1
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys, "class", "--genus", "4", "--which", "genw")[0] == 1
-    # parity mismatch: Brill--Noether needs odd genus
-    assert run(capsys, "certify", "--genus", "8", "--mode", "exact",
-               "--effdiv", "bn")[0] == 1
-    code, _, err = run(capsys, "certify", "--genus", "31", "--mode", "coarse",
-                       "--effdiv", "hur")
-    assert code == 1 and "even genus" in err
+    # the genus decides the effective divisor, so there is no option for it
+    code, _, err = run(capsys, "certify", "--genus", "31", "--effdiv", "bn")
+    assert code == 1 and "--effdiv" in err
     # genus ranges go through the same validation as the library scan
     assert run(capsys, "scan", "--from", "40", "--to", "30")[0] == 1
     assert run(capsys, "scan", "--from", "1", "--to", "2")[0] == 1
@@ -157,6 +159,14 @@ def test_usage_errors(capsys):
     assert code == 1 and "--alpha" in err
     code, _, err = run(capsys, "identities", "--genus-max", "3", "--format", "text")
     assert code == 1 and "--format" in err
+    # inputs that used to be accepted and then ignored
+    code, _, err = run(capsys, "class", "--genus", "6", "--which", "hur", "--form", "raw")
+    assert code == 1 and "--form" in err
+    code, _, err = run(capsys, "enumerate", "--genus", "3", "--atlas", "/dev/null", "--raw")
+    assert code == 1 and "--raw" in err
+    for samples in ("0", "-3"):
+        code, _, err = run(capsys, "identities", "--genus-max", "3", "--samples", samples)
+        assert code == 1 and "--samples" in err, samples
 
 
 def test_out_file(tmp_path, capsys):
@@ -274,3 +284,15 @@ def test_exact_scan_reports_first_feasible_genus(capsys):
     data = json.loads(out)
     assert data["first_feasible_genus"] is None
     assert len(data["certificates"]) == 3
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("certify", "--genus", "31", "--mode", "exact"), "certify_g31_exact.json"),
+    (("certify", "--genus", "31", "--mode", "exact", "--no-hbb-shape",
+      "--format", "text"), "certify_g31_exact_no_hbb_shape.txt"),
+    (("scan", "--from", "29", "--to", "60", "--mode", "coarse"), "scan_29_60_coarse.csv"),
+])
+def test_artifact_bytes_are_pinned(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (EXPECTED / expected).read_text(encoding="utf-8")

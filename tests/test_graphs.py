@@ -181,6 +181,13 @@ def test_sample_atlas_is_deterministic():
     assert sample_atlas(3, 100) == list(enumerate_level_graphs(3))
 
 
+def test_sample_atlas_count_below_one_rejected():
+    assert sample_atlas(12, 1) == [atlas_unrank(12, 0)]
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            sample_atlas(12, count)
+
+
 def test_unrank_large_genus_spot():
     total = atlas_count(20)
     first = atlas_unrank(20, 0)
