@@ -13,7 +13,12 @@ positive.
 Two exact engines are provided.
 
 * A streaming engine that enumerates the atlas and intersects positivity
-  intervals graph by graph; practical only at small genus.
+  intervals graph by graph; practical only at small genus.  Each graph's
+  s_Gamma comes from ``_coefficients``, which sums on integers (the
+  divisor term over den * ell, den the divisor's denominator) and builds
+  one Fraction per coefficient.  The engine then scales every graph's
+  s_Gamma to integers over the lcm of all their denominators, its own
+  denominator, and compares integers at each queried y.
 
 * A minimization engine that computes min_Gamma s_Gamma(y) at any rational
   y without touching individual graphs.  s_Gamma is additive over the
@@ -55,7 +60,7 @@ from .exactq import (
     affine_positivity_interval,
     rational_str,
 )
-from .classes import kappa_minimal, kappa_over_2g
+from .classes import kappa_over_2g
 from .graphs import (
     DELTA_IRR,
     EDB,
@@ -152,32 +157,55 @@ class SixCoefficients:
 
     def s_gamma(self) -> AffineInY:
         """s_Gamma(y) = c_Gamma + y (12 w_Gamma / w_lambda) + (1-y) b_Gamma."""
-        return AffineInY(self.c_gamma + self.b_gamma_six,
-                         self.w_ratio_term - self.b_gamma_six)
+        return _s_gamma(self.c_gamma, self.w_ratio_term, self.b_gamma_six)
 
 
-def _b_gamma_six(inv: GraphInvariants, g: int) -> Fraction:
+def _s_gamma(c_gamma: Fraction, w_ratio: Fraction, b_six: Fraction) -> AffineInY:
+    """s_Gamma(y) = c_Gamma + y (12 w_Gamma / w_lambda) + (1-y) b_Gamma; the
+    one place the formula is written, for s_gamma_affine and
+    SixCoefficients.s_gamma alike."""
+    return AffineInY(c_gamma + b_six, w_ratio - b_six)
+
+
+def _coefficients(inv: GraphInvariants, g: int) -> tuple:
+    """(R_Gamma, c_Gamma, 12 w_Gamma / w_lambda, b_Gamma) of one graph.
+
+    Each is one Fraction over an integer sum.  With Q = (2g-2)/(2g-1),
+    kappa_bot = a/b and b_NC = bn/bd:
+      R_Gamma = (b_NC + 1 + delta_H) / ell, over bd ell;
+      c_Gamma = Q (N_bot - R_Gamma) - kappa_bot, over (2g-1) bd ell b;
+      12 w_Gamma / w_lambda = 12 (kappa_bot - Q + (g-1)(v_top-1)) / (g+11),
+        over (g+11)(2g-1) b, because w_lambda = (g+11)/(2g-2) and
+        w_Gamma = (kappa_bot / kappa) (2g/(2g-1)) - 1/(2g-1) + (v_top-1)/2
+        with kappa = 4g(g-1)/(2g-1);
+      b_Gamma = sum over prongs of (2 hor, or 12 i (g-i) sep) (ell // p),
+        over den ell, with (den, hor, sep) the divisor's integers.
+    """
+    ell = inv.ell
+    a, b = inv.kappa_bot.numerator, inv.kappa_bot.denominator
+    bn, bd = inv.b_NC.numerator, inv.b_NC.denominator
+    two_g1 = 2 * g - 1
+    r_num, r_den = bn + (1 + inv.delta_H) * bd, bd * ell
+    c_gamma = Fraction(
+        (2 * g - 2) * (inv.N_bot * r_den - r_num) * b - two_g1 * r_den * a,
+        two_g1 * r_den * b)
+    w_ratio = Fraction(12 * (two_g1 * (a + (g - 1) * (inv.v_top - 1) * b)
+                             - (2 * g - 2) * b),
+                       (g + 11) * two_g1 * b)
     _, den, hor, sep = _divisor(g)
-    total = Fraction(0)
+    b_sum = 0
     for p, target in zip(inv.prongs, inv.delta_assignments):
-        if target == DELTA_IRR:
-            total += Fraction(2 * hor, den * p)
-        else:
-            total += Fraction(12 * target * (g - target) * sep, den * p)
-    return total
+        coeff = 2 * hor if target == DELTA_IRR else 12 * target * (g - target) * sep
+        b_sum += coeff * (ell // p)
+    return Fraction(r_num, r_den), c_gamma, w_ratio, Fraction(b_sum, den * ell)
 
 
 def six_coefficients(inv: GraphInvariants, g: int) -> SixCoefficients:
     """c_Gamma, R_Gamma, the normalized effective-divisor coefficient, the
     ratio 12 w_Gamma / w_lambda, and the two-term split of s_Gamma."""
+    r_gamma, c_gamma, w_ratio, b_six = _coefficients(inv, g)
     q = kappa_over_2g(g)
-    r_gamma = (inv.b_NC + 1 + inv.delta_H) / inv.ell
-    c_gamma = q * (inv.N_bot - r_gamma) - inv.kappa_bot
-    w_gamma = (inv.kappa_bot / kappa_minimal(g) * (1 + Fraction(1, 2 * g - 1))
-               - Fraction(1, 2 * g - 1) + Fraction(inv.v_top - 1, 2))
-    w_ratio = 12 * w_gamma / Fraction(g + 11, 2 * g - 2)
     w_bar = (2 * g - 2 - inv.P + inv.P_minus1) / (g + 11)
-    b_six = _b_gamma_six(inv, g)
     t1 = AffineInY(
         -q * (inv.v_top - 1) + b_six - inv.P_minus1 - q * r_gamma,
         Fraction(12 * (g - 1) * (inv.v_top - 1), g + 11) - b_six,
@@ -188,7 +216,8 @@ def six_coefficients(inv: GraphInvariants, g: int) -> SixCoefficients:
 
 def s_gamma_affine(inv: GraphInvariants, g: int) -> AffineInY:
     """s_Gamma(y) = c_Gamma + y (12 w_Gamma / w_lambda) + (1-y) b_Gamma."""
-    return six_coefficients(inv, g).s_gamma()
+    _, c_gamma, w_ratio, b_six = _coefficients(inv, g)
+    return _s_gamma(c_gamma, w_ratio, b_six)
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +393,40 @@ def certify_exact_streaming(req: CertRequest) -> Certificate:
     for graph in enumerate_level_graphs(g):
         inv = graph_invariants(graph, req.hbb_shape_test)
         rows.append((s_gamma_affine(inv, g), inv.encoding))
+    return _exact_certificate(req, _Analysis(_row_minimum(rows)), len(rows))
+
+
+def _row_minimum(rows: list) -> Callable:
+    """evaluate(y) -> (least row value at y, its encoding, its affine) over
+    a nonempty list of (affine, encoding) rows; ties go to the least
+    encoding.
+
+    The rows are rewritten in place as integers (u, t, encoding) over den,
+    the lcm of every row's denominators, so that u + t y = affine(y) den;
+    a query compares u yd + t yn at y = yn / yd and builds Fractions for
+    the winner only.  den comes from the rows alone, not from the
+    minimization engine, so that the two engines stay independent.
+    """
+    den = 1
+    for aff, _ in rows:
+        den = math.lcm(den, aff.intercept.denominator, aff.slope.denominator)
+    for i, (aff, enc) in enumerate(rows):
+        rows[i] = (aff.intercept.numerator * (den // aff.intercept.denominator),
+                   aff.slope.numerator * (den // aff.slope.denominator), enc)
 
     def evaluate(y: Fraction):
-        best = None
-        for aff, enc in rows:
-            value = aff(y)
-            if best is None or value < best[0] or (value == best[0] and enc < best[1]):
-                best = (value, enc, aff)
-        return best
+        yn, yd = y.numerator, y.denominator
+        best = best_row = None
+        for row in rows:
+            u, t, enc = row
+            value = u * yd + t * yn
+            if best is None or value < best or (value == best and enc < best_row[2]):
+                best, best_row = value, row
+        u, t, enc = best_row
+        return (Fraction(best, den * yd), enc,
+                AffineInY(Fraction(u, den), Fraction(t, den)))
 
-    return _exact_certificate(req, _Analysis(evaluate), len(rows))
+    return evaluate
 
 
 # ---------------------------------------------------------------------------

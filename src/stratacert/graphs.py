@@ -19,6 +19,11 @@ form a *block* (the top genus is then ``h = w + 1 - d``), which makes
 counting and unranking cheap: the atlas can be counted, streamed in a
 fixed deterministic order, or accessed at any index without enumerating
 its predecessors.
+
+The per-graph invariants are exact rationals whose per-prong sums are
+taken on integers, with one Fraction built per value: in
+``graph_invariants`` over ell = lcm(prongs) (2 ell for R_NC), and in
+``kappa_mu`` over lcm |m+1| of the orders.
 """
 
 from __future__ import annotations
@@ -201,12 +206,14 @@ def classify_edges(graph: LevelGraph) -> tuple:
 
 
 def kappa_mu(orders: Sequence[int]) -> Fraction:
-    """sum of m(m+2)/(m+1) over entries m != -1 (simple poles excluded)."""
-    total = Fraction(0)
-    for m in orders:
-        if m != -1:
-            total += Fraction(m * (m + 2), m + 1)
-    return total
+    """sum of m(m+2)/(m+1) over entries m != -1 (simple poles excluded).
+
+    The sum is taken on integers over L = lcm |m+1|: each term is
+    m(m+2) (L // (m+1)), exact for negative m+1 too.
+    """
+    dens = [m + 1 for m in orders if m != -1]
+    big = math.lcm(*dens)  # lcm() is 1 and takes absolute values
+    return Fraction(sum(m * (m + 2) * (big // (m + 1)) for m in orders if m != -1), big)
 
 
 def hbb_shape(graph: LevelGraph) -> bool:
@@ -252,7 +259,9 @@ class GraphInvariants:
     delta_H: int
 
 
-_RNC_WEIGHT = {NCT: Fraction(1, 2), RBT: Fraction(1), OCT: Fraction(2), EDB: Fraction(4)}
+# twice the R_NC weight of each edge class, so that the NCT weight 1/2 is
+# an integer
+_RNC_WEIGHT2 = {NCT: 1, RBT: 2, OCT: 4, EDB: 8}
 
 
 def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInvariants:
@@ -260,52 +269,56 @@ def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInv
 
     ``hbb_shape_test=False`` forces ``delta_H = 0`` (sensitivity switch;
     the HBB correction then drops out of every downstream class).
+
+    The per-prong sums are taken on integers over ell = lcm(prongs), with
+    share ell // p per prong: P_{-1} = sum(shares) / ell, and R_NC = S / (2
+    ell) with S the sum of twice each edge class's weight times its share,
+    so b_NC = ell R_NC - 1 = (S - 2) / 2.  Each value is one Fraction.
+    A graph with legs on a top vertex is rejected before any work, since
+    it has no canonical encoding.
     """
+    if graph.has_top_legs():
+        raise ValueError("graph_invariants: top-level legs are not supported")
     g = graph.genus
     prongs = graph.prongs()
     e = len(prongs)
     p_sum = sum(prongs)
-    p_inv = sum(Fraction(1, p) for p in prongs)
     ell = lcm_list(prongs)
+    shares = [ell // p for p in prongs]
+    share_sum = sum(shares)
     classes = classify_edges(graph)
     n_top = sum(2 * v.genus - 1 + v.degree for v in graph.top_vertices)
     n_bot = 2 * graph.bottom_genus + e - graph.v_top
-    # kappa of the bottom level via the prong identity; the direct
-    # signature evaluation lives in the divisor-class module and the two
-    # routes are compared by the identity suite.
-    kappa_bot = kappa_mu(graph.bottom_legs) - (p_sum - p_inv)
-    kappa_top = kappa_mu(
-        tuple(p - 1 for p in prongs) + tuple(m for v in graph.top_vertices for m in v.legs)
-    )
-    r_nc = Fraction(0)
-    for p, cls in zip(prongs, classes):
-        r_nc += _RNC_WEIGHT[cls] / p
-    b_nc = ell * r_nc - 1
+    # kappa of the bottom level via the prong identity kappa_legs - (P -
+    # P_{-1}); the direct signature evaluation lives in the divisor-class
+    # module and the two routes are compared by the identity suite.
+    legs = kappa_mu(graph.bottom_legs)
+    kappa_bot = Fraction(legs.numerator * ell
+                         - legs.denominator * (p_sum * ell - share_sum),
+                         legs.denominator * ell)
+    twice_rnc = sum(_RNC_WEIGHT2[cls] * share for cls, share in zip(classes, shares))
     deltas = []
     for v in graph.top_vertices:
-        for _ in v.prongs:
-            if v.degree >= 2:
-                deltas.append(DELTA_IRR)
-            else:
-                deltas.append(min(v.genus, g - v.genus))
+        target = DELTA_IRR if v.degree >= 2 else min(v.genus, g - v.genus)
+        deltas.extend([target] * v.degree)
     delta_h = 1 if (hbb_shape_test and hbb_shape(graph)) else 0
     return GraphInvariants(
         genus=g,
         encoding=canonical_encoding(graph),
         prongs=prongs,
         P=p_sum,
-        P_minus1=p_inv,
+        P_minus1=Fraction(share_sum, ell),
         ell=ell,
         edges=e,
         v_top=graph.v_top,
         N_top=n_top,
         N_bot=n_bot,
         kappa_bot=kappa_bot,
-        kappa_top=kappa_top,
+        kappa_top=kappa_mu([p - 1 for p in prongs]),
         edge_classes=classes,
         delta_assignments=tuple(deltas),
-        R_NC=r_nc,
-        b_NC=b_nc,
+        R_NC=Fraction(twice_rnc, 2 * ell),
+        b_NC=Fraction(twice_rnc - 2, 2),
         delta_H=delta_h,
     )
 

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +13,7 @@ from stratacert.certify import (
     CERTIFIED,
     INFEASIBLE,
     CertRequest,
+    SixCoefficients,
     cert_requests,
     certify_coarse,
     certify_exact,
@@ -34,6 +37,7 @@ from stratacert.checks import (
     assembly_scalar_failures,
     graph_identity_failures,
 )
+from stratacert.exactq import AffineInY
 from stratacert.graphs import (
     LevelGraph,
     TopVertex,
@@ -43,6 +47,8 @@ from stratacert.graphs import (
     minimal_graph,
     partitions_exact,
 )
+
+import fraction_oracle as oracle
 
 EDB31 = minimal_graph(31, 30, [(1, (1,))])
 BANANA31 = minimal_graph(31, 0, [(30, (30, 30))])
@@ -102,6 +108,29 @@ def test_t1_t2_split_is_a_lower_bound():
             # the split is in fact exact
             assert total.intercept == s_aff.intercept
             assert total.slope == s_aff.slope
+
+
+def _typed(x):
+    """x with the type of every value, so that an int never passes for a
+    Fraction."""
+    if isinstance(x, AffineInY):
+        return (AffineInY, _typed(x.intercept), _typed(x.slope))
+    if isinstance(x, tuple):
+        return tuple(_typed(v) for v in x)
+    return (type(x), x)
+
+
+@pytest.mark.parametrize("g", range(2, 11))
+def test_six_coefficients_match_fraction_oracle(g):
+    for graph in enumerate_level_graphs(g):
+        for hbb in (True, False):
+            inv = graph_invariants(graph, hbb)
+            got, want = six_coefficients(inv, g), oracle.six_coefficients(inv, g)
+            for field in fields(SixCoefficients):
+                assert (_typed(getattr(got, field.name))
+                        == _typed(getattr(want, field.name))), (field.name, inv.encoding)
+            assert _typed(got.s_gamma()) == _typed(oracle.s_gamma_affine(inv, g))
+            assert _typed(s_gamma_affine(inv, g)) == _typed(oracle.s_gamma_affine(inv, g))
 
 
 def test_coarse_bounds_g31():
@@ -300,6 +329,46 @@ def test_hull_matches_linear_scan():
             got, _ref = hull.query(yn, yd)
             expect = min(u * yd + t * yn for t, u, _ in lines)
             assert got == expect
+
+
+def _streaming_evaluate(g, hbb, monkeypatch):
+    """The evaluate that certify_exact_streaming hands to its analysis."""
+    captured = []
+
+    class Recording(certify_module._Analysis):
+        def __init__(self, evaluate):
+            captured.append(evaluate)
+            super().__init__(evaluate)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(certify_module, "_Analysis", Recording)
+        certify_exact_streaming(CertRequest(g, "exact", "auto", "auto_midpoint", hbb))
+    return captured[0]
+
+
+@pytest.mark.parametrize("g", range(2, 10))
+def test_streaming_evaluate_matches_fraction_loop(g, monkeypatch):
+    for hbb in (False, True):
+        evaluate = _streaming_evaluate(g, hbb, monkeypatch)
+        rows = oracle.stream_rows(g, hbb)
+        for y in _oracle_ys():
+            assert _typed(evaluate(y)) == _typed(oracle.row_minimum(rows, y)), (g, hbb, y)
+
+
+def test_streaming_ties_go_to_the_least_encoding():
+    # at y = 1/2 the flat and the rising row tie on value, so the least
+    # encoding decides, in whatever order the rows come
+    flat = AffineInY(F(1, 3), F(0))
+    rising = AffineInY(F(0), F(2, 3))
+    high = AffineInY(F(5, 7), F(1, 7))  # above both on [0, 1]
+    for names in (("a", "b"), ("b", "a")):
+        rows = [(flat, names[0]), (rising, names[1]), (high, "c")]
+        for order in itertools.permutations(rows):
+            evaluate = certify_module._row_minimum(list(order))
+            for y, winner in ((F(1, 2), "a"), (F(0), names[1]), (F(1), names[0])):
+                got = evaluate(y)
+                assert got[1] == winner, (order, y)
+                assert _typed(got) == _typed(oracle.row_minimum(order, y)), (order, y)
 
 
 def test_scan_rejects_bad_range_and_mode():

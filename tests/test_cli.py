@@ -291,8 +291,15 @@ def test_exact_scan_reports_first_feasible_genus(capsys):
     (("certify", "--genus", "31", "--mode", "exact", "--no-hbb-shape",
       "--format", "text"), "certify_g31_exact_no_hbb_shape.txt"),
     (("scan", "--from", "29", "--to", "60", "--mode", "coarse"), "scan_29_60_coarse.csv"),
+    # the per-graph invariant and class arithmetic; the csv rows end in \r\n
+    (("invariants", "--genus", "6", "--format", "csv"), "invariants_g6.csv"),
+    (("invariants", "--genus", "6", "--format", "csv", "--no-hbb-shape"),
+     "invariants_g6_no_hbb_shape.csv"),
+    (("class", "--genus", "6", "--which", "wplus", "--form", "raw"),
+     "class_g6_wplus_raw.json"),
 ])
 def test_artifact_bytes_are_pinned(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert out == (EXPECTED / expected).read_text(encoding="utf-8")
+    # read as bytes: a text read would turn the csv \r\n into \n
+    assert out == (EXPECTED / expected).read_bytes().decode("utf-8")

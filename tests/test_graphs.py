@@ -1,3 +1,5 @@
+import random
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +8,7 @@ from stratacert.graphs import (
     EDB,
     NCT,
     OCT,
+    GraphInvariants,
     LevelGraph,
     TopVertex,
     atlas_count,
@@ -15,6 +18,7 @@ from stratacert.graphs import (
     enumerate_level_graphs,
     graph_invariants,
     hbb_shape,
+    kappa_mu,
     minimal_graph,
     parse_canonical_encoding,
     partition_unrank,
@@ -25,6 +29,7 @@ from stratacert.graphs import (
     write_atlas,
 )
 
+import fraction_oracle as oracle
 from brute import brute_force_atlas, brute_key_to_encoding
 
 EDB2 = minimal_graph(2, 1, [(1, (1,))])
@@ -124,6 +129,35 @@ def test_hbb_shape():
 
 def test_hbb_shape_flag_off():
     assert graph_invariants(BANANA2, hbb_shape_test=False).delta_H == 0
+
+
+def test_top_legs_are_rejected_before_any_work():
+    graph = LevelGraph(3, 1, (2,), (TopVertex(1, (1,), legs=(2,)),))
+    with pytest.raises(ValueError, match="graph_invariants"):
+        graph_invariants(graph)
+
+
+def test_kappa_mu_matches_fraction_oracle():
+    rng = random.Random(90210)
+    cases = [(), (0,), (-1,), (-2,), (-1, -1), (0, -1, -2), (60,), (-61,),
+             (4, -2, -1, 0, -3), (-5, 3), (2, -4, -1, -1)]
+    while len(cases) < 400:
+        cases.append(tuple(rng.randint(-12, 12) for _ in range(rng.randint(1, 7))))
+    for orders in cases:
+        got = kappa_mu(orders)
+        assert type(got) is F
+        assert got == oracle.kappa_mu(orders), orders
+
+
+@pytest.mark.parametrize("g", range(2, 11))
+def test_graph_invariants_match_fraction_oracle(g):
+    for graph in enumerate_level_graphs(g):
+        for hbb in (True, False):
+            got = graph_invariants(graph, hbb)
+            want = oracle.graph_invariants(graph, hbb)
+            for field in fields(GraphInvariants):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert (type(a), a) == (type(b), b), (field.name, got.encoding, hbb)
 
 
 def test_partitions_exact_and_unrank():
