@@ -21,9 +21,9 @@ from typing import Iterable, List, Sequence
 
 from .certify import SixCoefficients, s_hor_affine, six_coefficients, y_hor
 from .classes import (
-    _bn_coeff,
     _canonical_coeff,
-    _hur_coeff,
+    _divisor_coeff,
+    _divisor_integers,
     kappa_mu,
     kappa_over_2g,
     wplus_w_gamma,
@@ -98,7 +98,7 @@ def _assembly_affine(graph: LevelGraph, inv: GraphInvariants) -> AffineInY:
     q = kappa_over_2g(g)
     can = _canonical_coeff(graph, inv)
     w_term = 12 * wplus_w_gamma(graph) * inv.ell / wplus_w_lambda(g)
-    b = _bn_coeff(graph, inv) if g % 2 else _hur_coeff(graph, inv)
+    b = _divisor_coeff(inv)
     return AffineInY(can - q * inv.b_NC + 2 * b, w_term - 2 * b)
 
 
@@ -137,10 +137,8 @@ def assembly_scalar_failures(g: int, *,
     bad = []
     q = kappa_over_2g(g)
     w_lam = wplus_w_lambda(g)
-    if g % 2:  # Brill--Noether
-        ratio = Fraction(g + 1, g + 3)
-    else:  # Hurwitz
-        ratio = Fraction(3 * g * g + 12 * g - 6, (g + 8) * (3 * g - 1))
+    den, hor, _ = _divisor_integers(g)
+    ratio = Fraction(hor, den)
     hor = s_hor_affine(g)
     for y in ys:
         lam = 12 - y * Fraction(12) / w_lam * w_lam - (1 - y) * 2 * 6

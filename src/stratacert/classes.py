@@ -2,8 +2,9 @@
 and their exact conversion to the reduced basis (lambda, D_h, {D_Gamma}).
 
 Boundary coordinates are keyed by canonical graph encodings.  Each class
-builder also exposes a per-graph coefficient helper so that large atlases
-can be processed streaming without materializing the full boundary map.
+builder reads its boundary coefficients from a per-graph helper, so that
+large atlases can be processed streaming without materializing the full
+boundary map.
 
 The kappa value of a bottom level is evaluated here directly on the full
 bottom signature (legs plus a pole of order -p-1 per edge); the graph
@@ -236,16 +237,6 @@ def boundary_coeff_dnc(graph: LevelGraph) -> Fraction:
     return graph_invariants(graph).b_NC
 
 
-def boundary_coeff_bn(graph: LevelGraph) -> Fraction:
-    """b_Gamma of the Brill--Noether class (odd genus)."""
-    return _bn_coeff(graph, graph_invariants(graph))
-
-
-def boundary_coeff_hur(graph: LevelGraph) -> Fraction:
-    """h_Gamma of the Hurwitz class (even genus)."""
-    return _hur_coeff(graph, graph_invariants(graph))
-
-
 # The helpers below take the graph's invariants from the caller, so one
 # graph_invariants call can serve every coefficient of the assembly check.
 # Only the canonical coefficient reads delta_H, the one invariant that
@@ -261,29 +252,27 @@ def _canonical_coeff(graph: LevelGraph, inv: GraphInvariants) -> Fraction:
     return coeff
 
 
-def _bn_coeff(graph: LevelGraph, inv: GraphInvariants) -> Fraction:
-    g = graph.genus
-    total = Fraction(0)
-    for p, target in zip(graph.prongs(), inv.delta_assignments):
-        if target == DELTA_IRR:
-            total += Fraction(g + 1, (g + 3) * p)
-        else:
-            i = target
-            total += Fraction(6 * i * (g - i), (g + 3) * p)
-    return inv.ell * total
+def _divisor_integers(g: int) -> tuple:
+    """(den, hor, sep) of the effective divisor genus g uses:
+    Brill--Noether for odd g, Hurwitz for even g.  Its D_h coefficient is
+    -hor / den, and a boundary edge with prong p contributes hor / (den p)
+    when non-separating and 6 i (g - i) sep / (den p) when it separates
+    genus i from g - i."""
+    if g % 2:
+        return g + 3, g + 1, 1
+    return (g + 8) * (3 * g - 1), 3 * g * g + 12 * g - 6, 3 * g + 4
 
 
-def _hur_coeff(graph: LevelGraph, inv: GraphInvariants) -> Fraction:
-    g = graph.genus
-    den = (g + 8) * (3 * g - 1)
-    total = Fraction(0)
-    for p, target in zip(graph.prongs(), inv.delta_assignments):
-        if target == DELTA_IRR:
-            total += Fraction(3 * g * g + 12 * g - 6, den * p)
-        else:
-            i = target
-            total += Fraction(6 * i * (g - i) * (3 * g + 4), den * p)
-    return inv.ell * total
+def _divisor_coeff(inv: GraphInvariants) -> Fraction:
+    """b_Gamma (odd genus) or h_Gamma (even genus): ell times the sum of
+    the per-edge contributions, summed on integers over den."""
+    g = inv.genus
+    den, hor, sep = _divisor_integers(g)
+    total = 0
+    for p, target in zip(inv.prongs, inv.delta_assignments):
+        coeff = hor if target == DELTA_IRR else 6 * target * (g - target) * sep
+        total += coeff * (inv.ell // p)
+    return Fraction(total, den)
 
 
 def wplus_w_lambda(g: int) -> Fraction:
@@ -330,21 +319,28 @@ def d_nc_class(g: int, graphs: Iterable[LevelGraph]) -> DivisorClass:
     return DivisorClass(boundary=boundary)
 
 
+def _divisor_class(g: int, graphs: Iterable[LevelGraph]) -> DivisorClass:
+    """The pullback of the effective divisor genus g uses."""
+    den, hor, _ = _divisor_integers(g)
+    boundary = {}
+    for graph in graphs:
+        inv = graph_invariants(graph)
+        boundary[inv.encoding] = -_divisor_coeff(inv)
+    return DivisorClass(lam=Fraction(6), d_h=-Fraction(hor, den), boundary=boundary)
+
+
 def bn_class(g: int, graphs: Iterable[LevelGraph]) -> DivisorClass:
     """The pullback Brill--Noether divisor class; odd genus >= 3 only."""
     if g < 3 or g % 2 == 0:
         raise ValueError("Brill--Noether class requires odd genus >= 3")
-    boundary = {canonical_encoding(gr): -boundary_coeff_bn(gr) for gr in graphs}
-    return DivisorClass(lam=Fraction(6), d_h=-Fraction(g + 1, g + 3), boundary=boundary)
+    return _divisor_class(g, graphs)
 
 
 def hur_class(g: int, graphs: Iterable[LevelGraph]) -> DivisorClass:
     """The pullback Hurwitz divisor class; even genus >= 6 only."""
     if g < 6 or g % 2 == 1:
         raise ValueError("Hurwitz class requires even genus >= 6")
-    d_h = -Fraction(3 * g * g + 12 * g - 6, (g + 8) * (3 * g - 1))
-    boundary = {canonical_encoding(gr): -boundary_coeff_hur(gr) for gr in graphs}
-    return DivisorClass(lam=Fraction(6), d_h=d_h, boundary=boundary)
+    return _divisor_class(g, graphs)
 
 
 def wplus_class(g: int, graphs: Iterable[LevelGraph], form: str = "reduced") -> DivisorClass:

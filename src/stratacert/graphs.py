@@ -18,7 +18,9 @@ multiset of types of total weight ``g - g_b``.  Types of equal ``(w, d)``
 form a *block* (the top genus is then ``h = w + 1 - d``), which makes
 counting and unranking cheap: the atlas can be counted, streamed in a
 fixed deterministic order, or accessed at any index without enumerating
-its predecessors.
+its predecessors.  The stream walks the tree that unranking descends and
+enters a branch only where the same counts say it holds a graph, so one
+counting index states both the atlas's admissibility and its order.
 
 The per-graph invariants are exact rationals whose per-prong sums are
 taken on integers, with one Fraction built per value: in
@@ -35,6 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement, groupby
 from typing import Iterable, Iterator, Sequence
 
 from .exactq import lcm_list, rational_str
@@ -508,34 +511,9 @@ def _graph_from_choice(g: int, g_b: int, chosen) -> LevelGraph:
     return LevelGraph(g, g_b, (2 * g - 2,), tuple(tops))
 
 
-def _admissible(g_b: int, chosen, dimension_filter: bool) -> bool:
-    if g_b > 0:
-        return True
-    if dimension_filter:
-        return any(len(prongs) >= 2 for _, prongs, _ in chosen)
-    edges = sum(len(prongs) * m for _, prongs, m in chosen)
-    return edges >= 2
-
-
-def _multisets(items: tuple, k: int) -> Iterator[tuple]:
-    """k-multisets of items as ((item, mult), ...) runs, index-lex order."""
-
-    def rec(i: int, remaining: int):
-        if remaining == 0:
-            yield ()
-            return
-        if i >= len(items):
-            return
-        for m in range(remaining, 0, -1):
-            for rest in rec(i + 1, remaining - m):
-                yield ((items[i], m),) + rest
-        yield from rec(i + 1, remaining)
-
-    yield from rec(0, k)
-
-
 def _unrank_multiset(n: int, k: int, rank: int) -> list:
-    """rank-th k-multiset of indices in [0, n), matching _multisets order."""
+    """rank-th k-multiset of indices in [0, n) as ((index, mult), ...) runs,
+    in the order of ``combinations_with_replacement(range(n), k)``."""
     out = []
     i = 0
     while k > 0:
@@ -555,21 +533,25 @@ def _unrank_multiset(n: int, k: int, rank: int) -> list:
 def enumerate_level_graphs(g: int, dimension_filter: bool = True) -> Iterator[LevelGraph]:
     """Stream the genus-g atlas, one graph per coarse type.
 
+    The stream is a depth-first walk of the tree :func:`atlas_unrank`
+    descends, and a branch is entered only when the same counts that
+    unranking reads say it holds a graph; so the stream matches
+    :func:`atlas_unrank` index-for-index and builds no dead-end choice.
     Order: bottom genus ascending, then multisets of vertex types in block
     order (per block: multiplicity zero first, then ascending, prong
-    multisets lexicographically).  The stream is deterministic and matches
-    :func:`atlas_unrank` index-for-index.
+    multisets lexicographically).
     """
     if g < 2:
         raise ValueError("genus must be >= 2")
-    blocks = vertex_blocks(g)
+    idx = _atlas_index(g)
+    blocks = idx.blocks
 
-    # Conceptually the recursion at block b emits the subtree that skips b
-    # first, then multiplicities 1, 2, ... of b.  Unrolled, that means the
-    # first *used* block is visited in descending order; iterating that way
-    # keeps the generator depth at the number of used blocks (<= g) instead
-    # of the number of blocks (~g^2/2), which would overflow the stack.
-    def rec(b: int, budget: int, chosen):
+    # The tree at block b holds the subtree that skips b first, then
+    # multiplicities 1, 2, ... of b.  Unrolled, the first *used* block is
+    # visited in descending order; iterating that way keeps the generator
+    # depth at the number of used blocks (<= g) instead of the number of
+    # blocks (~g^2/2), which would overflow the stack.
+    def walk(b: int, budget: int, need_d2: bool, chosen):
         if budget == 0:
             yield chosen
             return
@@ -577,17 +559,26 @@ def enumerate_level_graphs(g: int, dimension_filter: bool = True) -> Iterator[Le
             blk = blocks[bi]
             if blk.weight > budget:
                 continue
-            parts = _block_partitions(blk.genus, blk.degree)
+            need_after = need_d2 and blk.degree == 1
+            parts = None
             for k in range(1, budget // blk.weight + 1):
-                for combo in _multisets(parts, k):
+                rest = budget - k * blk.weight
+                if not idx.count(rest, bi + 1, need_after):
+                    continue
+                if parts is None:  # fetched only for a block the walk enters
+                    parts = _block_partitions(blk.genus, blk.degree)
+                for combo in combinations_with_replacement(parts, k):
                     picked = chosen + tuple(
-                        (blk.genus, pr, mult) for pr, mult in combo)
-                    yield from rec(bi + 1, budget - k * blk.weight, picked)
+                        (blk.genus, pr, len(tuple(run))) for pr, run in groupby(combo))
+                    yield from walk(bi + 1, rest, need_after, picked)
 
     for g_b in range(g):
-        for chosen in rec(0, g - g_b, ()):
-            if _admissible(g_b, chosen, dimension_filter):
-                yield _graph_from_choice(g, g_b, chosen)
+        raw_bottom = g_b == 0 and not dimension_filter
+        for chosen in walk(0, g - g_b, g_b == 0 and dimension_filter, ()):
+            graph = _graph_from_choice(g, g_b, chosen)
+            # bottom stability: a rational bottom needs two edges
+            if not raw_bottom or graph.edge_count >= 2:
+                yield graph
 
 
 def atlas_unrank(g: int, rank: int, dimension_filter: bool = True) -> LevelGraph:

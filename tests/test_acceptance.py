@@ -28,8 +28,7 @@ assembled-class identity on every graph for g <= 12 and on deterministic
 spread samples (plus targeted extreme graphs) at g in {31, 34}.  Set
 STRATACERT_FULL_SCALE=1 to stream entire large atlases instead: about
 4.1e10 graphs at roughly 0.13 ms each (enumeration plus the assembly
-check), so about two core-months.  That stream stops with a RecursionError
-after 2,533 graphs at genus 31, in the enumerator's multiset recursion.
+check), so about two core-months.
 """
 
 import os

@@ -116,6 +116,22 @@ def test_class_genw(capsys):
     assert data["psi"] == ["10", "0"]
 
 
+def test_hurwitz_genus_domain_differs_between_routes(capsys):
+    # Pins a known disagreement, not a design: the certifier and the
+    # identity battery use the Hurwitz divisor at every even genus, while
+    # the class builder takes only even genus >= 6.
+    code, out, _ = run(capsys, "certify", "--genus", "4", "--mode", "exact",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["effective_divisor"] == "hurwitz"
+    code, out, _ = run(capsys, "identities", "--genus-max", "4", "--full-max", "4")
+    assert code == 0
+    assert "genus 4: 23 graphs (full atlas): ok" in out
+    code, out, err = run(capsys, "class", "--genus", "4", "--which", "hur")
+    assert (code, out) == (1, "")
+    assert "Hurwitz class requires even genus >= 6" in err
+
+
 def test_atlas_cache_round_trip(tmp_path, capsys):
     atlas = tmp_path / "g5.txt"
     code, out, _ = run(capsys, "enumerate", "--genus", "5", "--out", str(atlas))

@@ -1,5 +1,6 @@
 import random
 from dataclasses import fields
+from itertools import combinations_with_replacement, groupby, islice
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from stratacert.graphs import (
     GraphInvariants,
     LevelGraph,
     TopVertex,
+    _unrank_multiset,
     atlas_count,
     atlas_unrank,
     canonical_encoding,
@@ -268,8 +270,17 @@ def test_genus_below_two_rejected():
 
 
 def test_unrank_matches_stream_prefix_large_genus():
-    from itertools import islice
-
-    prefix = list(islice(enumerate_level_graphs(31), 1500))
+    # long enough to pass the first few thousand graphs, where a stream
+    # that recursed once per skipped prong multiset ran out of stack
+    prefix = list(islice(enumerate_level_graphs(31), 5000))
+    assert len(prefix) == 5000
     for i, graph in enumerate(prefix):
         assert atlas_unrank(31, i) == graph
+
+
+def test_unrank_multiset_matches_stdlib_order():
+    for n in range(1, 8):
+        for k in range(1, 6):
+            for r, combo in enumerate(combinations_with_replacement(range(n), k)):
+                runs = [(i, len(tuple(run))) for i, run in groupby(combo)]
+                assert _unrank_multiset(n, k, r) == runs, (n, k, r)
