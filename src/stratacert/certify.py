@@ -32,12 +32,12 @@ Two exact engines are provided.
   additive model and are handled on their own: the two single-edge graphs
   whose edge is an elliptic dumbbell rather than plain compact type are
   listed, and the banana-backbone shapes (their delta_H correction
-  carries a non-additive 1/lcm) are searched depth-first at each queried
-  y, cut by the knapsack's own minimum as a lower bound.  Both deviations
-  only lower s_Gamma, so the true minimum is the minimum of the three
-  parts.  The positivity interval of the concave lower envelope is then
-  located by exact Newton steps on active pieces, once per engine and
-  delta_H mode.
+  carries a non-additive -Q/lcm) are minimised at each queried y by a
+  short loop over candidate lcms L, one small knapsack per L.  Both
+  deviations only lower s_Gamma, so the true minimum is the minimum of
+  the three parts.  The positivity interval of the concave lower envelope
+  is then located by exact Newton steps on active pieces, once per engine
+  and delta_H mode.
 
 The engines give the same status, y, feasible set, worst margin and graph
 count; the test suite checks this on full atlases at small genus.  Among
@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Dict, Optional, Union
 
 from .exactq import (
@@ -470,6 +471,73 @@ def _iota_extremes(n: int, d: int) -> tuple:
     return (spread,) if spread == balanced else (spread, balanced)
 
 
+def _hbb_tables(items: list, g: int) -> list:
+    """Suffix tables of the two-state unbounded knapsack over HBB items.
+
+    ``items`` are (prong, weight, value, slope, h, is_pair).  tables[i] is
+    (free, paired): free[b] is the least (value, slope) of a multiset of
+    items[i:] of total weight b, and paired[b] that of one holding at least
+    one pair; None where there is no such multiset.
+    """
+    free, paired = [(0, 0)] + [None] * g, [None] * (g + 1)
+    tables = [(free, paired)]
+    for _, w, v, t, _, is_pair in reversed(items):
+        free, paired = list(free), list(paired)
+        # a pair fills the paired table from any multiset, a single only
+        # from one that already holds a pair
+        source = free if is_pair else paired
+        for b in range(w, g + 1):
+            rest = free[b - w]
+            if rest is not None:
+                cand = (rest[0] + v, rest[1] + t)
+                if free[b] is None or cand < free[b]:
+                    free[b] = cand
+            rest = source[b - w]
+            if rest is not None:
+                cand = (rest[0] + v, rest[1] + t)
+                if paired[b] is None or cand < paired[b]:
+                    paired[b] = cand
+        tables.append((free, paired))
+    tables.reverse()
+    return tables
+
+
+def _hbb_least(paired: list, bottoms: list) -> tuple:
+    """((value, slope), g_b) of the least HBB multiset over bottom genera:
+    least value, then least slope, then least g_b.  ``bottoms[g_b]`` is the
+    scaled constant and bottom term at g_b."""
+    g = len(bottoms)
+    best = best_gb = None
+    for g_b, base in enumerate(bottoms):
+        entry = paired[g - g_b]
+        if entry is not None:
+            cand = (base + entry[0], entry[1])
+            if best is None or cand < best:
+                best, best_gb = cand, g_b
+    return best, best_gb
+
+
+def _hbb_spec(items: list, tables: list, budget: int, target: tuple) -> tuple:
+    """The lexicographically first multiset of items of total weight
+    ``budget`` with a pair that attains ``target`` = paired[budget] of
+    ``_hbb_tables``, as ((h, ns, np), ...) over the h it uses.  An item is
+    taken once more only when the suffix without it misses the target."""
+    counts: dict = {}
+    state = 1  # the paired table until a pair is taken
+    for i, (_, w, v, t, h, is_pair) in enumerate(items):
+        n = 0
+        while tables[i + 1][state][budget] != target:
+            budget -= w
+            target = (target[0] - v, target[1] - t)
+            n += 1
+            if is_pair:
+                state = 0
+        if n:
+            ns, np_ = counts.get(h, (0, 0))
+            counts[h] = (ns, n) if is_pair else (n, np_)
+    return tuple((h, ns, np_) for h, (ns, np_) in sorted(counts.items()))
+
+
 class _Hull:
     """Lower envelope of lines y -> u + t y with exact integer queries."""
 
@@ -604,58 +672,62 @@ class _MinEngine:
             self._e1_family = rows
         return self._e1_family
 
-    def _hbb_search(self, yn: int, yd: int, dp: list, limit: int):
+    def _hbb_minimum(self, yn: int, yd: int, limit: int):
         """(scaled value, ref) of the least shape-HBB graph at y = yn/yd
         strictly below ``limit``, or None.
 
-        The family is a multiset choice of single-edge vertices (h, [2h-1])
-        and equal-prong pairs (h, [h, h]) with at least one pair, and its
-        per-type contributions match the generic additive model (OCT /
-        NCT edge classes arise automatically); only the correction
-        -Q / lcm(prongs) is graph-global.  The search makes the choices for
-        g_b = 0, 1, ..., then h = 1, 2, ... with (ns, np) ascending, and
-        cuts a node whose bound prefix + dp[budget] - Q / ell cannot beat
-        the best so far.  Every single and pair is a candidate of the
-        per-weight hull of its weight (block (h, 1), and the balanced
-        extreme of block (h + 1, 2)), so the knapsack dp of ``evaluate``
-        bounds the rest, and the lcm ell only grows.  Ties go as in
-        _Hull.query: least value, then least slope, then the first found.
+        The family is a multiset of single-edge vertices (h, [2h-1]) and
+        equal-prong pairs (h, [h, h]) with at least one pair.  Its per-type
+        contributions match the generic additive model (OCT / NCT edge
+        classes arise automatically); only the correction -Q / lcm(prongs)
+        is graph-global.  The minimum is a loop over candidate lcms
+        L = 1, 2, ... on this lemma.  Let K_L be the least additive value,
+        bottom term 2 g_b Q included, of a multiset with a pair whose
+        singles have 2h-1 | L and whose pairs have h | L.  A graph with
+        prong lcm ell | L has value A - Q/ell <= A - Q/L, with equality at
+        L = ell; so the minimum is min over L of K_L - Q/L.  Each K_L is a
+        two-state unbounded knapsack (``_hbb_tables``).  With K the same
+        knapsack over every item, K - Q/L bounds every L' >= L from below,
+        so the loop stops at the first L where it exceeds the best value.
+        The stop is strict: at a breakpoint a later L can tie in value and
+        win on slope.  An L that is not the lcm of its allowed prongs has
+        the items, hence K_L, of that smaller lcm and is skipped.
+
+        Ties go as in a depth-first search over g_b, then h = 1, 2, ...
+        with (ns, np) ascending: least value, then least slope, then least
+        g_b, then the count vector (ns_1, np_1, ns_2, np_2, ...) least in
+        lexicographic order.
         """
-        q_num = self.q_num
-        types = {h: (us * yd + ts * yn, ts, up * yd + tp * yn, tp)
-                 for h, ((us, ts), (up, tp)) in self._hbb_types.items()}
-        best = [limit, None, None]  # value, slope, ref
-        path: list = []
-
-        def search(g_b, h, budget, ell, have_pair, value, slope):
-            bound = value + dp[budget] - (q_num // ell) * yd
-            if bound > best[0] or (bound == best[0] and best[1] is None):
-                return
-            if budget == 0:
-                if have_pair and (bound < best[0] or slope < best[1]):
-                    spec = tuple(step for step in path if step[1] or step[2])
-                    best[:] = bound, slope, (g_b, spec)
-                return
-            if h > budget:
-                return
-            vs, ts, vp, tp = types[h]
-            ell_single = math.lcm(ell, 2 * h - 1)
-            for ns in range(budget // h + 1):
-                rem = budget - ns * h
-                ell_s = ell_single if ns else ell
-                for np_ in range(rem // (h + 1) + 1):
-                    path.append((h, ns, np_))
-                    search(g_b, h + 1, rem - np_ * (h + 1),
-                           math.lcm(ell_s, h) if np_ else ell_s,
-                           have_pair or np_ > 0, value + ns * vs + np_ * vp,
-                           slope + ns * ts + np_ * tp)
-                    path.pop()
-
+        g, q_num = self.g, self.q_num
+        items = []  # (prong, weight, value, slope, h, is_pair) in search order
+        for h, ((us, ts), (up, tp)) in self._hbb_types.items():
+            items.append((2 * h - 1, h, us * yd + ts * yn, ts, h, False))
+            items.append((h, h + 1, up * yd + tp * yn, tp, h, True))
         const = self.k0 * yd + self.k1 * yn
-        for g_b in range(self.g):
-            search(g_b, 1, self.g - g_b, 1, False,
-                   const + 2 * g_b * q_num * yd, self.k1)
-        return None if best[2] is None else (best[0], best[2])
+        bottoms = [const + 2 * g_b * q_num * yd for g_b in range(g)]
+        (k_value, _), _ = _hbb_least(_hbb_tables(items, g)[0][1], bottoms)
+        scale = q_num * yd  # Q / L at y, scaled, is scale // L
+        best_value, best_key, best_ref = limit, None, None
+        for L in count(1):
+            if (k_value - best_value) * L > scale:
+                break
+            allowed = [item for item in items if L % item[0] == 0]
+            if math.lcm(*(item[0] for item in allowed)) != L:
+                continue
+            tables = _hbb_tables(allowed, g)
+            (total, slope), g_b = _hbb_least(tables[0][1], bottoms)
+            value = total - scale // L
+            if value > best_value or (best_ref is None and value == best_value):
+                continue  # neither below the limit nor a tie with the best
+            spec = _hbb_spec(allowed, tables, g - g_b,
+                             (total - bottoms[g_b], slope))
+            vector = [0] * (2 * g)
+            for h, ns, np_ in spec:
+                vector[2 * h - 2:2 * h] = ns, np_
+            key = (value, slope, g_b, vector)
+            if best_ref is None or key < best_key:
+                best_value, best_key, best_ref = value, key, (g_b, spec)
+        return None if best_ref is None else (best_value, best_ref)
 
     def hbb_witness(self, ref) -> LevelGraph:
         g_b, spec = ref
@@ -670,8 +742,14 @@ class _MinEngine:
     def evaluate(self, y: Fraction, hbb: bool):
         """(min over the atlas of s_Gamma(y), witness graph, active affine).
 
-        With the shape test on, the HBB family is searched only where it
-        can go strictly below the knapsack and single-edge minimum."""
+        The minimum has three parts: the knapsack over per-weight hulls, the
+        single-edge EDB family, and, with the shape test on, the HBB family.
+        An HBB graph whose prong lcm ell divides L is worth at most its
+        additive value minus Q/L, with equality at L = ell, so the HBB
+        minimum is min over L of (least additive value with prongs dividing
+        L) - Q/L (``_hbb_minimum``).  It replaces the other parts' witness
+        only when strictly lower, and its witness is checked against the
+        per-graph pipeline."""
         g = self.g
         yn, yd = y.numerator, y.denominator
         if yd <= 0:
@@ -711,7 +789,7 @@ class _MinEngine:
             if scaled < best_value:
                 best_value, witness, affine = scaled, graph, aff
         if hbb:
-            found = self._hbb_search(yn, yd, dp, best_value)
+            found = self._hbb_minimum(yn, yd, best_value)
             if found is not None:
                 best_value, ref = found
                 witness = self.hbb_witness(ref)
@@ -783,14 +861,13 @@ class _MinEngine:
 # concave envelope analysis
 
 
-def _max_concave(evaluate: Callable, lo: Fraction, hi: Fraction):
+def _max_concave(evaluate: Callable, lo: Fraction, hi: Fraction, fa, fb):
     """Exact maximum on [lo, hi] of a concave piecewise-affine function.
 
     ``evaluate(y) -> (value, witness, affine)`` where the affine is the
-    active piece at y (a global upper bound, tight at y).
+    active piece at y (a global upper bound, tight at y); ``fa`` and ``fb``
+    are its results at lo and hi, which the caller already holds.
     """
-    fa = evaluate(lo)
-    fb = evaluate(hi)
     best_y, best = (lo, fa) if fa[0] >= fb[0] else (hi, fb)
     a, b = lo, hi
     for _ in range(10000):
@@ -841,25 +918,27 @@ class _Analysis:
     For a concave piecewise-affine F on [0, 1], given by
     ``evaluate(y) -> (F(y), witness encoding, active affine)``: the
     positivity interval {y in [0,1] : F(y) > 0}, found when the analysis
-    is made, and F's maximum, found the first time it is asked for.
+    is made, and F's maximum, found the first time it is asked for.  F is
+    evaluated once at each end of [0, 1], for both.
     """
 
     def __init__(self, evaluate: Callable):
         self.evaluate = evaluate
+        self._ends = evaluate(Fraction(0)), evaluate(Fraction(1))
         self._maximum = None
         self.interval = self._positivity_interval()
 
     def maximum(self):
         """(value, witness, affine) of evaluate at the maximum of F."""
         if self._maximum is None:
-            _, self._maximum = _max_concave(self.evaluate, Fraction(0), Fraction(1))
+            _, self._maximum = _max_concave(
+                self.evaluate, Fraction(0), Fraction(1), *self._ends)
         return self._maximum
 
     def _positivity_interval(self) -> RationalInterval:
         evaluate = self.evaluate
         zero, one = Fraction(0), Fraction(1)
-        f0 = evaluate(zero)
-        f1 = evaluate(one)
+        f0, f1 = self._ends
         if f0[0] > 0 and f1[0] > 0:
             # concavity: positive at both ends means positive throughout
             return UNIT

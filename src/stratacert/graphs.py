@@ -403,11 +403,6 @@ def vertex_blocks(max_weight: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _block_partitions(h: int, d: int) -> tuple:
-    return tuple(partitions_exact(2 * h - 2 + d, d))
-
-
 # ---------------------------------------------------------------------------
 # counting, enumeration, unranking
 #
@@ -545,6 +540,7 @@ def enumerate_level_graphs(g: int, dimension_filter: bool = True) -> Iterator[Le
         raise ValueError("genus must be >= 2")
     idx = _atlas_index(g)
     blocks = idx.blocks
+    partitions: dict = {}  # block index -> prong multisets, for this walk
 
     # The tree at block b holds the subtree that skips b first, then
     # multiplicities 1, 2, ... of b.  Unrolled, the first *used* block is
@@ -565,8 +561,11 @@ def enumerate_level_graphs(g: int, dimension_filter: bool = True) -> Iterator[Le
                 rest = budget - k * blk.weight
                 if not idx.count(rest, bi + 1, need_after):
                     continue
-                if parts is None:  # fetched only for a block the walk enters
-                    parts = _block_partitions(blk.genus, blk.degree)
+                if parts is None:  # built only for a block the walk enters
+                    parts = partitions.get(bi)
+                    if parts is None:
+                        parts = partitions[bi] = tuple(partitions_exact(
+                            2 * blk.genus - 2 + blk.degree, blk.degree))
                 for combo in combinations_with_replacement(parts, k):
                     picked = chosen + tuple(
                         (blk.genus, pr, len(tuple(run))) for pr, run in groupby(combo))

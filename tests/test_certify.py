@@ -451,7 +451,7 @@ def _hbb_walk_lines(engine):
     """Oracle: one line per shape-HBB graph, from a plain walk over them all.
 
     Lines come in depth-first order with ns, then np, ascending: the order
-    in which the engine's search meets the graphs.
+    whose first graph the engine names among graphs of one line.
     """
     g, q_num = engine.g, engine.q_num
     singles = {h: engine._type_scalars(h, 1, (2 * h - 1,)) for h in range(1, g + 1)}
@@ -487,7 +487,7 @@ def _hbb_walk_lines(engine):
 
 def _hbb_walk_hull(engine):
     """Oracle: the lower envelope of every shape-HBB line.  Its query
-    applies the tie rule the engine's search must reproduce."""
+    applies the tie rule the engine's HBB minimum must reproduce."""
     return _Hull(_hbb_walk_lines(engine))
 
 
@@ -536,15 +536,61 @@ def _hbb_memo_hull(engine):
     return _Hull(lines)
 
 
-def _hbb_search(engine, y, limit):
-    """The engine's HBB search at y, bounded by the knapsack over the
-    engine's per-weight hulls, as evaluate fills it."""
-    yn, yd = y.numerator, y.denominator
+def _knapsack_dp(engine, yn, yd):
+    """The knapsack over the engine's per-weight hulls, as evaluate fills it."""
     dp = [0] * (engine.g + 1)
     for total in range(1, engine.g + 1):
         dp[total] = min(dp[total - w] + engine.hull_all[w].query(yn, yd)[0]
                         for w in range(1, total + 1))
-    return engine._hbb_search(yn, yd, dp, limit)
+    return dp
+
+
+def _hbb_dfs_oracle(engine, yn, yd, dp, limit):
+    """Oracle: (scaled value, ref) of the least shape-HBB graph at y = yn/yd
+    strictly below ``limit``, or None, by a depth-first search.
+
+    It makes the choices for g_b = 0, 1, ..., then h = 1, 2, ... with
+    (ns, np) ascending, and cuts a node whose bound prefix + dp[budget] -
+    Q / ell cannot beat the best so far.  Every single and pair is a
+    candidate of the per-weight hull of its weight, so the knapsack ``dp``
+    bounds the rest, and the lcm ell only grows.  Ties go as in
+    _Hull.query: least value, then least slope, then the first found.
+    """
+    q_num = engine.q_num
+    types = {h: (us * yd + ts * yn, ts, up * yd + tp * yn, tp)
+             for h, ((us, ts), (up, tp)) in engine._hbb_types.items()}
+    best = [limit, None, None]  # value, slope, ref
+    path = []
+
+    def search(g_b, h, budget, ell, have_pair, value, slope):
+        bound = value + dp[budget] - (q_num // ell) * yd
+        if bound > best[0] or (bound == best[0] and best[1] is None):
+            return
+        if budget == 0:
+            if have_pair and (bound < best[0] or slope < best[1]):
+                spec = tuple(step for step in path if step[1] or step[2])
+                best[:] = bound, slope, (g_b, spec)
+            return
+        if h > budget:
+            return
+        vs, ts, vp, tp = types[h]
+        ell_single = math.lcm(ell, 2 * h - 1)
+        for ns in range(budget // h + 1):
+            rem = budget - ns * h
+            ell_s = ell_single if ns else ell
+            for np_ in range(rem // (h + 1) + 1):
+                path.append((h, ns, np_))
+                search(g_b, h + 1, rem - np_ * (h + 1),
+                       math.lcm(ell_s, h) if np_ else ell_s,
+                       have_pair or np_ > 0, value + ns * vs + np_ * vp,
+                       slope + ns * ts + np_ * tp)
+                path.pop()
+
+    const = engine.k0 * yd + engine.k1 * yn
+    for g_b in range(engine.g):
+        search(g_b, 1, engine.g - g_b, 1, False,
+               const + 2 * g_b * q_num * yd, engine.k1)
+    return None if best[2] is None else (best[0], best[2])
 
 
 def _engine_with_scalars(g, scalars):
@@ -564,12 +610,12 @@ def _above_every_line(lines):
 
 
 def _check_search_against_hull(engine, hull, y, above):
-    # with a limit above every line the search must find the least one;
-    # with the least value itself as limit it must find nothing (strict <)
+    # with a limit above every line the loop must find the least one; with
+    # the least value itself as limit it must find nothing (strict <)
     yn, yd = y.numerator, y.denominator
     expect = hull.query(yn, yd)
-    assert _hbb_search(engine, y, above(yn, yd)) == expect, (engine.g, y)
-    assert _hbb_search(engine, y, expect[0]) is None, (engine.g, y)
+    assert engine._hbb_minimum(yn, yd, above(yn, yd)) == expect, (engine.g, y)
+    assert engine._hbb_minimum(yn, yd, expect[0]) is None, (engine.g, y)
 
 
 # (den, hor, sep) of each effective divisor, written out at any genus
@@ -583,7 +629,7 @@ _DIVISOR_CONSTANTS = {
 @pytest.mark.parametrize("g", range(2, 23))
 def test_hbb_hull_matches_walk_oracle(g, effdiv, monkeypatch):
     # the genus uses one divisor; an engine built on the other one's
-    # constants checks the search on a second set of type scalars
+    # constants checks the HBB minimum on a second set of type scalars
     if (g % 2 == 1) == (effdiv == "brill_noether"):
         assert certify_module._divisor(g) == (effdiv,) + _DIVISOR_CONSTANTS[effdiv](g)
     monkeypatch.setattr(certify_module, "_divisor",
@@ -609,12 +655,14 @@ def test_hbb_search_matches_memo_oracle(g):
 
 @pytest.mark.parametrize("g", range(4, 13))
 def test_hbb_hull_tie_break_matches_walk_oracle(g):
-    # no tied graphs reach the real minima (none at g = 2..22, 25, 28 or
-    # 31), so the tie-break is pinned on made-up contributions.  When every
-    # vertex type contributes nothing, lines tie whenever two graphs share
-    # g_b and the lcm; when each contributes 2 Q per unit of weight, which
-    # cancels the 2 Q g_b of the bottom, they tie across g_b as well.  The
-    # search must keep the walk's first.
+    # graphs with identical lines never tie at the real minima (none at
+    # g = 2..22, 25, 28 or 31); value ties between lines of different slope
+    # do, at breakpoints (test_hbb_loop_keeps_banana_at_breakpoint_ties).
+    # So the tie-break among identical lines is pinned on made-up
+    # contributions.  When every vertex type contributes nothing, lines tie
+    # whenever two graphs share g_b and the lcm; when each contributes 2 Q
+    # per unit of weight, which cancels the 2 Q g_b of the bottom, they tie
+    # across g_b as well.  The loop must keep the walk's first.
     for scalars in (lambda *_: (0, 0),
                     lambda engine, h, d, parts: (2 * engine.q_num * (h + d - 1), 0)):
         engine = _engine_with_scalars(g, scalars)
@@ -629,7 +677,7 @@ def test_hbb_search_breaks_value_ties_by_least_slope():
     # at a breakpoint of the envelope two lines of different slope tie;
     # _Hull.query names the one of least slope, which Newton's steps rely
     # on.  Seeded per-type contributions make such ties, and the case that
-    # matters is the one where the winner comes later in search order.
+    # matters is the one where the winner comes later in walk order.
     rng = random.Random(8128)
     table = {}
 
@@ -651,6 +699,136 @@ def test_hbb_search_breaks_value_ties_by_least_slope():
             _check_search_against_hull(engine, hull, F(num, den), above)
             later_winners += order[right[2]] > order[left[2]]
     assert later_winners > 0
+
+
+def _pair_cancels_lcm(single_one_dear):
+    """Made-up contributions: 2 Q per unit of weight, which cancels the
+    2 Q g_b of the bottom, and Q/h more on a pair (h, [h, h]).  Every graph
+    of one such pair and singles whose prongs divide h then has the same
+    line, whatever its g_b.  The pair (g-1, [g-1, g-1]) is dear, so the
+    least count vector at g_b = 0 uses singles (2, [3]) and is met after
+    the tie at lcm 1.  With the single (1, [1]) dear too, only g_b = 1 ties
+    at L = g - 2, with a lesser count vector."""
+    def scalars(engine, h, d, parts):
+        dear = 100 * engine.q_num
+        if d == 2 and parts == (h, h):
+            extra = engine.q_num // h if h < engine.g - 1 else dear
+            return 2 * engine.q_num * (h + 1) + extra, 0
+        extra = dear if single_one_dear and h == 1 else 0
+        return 2 * engine.q_num * (h + d - 1) + extra, 0
+    return scalars
+
+
+def _lcm_two_beats_three(engine, h, d, parts):
+    # at g = 6, {(2,[2,2]) x 2} (lcm 2) ties {(1,[1]) x 2, (3,[3,3])} (lcm 3)
+    # and {(1,[1]) x 3, (2,[2,2])}; every other type is dear
+    cheap = {(1, 1, (1,)): 0, (2, 2, (2, 2)): 0, (3, 2, (3, 3)): -(engine.q_num // 6)}
+    return cheap.get((h, d, parts), 100 * engine.q_num), 0
+
+
+def _hbb_lcm(spec):
+    """lcm of the prongs of a shape-HBB graph given as ((h, ns, np), ...)."""
+    return math.lcm(*(2 * h - 1 if ns else 1 for h, ns, _ in spec),
+                    *(h if np_ else 1 for h, _, np_ in spec))
+
+
+@pytest.mark.parametrize("g, scalars, winner", [
+    (8, _pair_cancels_lcm(False), (0, ((2, 2, 0), (3, 0, 1)))),
+    (6, _pair_cancels_lcm(True), (0, ((2, 1, 0), (3, 0, 1)))),
+    (6, _lcm_two_beats_three, (0, ((2, 0, 2),))),
+])
+def test_hbb_loop_breaks_ties_across_lcms_by_count_vector(g, scalars, winner):
+    # identical lines found at different L: least g_b, then the least count
+    # vector wins, whether the loop meets it after the first tied graph or
+    # before a later one
+    engine = _engine_with_scalars(g, scalars)
+    lines = _hbb_walk_lines(engine)
+    hull = _Hull(lines)
+    above = _above_every_line(lines)
+    least = hull.lines[0]
+    lcms = {_hbb_lcm(spec) for t, u, (_, spec) in lines if (t, u) == least[:2]}
+    assert least[2] == winner and len(lcms) > 1
+    for y in _oracle_ys():
+        _check_search_against_hull(engine, hull, y, above)
+
+
+def _recorded_hbb_queries(engine):
+    """(yn, yd, limit, result) of every HBB query the shape-on analysis of
+    the engine makes, at the limit evaluate passes."""
+    calls = []
+    loop = engine._hbb_minimum
+
+    def recording(yn, yd, limit):
+        found = loop(yn, yd, limit)
+        calls.append((yn, yd, limit, found))
+        return found
+
+    engine._hbb_minimum = recording
+    engine.analysis(True).maximum()
+    del engine._hbb_minimum
+    return calls
+
+
+@pytest.mark.parametrize("g", list(range(2, 41)) + [60])
+def test_hbb_loop_matches_dfs_oracle_at_analysis_queries(g):
+    engine = _MinEngine(g)
+    calls = _recorded_hbb_queries(engine)
+    assert calls
+    for yn, yd, limit, found in calls:
+        dp = _knapsack_dp(engine, yn, yd)
+        assert found == _hbb_dfs_oracle(engine, yn, yd, dp, limit), (g, yn, yd)
+        if found is not None:
+            assert engine._hbb_minimum(yn, yd, found[0]) is None
+            assert _hbb_dfs_oracle(engine, yn, yd, dp, found[0]) is None
+
+
+def _hbb_line(engine, ref):
+    """(t, u) of the shape-HBB graph ``ref``, scaled like _Hull's lines."""
+    g_b, spec = ref
+    u, t = engine.k0 + 2 * g_b * engine.q_num, engine.k1
+    for h, ns, np_ in spec:
+        (us, ts), (up, tp) = engine._hbb_types[h]
+        u += ns * us + np_ * up
+        t += ns * ts + np_ * tp
+    return t, u - engine.q_num // _hbb_lcm(spec)
+
+
+@pytest.mark.parametrize("g, rival", [(9, (1, ((1, 0, 4),))),
+                                      (13, (1, ((3, 0, 3),))),
+                                      (31, (1, ((14, 0, 2),)))])
+def test_hbb_loop_keeps_banana_at_breakpoint_ties(g, rival):
+    # at the shape-on maximum two bottom-genus-1 graphs of a smaller lcm
+    # tie the banana in value with a larger slope.  The loop meets the
+    # rival first, and K - Q/L equals the best value just before the
+    # banana's L; only a strict stop reaches the banana, which wins on slope
+    engine = _MinEngine(g)
+    analysis = engine.analysis(True)
+    y, _ = certify_module._max_concave(analysis.evaluate, F(0), F(1), *analysis._ends)
+    if g == 31:
+        assert y == F(152607, 1427522)
+    yn, yd = y.numerator, y.denominator
+    banana = (0, ((g - 1, 0, 1),))
+    (t_b, u_b), (t_r, u_r) = _hbb_line(engine, banana), _hbb_line(engine, rival)
+    value = u_b * yd + t_b * yn
+    assert u_r * yd + t_r * yn == value and t_r > t_b
+    above = value + abs(value) + 1
+    assert engine._hbb_minimum(yn, yd, above) == (value, banana)
+
+
+def test_analysis_evaluates_each_y_once():
+    engine = _MinEngine(31)
+    ys = []
+    evaluate = engine.evaluate
+
+    def recording(y, hbb):
+        ys.append(y)
+        return evaluate(y, hbb)
+
+    engine.evaluate = recording
+    engine.analysis(True).maximum()
+    assert ys[:2] == [F(0), F(1)]
+    assert len(ys) == len(set(ys))
+
 
 def test_g60_default_certificate():
     # the genus at which the banana-backbone search gets its widest

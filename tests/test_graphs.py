@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from stratacert import graphs as graphs_module
 from stratacert.graphs import (
     EDB,
     NCT,
@@ -200,6 +201,17 @@ def test_unrank_matches_stream(g):
             assert atlas_unrank(g, i, dimension_filter=flag) == graph
         with pytest.raises(IndexError):
             atlas_unrank(g, len(stream), dimension_filter=flag)
+
+
+def test_finished_stream_keeps_no_partition_lists():
+    # each walk keeps its blocks' prong multisets in a table of its own, so
+    # a finished stream frees them; the only module-level caches left hold
+    # partition counts and block sizes
+    for g in (10, 11):
+        assert sum(1 for _ in enumerate_level_graphs(g)) == atlas_count(g)
+    caches = {name for name, obj in vars(graphs_module).items()
+              if hasattr(obj, "cache_info")}
+    assert caches == {"_p_exact", "vertex_blocks"}
 
 
 def test_every_enumerated_graph_is_valid():
