@@ -203,16 +203,32 @@ def _coefficients(inv: GraphInvariants, g: int) -> tuple:
 
 def six_coefficients(inv: GraphInvariants, g: int) -> SixCoefficients:
     """c_Gamma, R_Gamma, the normalized effective-divisor coefficient, the
-    ratio 12 w_Gamma / w_lambda, and the two-term split of s_Gamma."""
+    ratio 12 w_Gamma / w_lambda, and the two-term split of s_Gamma.
+
+    With Q = (2g-2)/(2g-1), P_{-1} = pn/pd, R_Gamma = rn/rd and b_Gamma =
+    bn/bd, each remaining value is one Fraction:
+      w_bar = (2g-2 - P + P_{-1}) / (g+11), over (g+11) pd;
+      T1 = -Q (v_top-1) + b_Gamma - P_{-1} - Q R_Gamma
+           + y (12 (g-1)(v_top-1)/(g+11) - b_Gamma), over (2g-1) bd pd rd
+           and (g+11) bd;
+      T2 = P/(2g-1) - Q + 12 w_bar y, over 2g-1 and (g+11) pd.
+    """
     r_gamma, c_gamma, w_ratio, b_six = _coefficients(inv, g)
-    q = kappa_over_2g(g)
-    w_bar = (2 * g - 2 - inv.P + inv.P_minus1) / (g + 11)
+    pn, pd = inv.P_minus1.numerator, inv.P_minus1.denominator
+    rn, rd = r_gamma.numerator, r_gamma.denominator
+    bn, bd = b_six.numerator, b_six.denominator
+    v1 = inv.v_top - 1
+    w_bar_num = (2 * g - 2 - inv.P) * pd + pn
     t1 = AffineInY(
-        -q * (inv.v_top - 1) + b_six - inv.P_minus1 - q * r_gamma,
-        Fraction(12 * (g - 1) * (inv.v_top - 1), g + 11) - b_six,
+        Fraction((2 * g - 1) * (bn * pd - pn * bd) * rd
+                 - (2 * g - 2) * (v1 * rd + rn) * bd * pd,
+                 (2 * g - 1) * bd * pd * rd),
+        Fraction(12 * (g - 1) * v1 * bd - (g + 11) * bn, (g + 11) * bd),
     )
-    t2 = AffineInY(Fraction(inv.P, 2 * g - 1) - q, 12 * w_bar)
-    return SixCoefficients(g, c_gamma, r_gamma, b_six, w_ratio, w_bar, t1, t2)
+    t2 = AffineInY(Fraction(inv.P - 2 * g + 2, 2 * g - 1),
+                   Fraction(12 * w_bar_num, (g + 11) * pd))
+    return SixCoefficients(g, c_gamma, r_gamma, b_six, w_ratio,
+                           Fraction(w_bar_num, (g + 11) * pd), t1, t2)
 
 
 def s_gamma_affine(inv: GraphInvariants, g: int) -> AffineInY:

@@ -19,7 +19,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Sequence
 
-from .certify import SixCoefficients, s_hor_affine, six_coefficients, y_hor
+from .certify import (
+    SixCoefficients,
+    s_gamma_affine,
+    s_hor_affine,
+    six_coefficients,
+    y_hor,
+)
 from .classes import (
     _canonical_coeff,
     _divisor_coeff,
@@ -53,6 +59,7 @@ def graph_identity_failures(graph: LevelGraph, hbb_shape_test: bool = True) -> L
 
 def _identity_failures(graph: LevelGraph, inv: GraphInvariants,
                        six: SixCoefficients) -> List[str]:
+    # rational comparisons cross-multiply numerators and denominators
     g = graph.genus
     bad = [f"validate: {msg}" for msg in validate(graph)]
     if kappa_mu(graph.bottom_orders()) != inv.kappa_bot:
@@ -63,11 +70,15 @@ def _identity_failures(graph: LevelGraph, inv: GraphInvariants,
         bad.append("N_bot != 2 g_b + E - v_top")
     if inv.N_top != inv.P + inv.v_top:
         bad.append("N_top != P + v_top")
-    if inv.b_NC != inv.ell * inv.R_NC - 1:
+    b_nc, r_nc = inv.b_NC, inv.R_NC
+    if (b_nc.numerator * r_nc.denominator
+            != (inv.ell * r_nc.numerator - r_nc.denominator) * b_nc.denominator):
         bad.append("b_NC != ell * R_NC - 1")
     if inv.ell != lcm_list(inv.prongs):
         bad.append("ell != lcm of prongs")
-    if inv.kappa_top != inv.P - inv.P_minus1:
+    k_top, p_inv = inv.kappa_top, inv.P_minus1
+    if (k_top.numerator * p_inv.denominator
+            != (inv.P * p_inv.denominator - p_inv.numerator) * k_top.denominator):
         bad.append("kappa_top != P - P_minus1")
     if any(v.genus < 1 for v in graph.top_vertices):
         bad.append("top vertex of genus 0 in a minimal-stratum graph")
@@ -78,28 +89,59 @@ def _identity_failures(graph: LevelGraph, inv: GraphInvariants,
             bad.append("rational-bottom banana with P != 2g - 2")
     elif inv.P > 2 * g - 3:
         bad.append("P > 2g - 3 off the rational-bottom banana family")
-    lhs = six.w_ratio_term
-    rhs = 12 * (six.w_bar + Fraction((g - 1) * (inv.v_top - 1), g + 11))
-    if lhs != rhs:
+    # 12 w_Gamma / w_lambda == 12 (w_bar + (g-1)(v_top-1)/(g+11))
+    lhs, w_bar = six.w_ratio_term, six.w_bar
+    rhs_num = 12 * (w_bar.numerator * (g + 11)
+                    + (g - 1) * (inv.v_top - 1) * w_bar.denominator)
+    if lhs.numerator * w_bar.denominator * (g + 11) != rhs_num * lhs.denominator:
         bad.append("decomposition 12 w_Gamma / w_lambda != "
-                    "12 (w_bar + (g-1)(v_top-1)/(g+11))")
-    s_aff = six.s_gamma()
-    split = six.t1_affine + six.t2_affine
-    for y in (Fraction(0), Fraction(1, 2), Fraction(1)):
-        if split(y) > s_aff(y):
-            bad.append("T1 + T2 exceeds s_Gamma")
-            break
+                   "12 (w_bar + (g-1)(v_top-1)/(g+11))")
+    # T1 + T2 - s_Gamma = d0 + d1 y, with d0 = n0 / m0 and d1 = n1 / m1;
+    # it exceeds 0 at y = 0, 1/2 or 1 iff n0, 2 n0 m1 + n1 m0 or
+    # n0 m1 + n1 m0 is positive
+    s_aff, t1, t2 = six.s_gamma(), six.t1_affine, six.t2_affine
+    n0, m0 = _sum_terms((t1.intercept, t2.intercept), s_aff.intercept)
+    n1, m1 = _sum_terms((t1.slope, t2.slope), s_aff.slope)
+    if n0 > 0 or 2 * n0 * m1 + n1 * m0 > 0 or n0 * m1 + n1 * m0 > 0:
+        bad.append("T1 + T2 exceeds s_Gamma")
     return bad
 
 
+def _sum_terms(terms: Sequence[Fraction], minus: Fraction) -> tuple:
+    """(numerator, positive denominator) of sum(terms) - minus, unreduced."""
+    num, den = -minus.numerator, minus.denominator
+    for x in terms:
+        num, den = num * x.denominator + x.numerator * den, den * x.denominator
+    return num, den
+
+
 def _assembly_affine(graph: LevelGraph, inv: GraphInvariants) -> AffineInY:
-    # the divisor-class route: Brill--Noether for odd genus, Hurwitz for even
+    """The divisor-class route to ell s_Gamma(y):
+        canonical - Q b_NC + 2 b + y (12 ell w_Gamma / w_lambda - 2 b)
+    with Q = kappa/2g = (2g-2)/(2g-1), w_lambda = (g+11)/(2g-2), and b the
+    coefficient of the effective divisor genus g uses (Brill--Noether for
+    odd genus, Hurwitz for even).  Each coefficient is one Fraction over the
+    numerators and denominators of the class helpers' values."""
     g = graph.genus
-    q = kappa_over_2g(g)
     can = _canonical_coeff(graph, inv)
-    w_term = 12 * wplus_w_gamma(graph) * inv.ell / wplus_w_lambda(g)
+    w_gamma = wplus_w_gamma(graph)
     b = _divisor_coeff(inv)
-    return AffineInY(can - q * inv.b_NC + 2 * b, w_term - 2 * b)
+    cn, cd = can.numerator, can.denominator
+    wn, wd = w_gamma.numerator, w_gamma.denominator
+    bn, bd = b.numerator, b.denominator
+    nn, nd = inv.b_NC.numerator, inv.b_NC.denominator
+    two_g1 = 2 * g - 1
+    intercept = Fraction(
+        (two_g1 * cn * nd - (2 * g - 2) * nn * cd) * bd + 2 * bn * two_g1 * cd * nd,
+        two_g1 * cd * nd * bd)
+    slope = Fraction(24 * (g - 1) * inv.ell * wn * bd - 2 * bn * (g + 11) * wd,
+                     (g + 11) * wd * bd)
+    return AffineInY(intercept, slope)
+
+
+def _is_ell_times(x: Fraction, y: Fraction, ell: int) -> bool:
+    """x == ell y, by cross-multiplication."""
+    return x.numerator * y.denominator == ell * y.numerator * x.denominator
 
 
 def assembly_failures(graph: LevelGraph, *, hbb_shape_test: bool = True,
@@ -107,24 +149,23 @@ def assembly_failures(graph: LevelGraph, *, hbb_shape_test: bool = True,
     """Check that the assembled boundary coefficient from the divisor-class
     route equals ell * s_Gamma(y) from the certifier route."""
     inv = graph_invariants(graph, hbb_shape_test)
-    six = six_coefficients(inv, graph.genus)
-    return _assembly_failures(graph, inv, six, ys)
+    return _assembly_failures(graph, inv, s_gamma_affine(inv, graph.genus), ys)
 
 
 def _assembly_failures(graph: LevelGraph, inv: GraphInvariants,
-                       six: SixCoefficients,
+                       s_gamma: AffineInY,
                        ys: Sequence[Fraction] = DEFAULT_Y_SAMPLES) -> List[str]:
     via_classes = _assembly_affine(graph, inv)
-    via_certifier = six.s_gamma().scaled(inv.ell)
+    ell = inv.ell
     bad = []
-    if (via_classes.intercept != via_certifier.intercept
-            or via_classes.slope != via_certifier.slope):
+    if not (_is_ell_times(via_classes.intercept, s_gamma.intercept, ell)
+            and _is_ell_times(via_classes.slope, s_gamma.slope, ell)):
         bad.append(f"assembled boundary coefficient mismatch on {inv.encoding}")
     else:
         # affine equality already implies equality at every sample; spot
         # evaluation guards the affine algebra itself
         for y in ys[:3]:
-            if via_classes(y) != via_certifier(y):
+            if not _is_ell_times(via_classes(y), s_gamma(y), ell):
                 bad.append(f"assembled coefficient differs at y={y}")
                 break
     return bad
@@ -173,7 +214,7 @@ def identity_suite(graphs: Iterable[LevelGraph], hbb_shape_test: bool = True,
         six = six_coefficients(inv, graph.genus)
         failures.extend(_identity_failures(graph, inv, six))
         if with_assembly:
-            failures.extend(_assembly_failures(graph, inv, six))
+            failures.extend(_assembly_failures(graph, inv, six.s_gamma()))
         if len(failures) > 20:
             failures.append("... (stopping after 20 failures)")
             break

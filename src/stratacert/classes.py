@@ -244,12 +244,15 @@ def boundary_coeff_dnc(graph: LevelGraph) -> Fraction:
 
 
 def _canonical_coeff(graph: LevelGraph, inv: GraphInvariants) -> Fraction:
+    """-(ell kappa_bot - Q (ell N_bot - 1)) - delta_H Q, Q = kappa/2g =
+    (2g-2)/(2g-1), with kappa_bot = a/b by direct signature evaluation:
+    one Fraction over (2g-1) b."""
     g = graph.genus
     kappa_bot = kappa_mu(graph.bottom_orders())
-    coeff = -(inv.ell * kappa_bot - kappa_over_2g(g) * (inv.ell * inv.N_bot - 1))
-    if inv.delta_H:
-        coeff -= kappa_over_2g(g)
-    return coeff
+    a, b = kappa_bot.numerator, kappa_bot.denominator
+    return Fraction((2 * g - 2) * (inv.ell * inv.N_bot - 1 - inv.delta_H) * b
+                    - (2 * g - 1) * inv.ell * a,
+                    (2 * g - 1) * b)
 
 
 def _divisor_integers(g: int) -> tuple:
@@ -284,13 +287,15 @@ def wplus_w_hor(g: int) -> Fraction:
 
 
 def wplus_w_gamma(graph: LevelGraph) -> Fraction:
-    """w_Gamma of the reduced form of the extra-vanishing Weierstrass class."""
+    """w_Gamma of the reduced form of the extra-vanishing Weierstrass class:
+    (kappa_bot / kappa) (1 + 1/(2g-1)) - 1/(2g-1) + (v_top-1)/2 with kappa
+    = 4g(g-1)/(2g-1), whose first term is a / (2(g-1) b) for kappa_bot =
+    a/b by direct signature evaluation; one Fraction over 2(g-1)(2g-1) b."""
     g = graph.genus
     kappa_bot = kappa_mu(graph.bottom_orders())
-    kappa = kappa_minimal(g)
-    return (kappa_bot / kappa * (1 + Fraction(1, 2 * g - 1))
-            - Fraction(1, 2 * g - 1)
-            + Fraction(graph.v_top - 1, 2))
+    a, b = kappa_bot.numerator, kappa_bot.denominator
+    return Fraction((2 * g - 1) * (a + (g - 1) * (graph.v_top - 1) * b) - (2 * g - 2) * b,
+                    (2 * g - 2) * (2 * g - 1) * b)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ and worker counts.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import sys
 import time
@@ -165,12 +165,19 @@ def _config_dict(args) -> dict:
     return out
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+@contextlib.contextmanager
+def _output(out: Optional[str]):
+    """The artifact's file object: the --out path, or stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, out: Optional[str]) -> None:
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _config_comment(args) -> str:
@@ -183,9 +190,15 @@ def _json_artifact(payload: dict, args) -> str:
     return json.dumps(payload, indent=1, sort_keys=False) + "\n"
 
 
-def _load_graphs(args):
+def _load_graphs(args, dimension_filter: bool = True):
+    """The graphs a command reads: the genus-g atlas as a stream, or a
+    cached atlas, listed and validated in full before anything is written."""
     if not args.atlas:
-        return list(enumerate_level_graphs(args.genus))
+        if args.genus < 2:
+            # the stream would raise only at its first graph, after the
+            # artifact had been opened
+            raise UsageError("genus must be >= 2")
+        return enumerate_level_graphs(args.genus, dimension_filter)
     g = args.genus
     graphs = []
     first_line = {}
@@ -207,24 +220,21 @@ def _load_graphs(args):
 
 
 def _cmd_enumerate(args) -> int:
-    if args.atlas:
-        if args.raw:
-            # a cached atlas holds only graphs that pass validate
-            raise UsageError("--raw does not apply to --atlas")
-        graphs = _load_graphs(args)
-    else:
-        graphs = enumerate_level_graphs(args.genus, dimension_filter=not args.raw)
-    buf = io.StringIO()
-    write_atlas(graphs, buf, fmt=args.format)
-    _emit(buf.getvalue() + _config_comment(args), args.out)
+    if args.atlas and args.raw:
+        # a cached atlas holds only graphs that pass validate
+        raise UsageError("--raw does not apply to --atlas")
+    graphs = _load_graphs(args, dimension_filter=not args.raw)
+    with _output(args.out) as fh:
+        write_atlas(graphs, fh, fmt=args.format)
+        fh.write(_config_comment(args))
     return 0
 
 
 def _cmd_invariants(args) -> int:
     graphs = _load_graphs(args)
-    buf = io.StringIO()
-    write_atlas(graphs, buf, fmt=args.format, hbb_shape_test=not args.no_hbb_shape)
-    _emit(buf.getvalue() + _config_comment(args), args.out)
+    with _output(args.out) as fh:
+        write_atlas(graphs, fh, fmt=args.format, hbb_shape_test=not args.no_hbb_shape)
+        fh.write(_config_comment(args))
     return 0
 
 
@@ -364,6 +374,7 @@ def _cmd_pullback_check(args) -> int:
 
 def _identity_task(task) -> tuple:
     g, full_max, samples, hbb = task
+    start = time.perf_counter()
     if g <= full_max:
         graphs = enumerate_level_graphs(g)
         label = "full atlas"
@@ -372,7 +383,7 @@ def _identity_task(task) -> tuple:
         label = f"{samples} spread samples"
     checked, failures = checks.identity_suite(graphs, hbb_shape_test=hbb)
     failures.extend(checks.assembly_scalar_failures(g))
-    return g, label, checked, failures
+    return g, label, checked, failures, time.perf_counter() - start
 
 
 def _cmd_identities(args) -> int:
@@ -381,12 +392,16 @@ def _cmd_identities(args) -> int:
     lines = []
     tasks = [(g, args.full_max, args.samples, hbb)
              for g in range(2, args.genus_max + 1)]
-    for g, label, checked, failures in _pmap(_identity_task, tasks, args.workers):
+    for g, label, checked, failures, seconds in _pmap(_identity_task, tasks,
+                                                      args.workers):
         status = "ok" if not failures else "FAIL"
         all_ok &= not failures
-        lines.append(f"genus {g}: {checked} graphs ({label}): {status}")
+        line = f"genus {g}: {checked} graphs ({label}): {status}"
+        lines.append(line)
         lines.extend(f"  {f}" for f in failures[:20])
-        print(lines[-1], file=sys.stderr)
+        # timings go to stderr only, so the report stays byte-identical
+        print(f"{line} ({seconds:.2f} s, {checked / seconds:.0f} graphs/s)",
+              file=sys.stderr)
     root_failures = checks.y_hor_root_failures(range(9, 102))
     all_ok &= not root_failures
     lines.append("y_hor root equivalence (odd 9..101): "

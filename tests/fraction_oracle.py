@@ -1,16 +1,26 @@
-"""Slow oracles: the per-graph pipeline summed one Fraction at a time.
+"""Slow oracles: the per-graph pipeline and the identity battery summed
+one Fraction at a time.
 
 The package sums per-prong terms on integers and builds one Fraction per
 output (``kappa_mu``, ``graph_invariants``, ``six_coefficients``,
-``s_gamma_affine``) and runs the streaming certifier on integer rows.  The
-functions here are the plain Fraction forms of the same formulas; the
-tests compare the two on full atlases.
+``s_gamma_affine``, the class helpers ``_canonical_coeff`` and
+``wplus_w_gamma``, and the assembly affine of ``checks``), runs the
+streaming certifier on integer rows, and compares rationals in the
+identity battery by cross-multiplication.  The functions here are the
+plain Fraction forms of the same formulas and checks; the tests compare
+the two on full atlases.
 """
 
 from fractions import Fraction
 
 from stratacert.certify import SixCoefficients, _divisor
-from stratacert.classes import kappa_minimal, kappa_over_2g
+from stratacert.checks import DEFAULT_Y_SAMPLES, is_rational_bottom_banana
+from stratacert.classes import (
+    _divisor_coeff,
+    kappa_minimal,
+    kappa_over_2g,
+    wplus_w_lambda,
+)
 from stratacert.exactq import AffineInY, lcm_list
 from stratacert.graphs import (
     DELTA_IRR,
@@ -23,7 +33,18 @@ from stratacert.graphs import (
     classify_edges,
     enumerate_level_graphs,
     hbb_shape,
+    validate,
 )
+
+
+def typed(x):
+    """x with the type of every value, so that an int never passes for a
+    Fraction."""
+    if isinstance(x, AffineInY):
+        return (AffineInY, typed(x.intercept), typed(x.slope))
+    if isinstance(x, tuple):
+        return tuple(typed(v) for v in x)
+    return (type(x), x)
 
 
 def kappa_mu(orders):
@@ -122,3 +143,85 @@ def row_minimum(rows, y):
         if best is None or value < best[0] or (value == best[0] and enc < best[1]):
             best = (value, enc, aff)
     return best
+
+
+def _canonical_coeff(graph, inv):
+    g = graph.genus
+    kappa_bot = kappa_mu(graph.bottom_orders())
+    coeff = -(inv.ell * kappa_bot - kappa_over_2g(g) * (inv.ell * inv.N_bot - 1))
+    if inv.delta_H:
+        coeff -= kappa_over_2g(g)
+    return coeff
+
+
+def wplus_w_gamma(graph):
+    g = graph.genus
+    kappa_bot = kappa_mu(graph.bottom_orders())
+    kappa = kappa_minimal(g)
+    return (kappa_bot / kappa * (1 + Fraction(1, 2 * g - 1))
+            - Fraction(1, 2 * g - 1)
+            + Fraction(graph.v_top - 1, 2))
+
+
+def _identity_failures(graph, inv, six):
+    g = graph.genus
+    bad = [f"validate: {msg}" for msg in validate(graph)]
+    if kappa_mu(graph.bottom_orders()) != inv.kappa_bot:
+        bad.append("kappa_bot: direct signature evaluation != prong identity")
+    if inv.N_top + inv.N_bot != 2 * g:
+        bad.append("N_top + N_bot != 2g")
+    if inv.N_bot != 2 * graph.bottom_genus + inv.edges - inv.v_top:
+        bad.append("N_bot != 2 g_b + E - v_top")
+    if inv.N_top != inv.P + inv.v_top:
+        bad.append("N_top != P + v_top")
+    if inv.b_NC != inv.ell * inv.R_NC - 1:
+        bad.append("b_NC != ell * R_NC - 1")
+    if inv.ell != lcm_list(inv.prongs):
+        bad.append("ell != lcm of prongs")
+    if inv.kappa_top != inv.P - inv.P_minus1:
+        bad.append("kappa_top != P - P_minus1")
+    if any(v.genus < 1 for v in graph.top_vertices):
+        bad.append("top vertex of genus 0 in a minimal-stratum graph")
+    if RBT in inv.edge_classes:
+        bad.append("RBT edge in a minimal-stratum graph")
+    if is_rational_bottom_banana(graph):
+        if inv.P != 2 * g - 2:
+            bad.append("rational-bottom banana with P != 2g - 2")
+    elif inv.P > 2 * g - 3:
+        bad.append("P > 2g - 3 off the rational-bottom banana family")
+    lhs = six.w_ratio_term
+    rhs = 12 * (six.w_bar + Fraction((g - 1) * (inv.v_top - 1), g + 11))
+    if lhs != rhs:
+        bad.append("decomposition 12 w_Gamma / w_lambda != "
+                   "12 (w_bar + (g-1)(v_top-1)/(g+11))")
+    s_aff = six.s_gamma()
+    split = six.t1_affine + six.t2_affine
+    for y in (Fraction(0), Fraction(1, 2), Fraction(1)):
+        if split(y) > s_aff(y):
+            bad.append("T1 + T2 exceeds s_Gamma")
+            break
+    return bad
+
+
+def _assembly_affine(graph, inv):
+    g = graph.genus
+    q = kappa_over_2g(g)
+    can = _canonical_coeff(graph, inv)
+    w_term = 12 * wplus_w_gamma(graph) * inv.ell / wplus_w_lambda(g)
+    b = _divisor_coeff(inv)
+    return AffineInY(can - q * inv.b_NC + 2 * b, w_term - 2 * b)
+
+
+def _assembly_failures(graph, inv, s_gamma, ys=DEFAULT_Y_SAMPLES):
+    via_classes = _assembly_affine(graph, inv)
+    via_certifier = s_gamma.scaled(inv.ell)
+    bad = []
+    if (via_classes.intercept != via_certifier.intercept
+            or via_classes.slope != via_certifier.slope):
+        bad.append(f"assembled boundary coefficient mismatch on {inv.encoding}")
+    else:
+        for y in ys[:3]:
+            if via_classes(y) != via_certifier(y):
+                bad.append(f"assembled coefficient differs at y={y}")
+                break
+    return bad

@@ -49,6 +49,7 @@ from stratacert.graphs import (
 )
 
 import fraction_oracle as oracle
+from fraction_oracle import typed
 
 EDB31 = minimal_graph(31, 30, [(1, (1,))])
 BANANA31 = minimal_graph(31, 0, [(30, (30, 30))])
@@ -110,16 +111,6 @@ def test_t1_t2_split_is_a_lower_bound():
             assert total.slope == s_aff.slope
 
 
-def _typed(x):
-    """x with the type of every value, so that an int never passes for a
-    Fraction."""
-    if isinstance(x, AffineInY):
-        return (AffineInY, _typed(x.intercept), _typed(x.slope))
-    if isinstance(x, tuple):
-        return tuple(_typed(v) for v in x)
-    return (type(x), x)
-
-
 @pytest.mark.parametrize("g", range(2, 11))
 def test_six_coefficients_match_fraction_oracle(g):
     for graph in enumerate_level_graphs(g):
@@ -127,10 +118,10 @@ def test_six_coefficients_match_fraction_oracle(g):
             inv = graph_invariants(graph, hbb)
             got, want = six_coefficients(inv, g), oracle.six_coefficients(inv, g)
             for field in fields(SixCoefficients):
-                assert (_typed(getattr(got, field.name))
-                        == _typed(getattr(want, field.name))), (field.name, inv.encoding)
-            assert _typed(got.s_gamma()) == _typed(oracle.s_gamma_affine(inv, g))
-            assert _typed(s_gamma_affine(inv, g)) == _typed(oracle.s_gamma_affine(inv, g))
+                assert (typed(getattr(got, field.name))
+                        == typed(getattr(want, field.name))), (field.name, inv.encoding)
+            assert typed(got.s_gamma()) == typed(oracle.s_gamma_affine(inv, g))
+            assert typed(s_gamma_affine(inv, g)) == typed(oracle.s_gamma_affine(inv, g))
 
 
 def test_coarse_bounds_g31():
@@ -352,7 +343,7 @@ def test_streaming_evaluate_matches_fraction_loop(g, monkeypatch):
         evaluate = _streaming_evaluate(g, hbb, monkeypatch)
         rows = oracle.stream_rows(g, hbb)
         for y in _oracle_ys():
-            assert _typed(evaluate(y)) == _typed(oracle.row_minimum(rows, y)), (g, hbb, y)
+            assert typed(evaluate(y)) == typed(oracle.row_minimum(rows, y)), (g, hbb, y)
 
 
 def test_streaming_ties_go_to_the_least_encoding():
@@ -368,7 +359,7 @@ def test_streaming_ties_go_to_the_least_encoding():
             for y, winner in ((F(1, 2), "a"), (F(0), names[1]), (F(1), names[0])):
                 got = evaluate(y)
                 assert got[1] == winner, (order, y)
-                assert _typed(got) == _typed(oracle.row_minimum(order, y)), (order, y)
+                assert typed(got) == typed(oracle.row_minimum(order, y)), (order, y)
 
 
 def test_scan_rejects_bad_range_and_mode():

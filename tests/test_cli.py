@@ -1,9 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from stratacert.cli import main
+from stratacert.graphs import canonical_encoding
 
 EXPECTED = Path(__file__).parent / "expected"
 
@@ -288,9 +290,41 @@ def test_atlas_lines_are_validated(tmp_path, capsys):
 
 
 def test_identities_workers_equivalence(capsys):
-    _, out1, _ = run(capsys, "identities", "--genus-max", "6")
-    _, out2, _ = run(capsys, "identities", "--genus-max", "6", "--workers", "2")
+    _, out1, err1 = run(capsys, "identities", "--genus-max", "6")
+    _, out2, err2 = run(capsys, "identities", "--genus-max", "6", "--workers", "2")
     assert out1 == out2
+    # each genus's seconds and rate go to stderr, never into the report
+    for err in (err1, err2):
+        lines = err.splitlines()
+        assert len(lines) == 5
+        for g, line in zip(range(2, 7), lines):
+            assert re.fullmatch(rf"genus {g}: \d+ graphs \(full atlas\): ok "
+                                r"\(\d+\.\d\d s, \d+ graphs/s\)", line), line
+    assert "graphs/s" not in out1
+
+
+def test_enumerate_and_invariants_write_each_row_as_it_is_made(monkeypatch, capsys,
+                                                               tmp_path):
+    from stratacert import cli as cli_mod
+
+    atlas = list(cli_mod.enumerate_level_graphs(6))
+
+    def failing_stream(g, dimension_filter=True):
+        yield from atlas[:3]
+        raise ValueError("stream failed after 3 graphs")
+
+    monkeypatch.setattr(cli_mod, "enumerate_level_graphs", failing_stream)
+    code, out, err = run(capsys, "enumerate", "--genus", "6")
+    assert code == 1 and "stream failed after 3 graphs" in err
+    assert out.splitlines() == [canonical_encoding(gr) for gr in atlas[:3]]
+    path = tmp_path / "inv.csv"
+    code, out, _ = run(capsys, "invariants", "--genus", "6", "--out", str(path))
+    assert (code, out) == (1, "")
+    want = (EXPECTED / "invariants_g6.csv").read_bytes().decode("utf-8")
+    assert path.read_bytes().decode("utf-8") == "".join(want.splitlines(True)[:4])
+    # a bad genus is refused before the artifact is opened
+    code, out, err = run(capsys, "invariants", "--genus", "1")
+    assert (code, out) == (1, "") and "genus must be >= 2" in err
 
 
 def test_exact_scan_reports_first_feasible_genus(capsys):
