@@ -15,10 +15,12 @@ Two exact engines are provided.
 * A streaming engine that enumerates the atlas and intersects positivity
   intervals graph by graph; practical only at small genus.  Each graph's
   s_Gamma comes from ``_coefficients``, which sums on integers (the
-  divisor term over den * ell, den the divisor's denominator) and builds
-  one Fraction per coefficient.  The engine then scales every graph's
-  s_Gamma to integers over the lcm of all their denominators, its own
-  denominator, and compares integers at each queried y.
+  divisor term over den * ell, den the divisor's denominator) and returns
+  integer (numerator, denominator) pairs, from which ``s_gamma_affine``
+  builds one Fraction for the intercept and one for the slope.  The
+  engine then scales every graph's s_Gamma to integers over the lcm of
+  all their denominators, its own denominator, and compares integers at
+  each queried y.
 
 * A minimization engine that computes min_Gamma s_Gamma(y) at any rational
   y without touching individual graphs.  s_Gamma is additive over the
@@ -158,21 +160,27 @@ class SixCoefficients:
 
     def s_gamma(self) -> AffineInY:
         """s_Gamma(y) = c_Gamma + y (12 w_Gamma / w_lambda) + (1-y) b_Gamma."""
-        return _s_gamma(self.c_gamma, self.w_ratio_term, self.b_gamma_six)
+        c, w, b = self.c_gamma, self.w_ratio_term, self.b_gamma_six
+        return _s_gamma((c.numerator, c.denominator), (w.numerator, w.denominator),
+                        (b.numerator, b.denominator))
 
 
-def _s_gamma(c_gamma: Fraction, w_ratio: Fraction, b_six: Fraction) -> AffineInY:
-    """s_Gamma(y) = c_Gamma + y (12 w_Gamma / w_lambda) + (1-y) b_Gamma; the
-    one place the formula is written, for s_gamma_affine and
-    SixCoefficients.s_gamma alike."""
-    return AffineInY(c_gamma + b_six, w_ratio - b_six)
+def _s_gamma(c_gamma: tuple, w_ratio: tuple, b_six: tuple) -> AffineInY:
+    """s_Gamma(y) = c_Gamma + y (12 w_Gamma / w_lambda) + (1-y) b_Gamma from
+    (numerator, denominator) pairs, one Fraction for the intercept and one
+    for the slope; the one place the formula is written, for
+    s_gamma_affine and SixCoefficients.s_gamma alike."""
+    (cn, cd), (wn, wd), (bn, bd) = c_gamma, w_ratio, b_six
+    return AffineInY(Fraction(cn * bd + bn * cd, cd * bd),
+                     Fraction(wn * bd - bn * wd, wd * bd))
 
 
 def _coefficients(inv: GraphInvariants, g: int) -> tuple:
-    """(R_Gamma, c_Gamma, 12 w_Gamma / w_lambda, b_Gamma) of one graph.
+    """(R_Gamma, c_Gamma, 12 w_Gamma / w_lambda, b_Gamma) of one graph, each
+    an integer (numerator, denominator) pair with a positive, not
+    necessarily reduced, denominator; the callers build the Fractions.
 
-    Each is one Fraction over an integer sum.  With Q = (2g-2)/(2g-1),
-    kappa_bot = a/b and b_NC = bn/bd:
+    With Q = (2g-2)/(2g-1), kappa_bot = a/b and b_NC = bn/bd:
       R_Gamma = (b_NC + 1 + delta_H) / ell, over bd ell;
       c_Gamma = Q (N_bot - R_Gamma) - kappa_bot, over (2g-1) bd ell b;
       12 w_Gamma / w_lambda = 12 (kappa_bot - Q + (g-1)(v_top-1)) / (g+11),
@@ -187,18 +195,16 @@ def _coefficients(inv: GraphInvariants, g: int) -> tuple:
     bn, bd = inv.b_NC.numerator, inv.b_NC.denominator
     two_g1 = 2 * g - 1
     r_num, r_den = bn + (1 + inv.delta_H) * bd, bd * ell
-    c_gamma = Fraction(
-        (2 * g - 2) * (inv.N_bot * r_den - r_num) * b - two_g1 * r_den * a,
-        two_g1 * r_den * b)
-    w_ratio = Fraction(12 * (two_g1 * (a + (g - 1) * (inv.v_top - 1) * b)
-                             - (2 * g - 2) * b),
-                       (g + 11) * two_g1 * b)
+    c_gamma = ((2 * g - 2) * (inv.N_bot * r_den - r_num) * b - two_g1 * r_den * a,
+               two_g1 * r_den * b)
+    w_ratio = (12 * (two_g1 * (a + (g - 1) * (inv.v_top - 1) * b) - (2 * g - 2) * b),
+               (g + 11) * two_g1 * b)
     _, den, hor, sep = _divisor(g)
     b_sum = 0
     for p, target in zip(inv.prongs, inv.delta_assignments):
         coeff = 2 * hor if target == DELTA_IRR else 12 * target * (g - target) * sep
         b_sum += coeff * (ell // p)
-    return Fraction(r_num, r_den), c_gamma, w_ratio, Fraction(b_sum, den * ell)
+    return (r_num, r_den), c_gamma, w_ratio, (b_sum, den * ell)
 
 
 def six_coefficients(inv: GraphInvariants, g: int) -> SixCoefficients:
@@ -213,10 +219,10 @@ def six_coefficients(inv: GraphInvariants, g: int) -> SixCoefficients:
            and (g+11) bd;
       T2 = P/(2g-1) - Q + 12 w_bar y, over 2g-1 and (g+11) pd.
     """
-    r_gamma, c_gamma, w_ratio, b_six = _coefficients(inv, g)
+    pairs = _coefficients(inv, g)
+    r_gamma, c_gamma, w_ratio, b_six = (Fraction(n, d) for n, d in pairs)
+    (rn, rd), _, _, (bn, bd) = pairs
     pn, pd = inv.P_minus1.numerator, inv.P_minus1.denominator
-    rn, rd = r_gamma.numerator, r_gamma.denominator
-    bn, bd = b_six.numerator, b_six.denominator
     v1 = inv.v_top - 1
     w_bar_num = (2 * g - 2 - inv.P) * pd + pn
     t1 = AffineInY(

@@ -24,7 +24,6 @@ from .graphs import (
     DELTA_IRR,
     GraphInvariants,
     LevelGraph,
-    canonical_encoding,
     graph_invariants,
     kappa_mu,
 )
@@ -311,16 +310,19 @@ def scaled_canonical_class(g: int, graphs: Iterable[LevelGraph],
     """
     if g < 2:
         raise ValueError("genus must be >= 2")
-    boundary = {
-        canonical_encoding(graph): boundary_coeff_canonical(graph, hbb_shape_test)
-        for graph in graphs
-    }
+    boundary = {}
+    for graph in graphs:
+        inv = graph_invariants(graph, hbb_shape_test)
+        boundary[inv.encoding] = _canonical_coeff(graph, inv)
     return DivisorClass(lam=Fraction(12), d_h=-(1 + kappa_over_2g(g)), boundary=boundary)
 
 
 def d_nc_class(g: int, graphs: Iterable[LevelGraph]) -> DivisorClass:
     """The non-canonical compensation divisor: b_NC per graph, no other parts."""
-    boundary = {canonical_encoding(gr): boundary_coeff_dnc(gr) for gr in graphs}
+    boundary = {}
+    for graph in graphs:
+        inv = graph_invariants(graph)
+        boundary[inv.encoding] = inv.b_NC
     return DivisorClass(boundary=boundary)
 
 

@@ -53,7 +53,12 @@ class AffineInY:
     slope: Fraction
 
     def __call__(self, y: RationalLike) -> Fraction:
-        return self.intercept + self.slope * Fraction(y)
+        """intercept + slope y as one Fraction over the product of the
+        three denominators (an int has numerator itself and denominator 1)."""
+        a, s = self.intercept, self.slope
+        ad, sd, yd = a.denominator, s.denominator, y.denominator
+        return Fraction(a.numerator * sd * yd + s.numerator * y.numerator * ad,
+                        ad * sd * yd)
 
     def root(self) -> Fraction:
         """The unique zero; requires slope != 0."""

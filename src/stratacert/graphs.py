@@ -20,7 +20,9 @@ counting and unranking cheap: the atlas can be counted, streamed in a
 fixed deterministic order, or accessed at any index without enumerating
 its predecessors.  The stream walks the tree that unranking descends and
 enters a branch only where the same counts say it holds a graph, so one
-counting index states both the atlas's admissibility and its order.
+counting index states both the atlas's admissibility and its order.  The
+walk builds each vertex type's ``TopVertex`` once, when it first enters
+the type's block, and every graph it yields holds those shared vertices.
 
 The per-graph invariants are exact rationals whose per-prong sums are
 taken on integers, with one Fraction built per value: in
@@ -37,7 +39,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
 from .exactq import lcm_list, rational_str
@@ -51,7 +53,7 @@ EDGE_CLASSES = frozenset({NCT, RBT, OCT, EDB})
 DELTA_IRR = "irr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TopVertex:
     """A top-level vertex: genus, prong multiset, optional marked legs."""
 
@@ -71,7 +73,7 @@ class TopVertex:
         return (self.genus, self.prongs, self.legs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelGraph:
     """A two-level enhanced level graph with a unique bottom vertex."""
 
@@ -119,11 +121,9 @@ def canonical_encoding(graph: LevelGraph) -> str:
     """Bit-exact canonical text form; equality iff coarse-type isomorphism."""
     if graph.has_top_legs():
         raise ValueError("canonical_encoding: top-level legs are not encoded")
-    legs = ",".join(str(m) for m in graph.bottom_legs)
+    legs = ",".join(map(str, graph.bottom_legs))
     tops = ",".join(
-        f"({v.genus},[{','.join(str(p) for p in v.prongs)}])"
-        for v in graph.top_vertices
-    )
+        f"({v.genus},[{','.join(map(str, v.prongs))}])" for v in graph.top_vertices)
     return f"g={graph.genus};gb={graph.bottom_genus};legs={legs};top=[{tops}]"
 
 
@@ -196,15 +196,16 @@ def classify_edges(graph: LevelGraph) -> tuple:
     classes = []
     single_edge = graph.edge_count == 1
     for v in graph.top_vertices:
-        for _ in v.prongs:
-            if v.degree >= 2:
-                classes.append(NCT)
-            elif single_edge and (v.genus == 1 or graph.bottom_genus == 1):
-                classes.append(EDB)
-            elif graph.v_top == 1 and graph.bottom_genus == 0:
-                classes.append(RBT)
-            else:
-                classes.append(OCT)
+        d = len(v.prongs)
+        if d >= 2:
+            cls = NCT
+        elif single_edge and (v.genus == 1 or graph.bottom_genus == 1):
+            cls = EDB
+        elif graph.v_top == 1 and graph.bottom_genus == 0:
+            cls = RBT
+        else:
+            cls = OCT
+        classes += [cls] * d
     return tuple(classes)
 
 
@@ -239,7 +240,7 @@ def hbb_shape(graph: LevelGraph) -> bool:
     return has_pair
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphInvariants:
     """Derived per-graph quantities used by the divisor-class formulas."""
 
@@ -277,21 +278,29 @@ def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInv
     share ell // p per prong: P_{-1} = sum(shares) / ell, and R_NC = S / (2
     ell) with S the sum of twice each edge class's weight times its share,
     so b_NC = ell R_NC - 1 = (S - 2) / 2.  Each value is one Fraction.
-    A graph with legs on a top vertex is rejected before any work, since
-    it has no canonical encoding.
+    One loop over the top vertices gathers the prongs, N_top and the delta
+    targets; it rejects a graph with legs on a top vertex before any sum
+    is taken, since such a graph has no canonical encoding.
     """
-    if graph.has_top_legs():
-        raise ValueError("graph_invariants: top-level legs are not supported")
     g = graph.genus
-    prongs = graph.prongs()
+    prongs = []
+    deltas = []
+    n_top = 0
+    for v in graph.top_vertices:
+        if v.legs:
+            raise ValueError("graph_invariants: top-level legs are not supported")
+        d = len(v.prongs)
+        prongs += v.prongs
+        n_top += 2 * v.genus - 1 + d
+        deltas += [DELTA_IRR if d >= 2 else min(v.genus, g - v.genus)] * d
+    prongs = tuple(prongs)
     e = len(prongs)
+    v_top = len(graph.top_vertices)
     p_sum = sum(prongs)
     ell = lcm_list(prongs)
     shares = [ell // p for p in prongs]
     share_sum = sum(shares)
     classes = classify_edges(graph)
-    n_top = sum(2 * v.genus - 1 + v.degree for v in graph.top_vertices)
-    n_bot = 2 * graph.bottom_genus + e - graph.v_top
     # kappa of the bottom level via the prong identity kappa_legs - (P -
     # P_{-1}); the direct signature evaluation lives in the divisor-class
     # module and the two routes are compared by the identity suite.
@@ -300,10 +309,6 @@ def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInv
                          - legs.denominator * (p_sum * ell - share_sum),
                          legs.denominator * ell)
     twice_rnc = sum(_RNC_WEIGHT2[cls] * share for cls, share in zip(classes, shares))
-    deltas = []
-    for v in graph.top_vertices:
-        target = DELTA_IRR if v.degree >= 2 else min(v.genus, g - v.genus)
-        deltas.extend([target] * v.degree)
     delta_h = 1 if (hbb_shape_test and hbb_shape(graph)) else 0
     return GraphInvariants(
         genus=g,
@@ -313,9 +318,9 @@ def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInv
         P_minus1=Fraction(share_sum, ell),
         ell=ell,
         edges=e,
-        v_top=graph.v_top,
+        v_top=v_top,
         N_top=n_top,
-        N_bot=n_bot,
+        N_bot=2 * graph.bottom_genus + e - v_top,
         kappa_bot=kappa_bot,
         kappa_top=kappa_mu([p - 1 for p in prongs]),
         edge_classes=classes,
@@ -534,13 +539,16 @@ def enumerate_level_graphs(g: int, dimension_filter: bool = True) -> Iterator[Le
     :func:`atlas_unrank` index-for-index and builds no dead-end choice.
     Order: bottom genus ascending, then multisets of vertex types in block
     order (per block: multiplicity zero first, then ascending, prong
-    multisets lexicographically).
+    multisets lexicographically).  The graphs of one stream share one
+    TopVertex per vertex type.
     """
     if g < 2:
         raise ValueError("genus must be >= 2")
     idx = _atlas_index(g)
     blocks = idx.blocks
-    partitions: dict = {}  # block index -> prong multisets, for this walk
+    # block index -> one TopVertex per prong multiset, for this walk; every
+    # graph of the walk shares these vertices
+    partitions: dict = {}
 
     # The tree at block b holds the subtree that skips b first, then
     # multiplicities 1, 2, ... of b.  Unrolled, the first *used* block is
@@ -564,17 +572,17 @@ def enumerate_level_graphs(g: int, dimension_filter: bool = True) -> Iterator[Le
                 if parts is None:  # built only for a block the walk enters
                     parts = partitions.get(bi)
                     if parts is None:
-                        parts = partitions[bi] = tuple(partitions_exact(
-                            2 * blk.genus - 2 + blk.degree, blk.degree))
+                        parts = partitions[bi] = tuple(
+                            TopVertex(blk.genus, pr) for pr in partitions_exact(
+                                2 * blk.genus - 2 + blk.degree, blk.degree))
                 for combo in combinations_with_replacement(parts, k):
-                    picked = chosen + tuple(
-                        (blk.genus, pr, len(tuple(run))) for pr, run in groupby(combo))
-                    yield from walk(bi + 1, rest, need_after, picked)
+                    yield from walk(bi + 1, rest, need_after, chosen + combo)
 
+    legs = (2 * g - 2,)
     for g_b in range(g):
         raw_bottom = g_b == 0 and not dimension_filter
         for chosen in walk(0, g - g_b, g_b == 0 and dimension_filter, ()):
-            graph = _graph_from_choice(g, g_b, chosen)
+            graph = LevelGraph(g, g_b, legs, chosen)
             # bottom stability: a rational bottom needs two edges
             if not raw_bottom or graph.edge_count >= 2:
                 yield graph

@@ -8,10 +8,13 @@ output (``kappa_mu``, ``graph_invariants``, ``six_coefficients``,
 streaming certifier on integer rows, and compares rationals in the
 identity battery by cross-multiplication.  The functions here are the
 plain Fraction forms of the same formulas and checks; the tests compare
-the two on full atlases.
+the two on full atlases, raw atlases, pullback image graphs and samples
+of large-genus atlases (``ORACLE_CASES``).
 """
 
 from fractions import Fraction
+
+import pytest
 
 from stratacert.certify import SixCoefficients, _divisor
 from stratacert.checks import DEFAULT_Y_SAMPLES, is_rational_bottom_banana
@@ -33,8 +36,37 @@ from stratacert.graphs import (
     classify_edges,
     enumerate_level_graphs,
     hbb_shape,
+    sample_atlas,
     validate,
 )
+from stratacert.pullback import image_correspondence
+
+# (kind, genus) of every graph collection the per-graph oracles are
+# compared on, as pytest parameters; see oracle_graphs.  A filtered atlas
+# is named by its genus alone.
+ORACLE_CASES = [
+    pytest.param(kind, g, id=str(g) if kind == "atlas" else f"{kind}-{g}")
+    for kind, genera in (("atlas", range(2, 11)), ("raw", range(2, 10)),
+                         ("image", range(4, 8)), ("sample", (31, 34)))
+    for g in genera
+]
+
+
+def oracle_graphs(kind, g):
+    """The graphs of one oracle comparison: the genus-g atlas with the
+    dimension filter ("atlas") or without it ("raw"), the pullback image
+    graphs of image_correspondence(g, (g, g)), of genus g + 1 with two
+    bottom legs and positive bottom genus ("image"), or 200 graphs spread
+    over the genus-g atlas ("sample")."""
+    if kind == "atlas":
+        return list(enumerate_level_graphs(g))
+    if kind == "raw":
+        return list(enumerate_level_graphs(g, dimension_filter=False))
+    if kind == "image":
+        return list(image_correspondence(g, (g, g)).values())
+    if kind == "sample":
+        return sample_atlas(g, 200)
+    raise ValueError(f"unknown oracle case: {kind!r}")
 
 
 def typed(x):

@@ -111,9 +111,10 @@ def test_t1_t2_split_is_a_lower_bound():
             assert total.slope == s_aff.slope
 
 
-@pytest.mark.parametrize("g", range(2, 11))
-def test_six_coefficients_match_fraction_oracle(g):
-    for graph in enumerate_level_graphs(g):
+@pytest.mark.parametrize("kind, g", oracle.ORACLE_CASES)
+def test_six_coefficients_match_fraction_oracle(kind, g):
+    for graph in oracle.oracle_graphs(kind, g):
+        g = graph.genus  # an image graph has genus g + 1
         for hbb in (True, False):
             inv = graph_invariants(graph, hbb)
             got, want = six_coefficients(inv, g), oracle.six_coefficients(inv, g)

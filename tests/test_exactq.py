@@ -43,6 +43,25 @@ def test_affine_eval_and_root():
         AffineInY(F(1), F(0)).root()
 
 
+def test_affine_eval_matches_fraction_arithmetic():
+    rng = random.Random(1414)
+
+    def rational():
+        return F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+
+    cases = [(F(0), F(0), 0), (3, -2, 5), (F(1, 2), 7, -3), (-4, F(5, 6), F(-1, 9)),
+             (F(-105, 1037), F(65, 119), F(147, 793))]
+    while len(cases) < 500:
+        intercept = rng.choice((rational(), rng.randint(-50, 50)))
+        slope = rng.choice((rational(), rng.randint(-50, 50)))
+        y = rng.choice((rational(), rng.randint(-50, 50), -abs(rational())))
+        cases.append((intercept, slope, y))
+    for intercept, slope, y in cases:
+        got = AffineInY(intercept, slope)(y)
+        want = intercept + slope * F(y)
+        assert (type(got), got) == (type(want), want), (intercept, slope, y)
+
+
 def test_positivity_interval_examples():
     # f = y on [0,1] -> (0, 1]
     got = affine_positivity_interval(AffineInY(F(0), F(1)), UNIT)

@@ -152,9 +152,9 @@ def test_kappa_mu_matches_fraction_oracle():
         assert got == oracle.kappa_mu(orders), orders
 
 
-@pytest.mark.parametrize("g", range(2, 11))
-def test_graph_invariants_match_fraction_oracle(g):
-    for graph in enumerate_level_graphs(g):
+@pytest.mark.parametrize("kind, g", oracle.ORACLE_CASES)
+def test_graph_invariants_match_fraction_oracle(kind, g):
+    for graph in oracle.oracle_graphs(kind, g):
         for hbb in (True, False):
             got = graph_invariants(graph, hbb)
             want = oracle.graph_invariants(graph, hbb)
@@ -212,6 +212,18 @@ def test_finished_stream_keeps_no_partition_lists():
     caches = {name for name, obj in vars(graphs_module).items()
               if hasattr(obj, "cache_info")}
     assert caches == {"_p_exact", "vertex_blocks"}
+
+
+def test_stream_shares_equal_top_vertices():
+    # the walk builds one TopVertex per vertex type and every graph of the
+    # stream holds that object, so equal vertices are the same object
+    streams = (enumerate_level_graphs(9),
+               enumerate_level_graphs(9, dimension_filter=False),
+               enumerate_level_graphs(12),
+               islice(enumerate_level_graphs(31), 20000))
+    for stream in streams:
+        vertices = [v for graph in stream for v in graph.top_vertices]
+        assert len({id(v) for v in vertices}) == len(set(vertices))
 
 
 def test_every_enumerated_graph_is_valid():
