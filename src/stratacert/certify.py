@@ -52,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from typing import Callable, Dict, Optional, Union
 
@@ -608,6 +609,7 @@ class _MinEngine:
 
     def __init__(self, g: int):
         self.g = g
+        self.graph_count = atlas_count(g)
         self.lam = math.lcm(*range(1, 2 * g))
         _, self.bden, self.bhor, self.bsep = _divisor(g)
         self.den = 2 * (2 * g - 1) * (g + 11) * self.bden * self.lam
@@ -981,14 +983,7 @@ class _Analysis:
 # the public exact certifier
 
 
-_ENGINE_CACHE: Dict[int, _MinEngine] = {}
-
-
-def _engine(g: int) -> _MinEngine:
-    engine = _ENGINE_CACHE.get(g)
-    if engine is None:
-        engine = _ENGINE_CACHE[g] = _MinEngine(g)
-    return engine
+_engine = lru_cache(maxsize=1)(_MinEngine)
 
 
 def _exact_certificate(req: CertRequest, analysis: _Analysis,
@@ -1027,14 +1022,14 @@ def certify_exact(req: CertRequest) -> Certificate:
     Equivalent to intersecting the positivity intervals of s_hor and of
     every enumerated graph's s_Gamma; the minimum over graphs is found by
     weight-indexed optimization instead of per-graph streaming, so the
-    runtime is polynomial in the genus.  The engine, with its positivity
-    analysis for each delta_H mode, is kept per genus, so a
-    later request for the same genus costs about one evaluate call.
+    runtime is polynomial in the genus.  The engine, with the atlas count
+    and its positivity analysis for each delta_H mode, is kept for the last
+    genus asked, so a later request for it costs about one evaluate call.
     """
-    g = req.genus
     _check_request(req)
-    analysis = _engine(g).analysis(req.hbb_shape_test)
-    return _exact_certificate(req, analysis, atlas_count(g))
+    engine = _engine(req.genus)
+    analysis = engine.analysis(req.hbb_shape_test)
+    return _exact_certificate(req, analysis, engine.graph_count)
 
 
 def cert_requests(g_from: int, g_to: int, mode: str = "coarse", *,

@@ -32,6 +32,7 @@ from .classes import (
     wplus_class,
 )
 from .graphs import (
+    atlas_count,
     enumerate_level_graphs,
     iter_atlas,
     sample_atlas,
@@ -238,6 +239,11 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
+# a class holds a coefficient per boundary graph and its JSON sorts them, so
+# it cannot be streamed; genus 17 (525,906 graphs) is the largest under this
+_CLASS_MAX_GRAPHS = 10**6
+
+
 def _cmd_class(args) -> int:
     g = args.genus
     if args.no_hbb_shape and args.which != "canonical":
@@ -258,6 +264,11 @@ def _cmd_class(args) -> int:
             if value is not None:
                 raise UsageError(f"{option} applies only to --which genw")
         graphs = _load_graphs(args)
+        if not args.atlas and (count := atlas_count(g)) > _CLASS_MAX_GRAPHS:
+            raise UsageError(
+                f"the genus-{g} atlas has {count} graphs, more than "
+                f"the {_CLASS_MAX_GRAPHS} a class is built over in memory; "
+                "give a smaller atlas with --atlas")
         if args.which == "canonical":
             cls = scaled_canonical_class(g, graphs,
                                          hbb_shape_test=not args.no_hbb_shape)

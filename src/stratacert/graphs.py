@@ -23,6 +23,9 @@ enters a branch only where the same counts say it holds a graph, so one
 counting index states both the atlas's admissibility and its order.  The
 walk builds each vertex type's ``TopVertex`` once, when it first enters
 the type's block, and every graph it yields holds those shared vertices.
+The index, two rows of g + 1 counts per block, is kept for the last genus
+asked only; ``atlas_count`` grows such rows weight by weight instead, by
+the same product, and builds no index.
 
 The per-graph invariants are exact rationals whose per-prong sums are
 taken on integers, with one Fraction built per value: in
@@ -396,7 +399,6 @@ class Block:
     size: int
 
 
-@lru_cache(maxsize=None)
 def vertex_blocks(max_weight: int) -> tuple:
     out = []
     for w in range(1, max_weight + 1):
@@ -425,6 +427,17 @@ def _multiset_count(n: int, k: int) -> int:
     return math.comb(n + k - 1, k)
 
 
+def _grow(row: list, weight: int, size: int, g: int) -> list:
+    """``row`` times (1 - x^weight)^(-size), cut off above x^g: multisets
+    counted by total weight, with ``size`` more types of that weight."""
+    out = list(row)
+    for k in range(1, g // weight + 1):
+        ways = _multiset_count(size, k)
+        shift = k * weight
+        out[shift:] = [a + ways * b for a, b in zip(out[shift:], row)]
+    return out
+
+
 class _AtlasIndex:
     """Counting tables over blocks for one genus.
 
@@ -435,31 +448,19 @@ class _AtlasIndex:
     def __init__(self, g: int):
         self.g = g
         self.blocks = vertex_blocks(g)
-        n = len(self.blocks)
-        # table[b][budget] = number of multisets from blocks[b:] of that
-        # total weight; the d1 variant restricts to degree-1 blocks
-        any_next = [1] + [0] * g
-        d1_next = [1] + [0] * g
-        self._any = [None] * (n + 1)
-        self._d1 = [None] * (n + 1)
-        self._any[n] = any_next
-        self._d1[n] = d1_next
-        for b in range(n - 1, -1, -1):
-            blk = self.blocks[b]
-            any_here = list(self._any[b + 1])
-            d1_here = list(self._d1[b + 1])
-            for budget in range(blk.weight, g + 1):
-                total = 0
-                total_d1 = 0
-                for k in range(1, budget // blk.weight + 1):
-                    ways = _multiset_count(blk.size, k)
-                    total += ways * self._any[b + 1][budget - k * blk.weight]
-                    if blk.degree == 1:
-                        total_d1 += ways * self._d1[b + 1][budget - k * blk.weight]
-                any_here[budget] += total
-                d1_here[budget] += total_d1
-            self._any[b] = any_here
-            self._d1[b] = d1_here
+        # any[b][budget] = number of multisets from blocks[b:] of that
+        # total weight; d1 restricts to degree-1 blocks
+        any_row = d1_row = [1] + [0] * g
+        self._any = [any_row]
+        self._d1 = [d1_row]
+        for blk in reversed(self.blocks):
+            any_row = _grow(any_row, blk.weight, blk.size, g)
+            if blk.degree == 1:
+                d1_row = _grow(d1_row, blk.weight, blk.size, g)
+            self._any.append(any_row)
+            self._d1.append(d1_row)
+        self._any.reverse()
+        self._d1.reverse()
 
     def count(self, budget: int, b: int, need_d2: bool = False) -> int:
         """Multisets of types from blocks[b:] with total weight = budget;
@@ -486,22 +487,24 @@ class _AtlasIndex:
         return self.count(self.g, b + 1)
 
 
-_INDEX_CACHE = {}
-
-
-def _atlas_index(g: int) -> _AtlasIndex:
-    idx = _INDEX_CACHE.get(g)
-    if idx is None:
-        idx = _INDEX_CACHE[g] = _AtlasIndex(g)
-    return idx
+_atlas_index = lru_cache(maxsize=1)(_AtlasIndex)
 
 
 def atlas_count(g: int, dimension_filter: bool = True) -> int:
-    """Number of coarse types in the genus-g atlas (exact)."""
+    """Number of coarse types in the genus-g atlas (exact); the blocks of
+    one weight act as one, so it keeps O(g) integers and builds no index."""
     if g < 2:
         raise ValueError("genus must be >= 2")
-    idx = _atlas_index(g)
-    return sum(idx.count_for_bottom(gb, dimension_filter) for gb in range(g))
+    sizes = [0] * (g + 1)
+    for blk in vertex_blocks(g):
+        sizes[blk.weight] += blk.size
+    any_row = d1_row = [1] + [0] * g
+    for w in range(1, g + 1):
+        any_row = _grow(any_row, w, sizes[w], g)
+        d1_row = _grow(d1_row, w, 1, g)
+    # any_row[budget] graphs per bottom genus g - budget; at g_b = 0 the
+    # filter drops the degree-1-only multisets, raw mode the single edge
+    return sum(any_row[1:]) - (d1_row[g] if dimension_filter else 1)
 
 
 def _graph_from_choice(g: int, g_b: int, chosen) -> LevelGraph:

@@ -1,13 +1,17 @@
 import itertools
+import json
 import math
 import random
 from dataclasses import fields
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from stratacert import certify as certify_module
+from stratacert import cli
 from stratacert import checks as checks_module
+from stratacert import graphs as graphs_module
 from stratacert.certify import (
     BOUNDS_CONFLICT,
     CERTIFIED,
@@ -41,6 +45,7 @@ from stratacert.exactq import AffineInY
 from stratacert.graphs import (
     LevelGraph,
     TopVertex,
+    atlas_unrank,
     canonical_encoding,
     enumerate_level_graphs,
     graph_invariants,
@@ -51,6 +56,7 @@ from stratacert.graphs import (
 import fraction_oracle as oracle
 from fraction_oracle import typed
 
+EXPECTED = Path(__file__).parent / "expected"
 EDB31 = minimal_graph(31, 30, [(1, (1,))])
 BANANA31 = minimal_graph(31, 0, [(30, (30, 30))])
 
@@ -430,6 +436,24 @@ def test_g34_shape_test_off_is_infeasible():
     assert cert.feasible.lo > cert.feasible.hi
     assert cert.worst_margin == F(392256, 38532035)
     assert cert.worst_graph == "g=34;gb=0;legs=66;top=[(16,[16,16]),(16,[16,16])]"
+
+
+@pytest.mark.parametrize("hbb,name", [(True, "scan_2_200_exact.csv"),
+                                      (False, "scan_2_200_exact_no_hbb_shape.csv")])
+def test_committed_exact_table_rows(hbb, name):
+    # each file is the output of `stratacert scan --from 2 --to 200 --mode
+    # exact --format csv`, with --no-hbb-shape for the second; a few cheap
+    # rows are rebuilt here through the library
+    lines = (EXPECTED / name).read_bytes().decode("utf-8").splitlines()
+    assert lines[0] == cli._SCAN_COLUMNS
+    config = json.loads(lines[-1].removeprefix("# config: "))
+    assert (config["g_from"], config["g_to"], config["mode"], config["y"],
+            config["no_hbb_shape"]) == (2, 200, "exact", "recipe", not hbb)
+    rows = {int(line.split(",")[0]): line for line in lines[1:-1]}
+    assert sorted(rows) == list(range(2, 201))
+    for g in (2, 27, 31, 34, 39, 60):
+        cert = certify_exact(CertRequest(g, "exact", "auto", "paper_recipe", hbb))
+        assert cli._scan_row(cert, None) == rows[g], (g, hbb)
 
 
 def test_genus_below_two_rejected():
@@ -836,38 +860,56 @@ def _cert_policies():
     return ["paper_recipe", "auto_midpoint"] + _oracle_ys()
 
 
+@pytest.fixture
+def fresh_engines():
+    """An empty engine cache before the test and after it, so that no other
+    test sees an engine this one has altered."""
+    certify_module._engine.cache_clear()
+    yield
+    certify_module._engine.cache_clear()
+
+
 @pytest.mark.parametrize("g", range(4, 23))
-def test_warm_certificate_equals_fresh_engine(g, monkeypatch):
+def test_warm_certificate_equals_fresh_engine(g, fresh_engines):
     # the engine keeps its positivity analysis and witness affines across
     # requests; none of that may change a certificate
-    monkeypatch.setattr(certify_module, "_ENGINE_CACHE", {})
     for hbb in (False, True):
         reqs = [CertRequest(g, "exact", "auto", policy, hbb)
                 for policy in _cert_policies()]
         certify_exact(reqs[-1])  # every certificate below is warm
         warm = [certify_exact(req).to_json() for req in reqs]
         for req, cert in zip(reqs, warm):
-            certify_module._ENGINE_CACHE.clear()
+            certify_module._engine.cache_clear()
             assert certify_exact(req).to_json() == cert, (g, hbb, req.y_policy)
 
 
 @pytest.mark.parametrize("hbb", [False, True])
-def test_dp_self_check_runs_on_warm_evaluate(hbb, monkeypatch):
-    monkeypatch.setattr(certify_module, "_ENGINE_CACHE", {})
+def test_dp_self_check_runs_on_warm_evaluate(hbb, monkeypatch, fresh_engines):
     y = recipe_y(31)
     certify_exact(CertRequest(31, "exact", "auto", y, hbb))
-    engine = certify_module._ENGINE_CACHE[31]
+    engine = certify_module._engine(31)  # the engine that certificate used
     engine.evaluate(y, hbb)  # the witness affine is memoized by now
     monkeypatch.setattr(engine, "k0", engine.k0 + 1)
     with pytest.raises(AssertionError, match="minimization engine self-check failed"):
         engine.evaluate(y, hbb)
 
 
-def test_hbb_self_check_runs_on_warm_evaluate(monkeypatch):
-    monkeypatch.setattr(certify_module, "_ENGINE_CACHE", {})
+def test_caches_keep_the_last_genus_only():
+    # a scan keeps the state of the genus it is at, not of every genus it
+    # has passed, so its memory is bounded by the largest genus
+    for g in range(2, 41):
+        for hbb in (False, True):
+            certify_exact(CertRequest(g, "exact", hbb_shape_test=hbb))
+    atlas_unrank(31, 0)
+    atlas_unrank(34, 0)
+    assert graphs_module._atlas_index.cache_info().currsize <= 1
+    assert certify_module._engine.cache_info().currsize <= 1
+
+
+def test_hbb_self_check_runs_on_warm_evaluate(monkeypatch, fresh_engines):
     y = recipe_y(31)
     certify_exact(CertRequest(31, "exact", "auto", y, True))
-    engine = certify_module._ENGINE_CACHE[31]
+    engine = certify_module._engine(31)
     _, witness, _ = engine.evaluate(y, True)
     assert witness == BANANA31  # an HBB witness, its affine memoized
     single, (u, t) = engine._hbb_types[30]

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from stratacert.cli import main
-from stratacert.graphs import canonical_encoding
+from stratacert.graphs import atlas_count, canonical_encoding
 
 EXPECTED = Path(__file__).parent / "expected"
 
@@ -108,6 +108,23 @@ def test_class_command(capsys):
                        "--form", "raw")
     data = json.loads(out)
     assert data["psi"] == "7"
+
+
+def test_class_over_a_too_large_atlas_exits_at_once(monkeypatch, capsys):
+    # a class is built over its whole atlas in memory; above the cap the
+    # command names the count and stops before it streams a graph
+    from stratacert import cli as cli_mod
+
+    def no_stream(g, dimension_filter=True):
+        raise AssertionError("the atlas was streamed")
+        yield
+
+    monkeypatch.setattr(cli_mod, "enumerate_level_graphs", no_stream)
+    for which in ("canonical", "dnc", "bn", "hur", "wplus"):
+        code, out, err = run(capsys, "class", "--genus", "31", "--which", which)
+        assert (code, out) == (1, ""), which
+        assert "5440744210" in err and "--atlas" in err
+    assert atlas_count(17) <= cli_mod._CLASS_MAX_GRAPHS < atlas_count(18)
 
 
 def test_class_genw(capsys):

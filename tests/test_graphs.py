@@ -203,15 +203,25 @@ def test_unrank_matches_stream(g):
             atlas_unrank(g, len(stream), dimension_filter=flag)
 
 
+@pytest.mark.parametrize("g", range(2, 41))
+def test_count_matches_index(g):
+    # the count grows one row per weight; the unranking index, one per
+    # block, is its oracle
+    idx = graphs_module._AtlasIndex(g)
+    for flag in (True, False):
+        assert atlas_count(g, flag) == sum(idx.count_for_bottom(gb, flag)
+                                           for gb in range(g))
+
+
 def test_finished_stream_keeps_no_partition_lists():
     # each walk keeps its blocks' prong multisets in a table of its own, so
     # a finished stream frees them; the only module-level caches left hold
-    # partition counts and block sizes
+    # partition counts and the counting index of the last genus asked
     for g in (10, 11):
         assert sum(1 for _ in enumerate_level_graphs(g)) == atlas_count(g)
     caches = {name for name, obj in vars(graphs_module).items()
               if hasattr(obj, "cache_info")}
-    assert caches == {"_p_exact", "vertex_blocks"}
+    assert caches == {"_p_exact", "_atlas_index"}
 
 
 def test_stream_shares_equal_top_vertices():
