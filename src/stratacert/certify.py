@@ -50,6 +50,7 @@ them the notes that quote the witness.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -471,7 +472,10 @@ def _row_minimum(rows: list) -> Callable:
 # Lambda = lcm(1..2g-1) and B the effective divisor's denominator.
 # Within a (weight, degree) block (u_k, t_k) is affine in iota_k, so the
 # per-weight hulls are built from the two types of extreme iota only
-# (_iota_extremes says why that suffices).
+# (_iota_extremes says why that suffices).  _type_scalars takes sigma =
+# 2h - 2 + d from the prong balance, and rho and beta as multiples of
+# iota, whose one sum runs over the type's distinct parts (at most two in
+# either extreme).
 
 
 def _iota_extremes(n: int, d: int) -> tuple:
@@ -630,18 +634,15 @@ class _MinEngine:
 
     def _type_scalars(self, h: int, d: int, parts: tuple):
         g, den = self.g, self.den
-        sigma = sum(parts)
-        iota_den = sum(den // p for p in parts)
+        iota_den = sum(m * (den // p) for p, m in Counter(parts).items())
         if d == 1:
-            p = parts[0]
-            rho_den = 2 * (den // p)
             i = min(h, g - h)
-            beta_den = 12 * i * (g - i) * self.bsep * (den // (self.bden * p))
+            rho_den = 2 * iota_den
+            beta_den = 12 * i * (g - i) * self.bsep * iota_den // self.bden
         else:
-            half = den // 2
-            rho_den = sum(half // p for p in parts)
-            beta_den = sum(2 * self.bhor * (den // (self.bden * p)) for p in parts)
-        diff_den = sigma * den - iota_den  # (sigma - iota) * DEN
+            rho_den = iota_den // 2
+            beta_den = 2 * self.bhor * iota_den // self.bden
+        diff_den = (2 * h - 2 + d) * den - iota_den  # (sigma - iota) * DEN
         q_rho = rho_den * (2 * g - 2) // (2 * g - 1)
         u = (d - 1) * self.q_num - q_rho + diff_den + beta_den
         t = self.k1 - diff_den // (g + 11) * 12 - beta_den

@@ -51,7 +51,6 @@ NCT = "NCT"
 RBT = "RBT"
 OCT = "OCT"
 EDB = "EDB"
-EDGE_CLASSES = frozenset({NCT, RBT, OCT, EDB})
 
 DELTA_IRR = "irr"
 

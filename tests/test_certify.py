@@ -660,6 +660,48 @@ def test_hbb_hull_matches_walk_oracle(g, effdiv, monkeypatch):
         _check_search_against_hull(engine, hull, y, above)
 
 
+def _type_scalars_per_part(engine, h, d, parts):
+    """Oracle: a vertex type's scaled (u, t), with sigma, iota, rho and beta
+    each summed over all d parts."""
+    g, den = engine.g, engine.den
+    sigma = sum(parts)
+    iota_den = sum(den // p for p in parts)
+    if d == 1:
+        p = parts[0]
+        rho_den = 2 * (den // p)
+        i = min(h, g - h)
+        beta_den = 12 * i * (g - i) * engine.bsep * (den // (engine.bden * p))
+    else:
+        half = den // 2
+        rho_den = sum(half // p for p in parts)
+        beta_den = sum(2 * engine.bhor * (den // (engine.bden * p)) for p in parts)
+    diff_den = sigma * den - iota_den  # (sigma - iota) * DEN
+    q_rho = rho_den * (2 * g - 2) // (2 * g - 1)
+    u = (d - 1) * engine.q_num - q_rho + diff_den + beta_den
+    t = engine.k1 - diff_den // (g + 11) * 12 - beta_den
+    return u, t
+
+
+@pytest.mark.parametrize("effdiv", ["brill_noether", "hurwitz"])
+def test_type_scalars_match_per_part_oracle(effdiv, monkeypatch):
+    # every vertex type of every (weight, degree) block, not only the iota
+    # extremes the engine builds from, and the HBB types, whose pair (g, g)
+    # lies in no block; each genus also under the other divisor's constants
+    monkeypatch.setattr(certify_module, "_divisor",
+                        lambda g: (effdiv,) + _DIVISOR_CONSTANTS[effdiv](g))
+    for g in range(2, 21):
+        engine = _MinEngine(g)
+        for w in range(1, g + 1):
+            for d in range(1, w + 1):
+                h = w + 1 - d
+                for parts in partitions_exact(2 * h - 2 + d, d):
+                    assert engine._type_scalars(h, d, parts) == \
+                        _type_scalars_per_part(engine, h, d, parts), (g, h, parts)
+        for h, (single, pair) in engine._hbb_types.items():
+            assert single == _type_scalars_per_part(engine, h, 1, (2 * h - 1,)), (g, h)
+            assert pair == _type_scalars_per_part(engine, h, 2, (h, h)), (g, h)
+
+
 @pytest.mark.parametrize("g", [23, 25, 28, 31])
 def test_hbb_search_matches_memo_oracle(g):
     engine = _MinEngine(g)
