@@ -35,7 +35,8 @@ Two exact engines are provided.
   whose edge is an elliptic dumbbell rather than plain compact type are
   listed, and the banana-backbone shapes (their delta_H correction
   carries a non-additive -Q/lcm) are minimised at each queried y by a
-  short loop over candidate lcms L, one small knapsack per L.  Both
+  short loop over candidate lcms L, one small knapsack per L, grown from
+  the knapsack of L/p (p the least prime factor of L).  Both
   deviations only lower s_Gamma, so the true minimum is the minimum of
   the three parts.  The positivity interval of the concave lower envelope
   is then located by exact Newton steps on active pieces, once per engine
@@ -50,7 +51,6 @@ them the notes that quote the witness.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -498,64 +498,75 @@ def _iota_extremes(n: int, d: int) -> tuple:
     return (spread,) if spread == balanced else (spread, balanced)
 
 
-def _hbb_tables(items: list, g: int) -> list:
-    """Suffix tables of the two-state unbounded knapsack over HBB items.
+def _hbb_add(row: tuple, w: int, x: int, is_pair: bool) -> None:
+    """Add an HBB item of weight ``w`` and packed value ``x`` to the
+    knapsack row (free, paired) in place, in any number of copies.
 
-    ``items`` are (prong, weight, value, slope, h, is_pair).  tables[i] is
-    (free, paired): free[b] is the least (value, slope) of a multiset of
-    items[i:] of total weight b, and paired[b] that of one holding at least
-    one pair; None where there is no such multiset.
+    free[b] is the least packed value of a multiset of total weight b, and
+    paired[b] that of one holding at least one pair; None where there is no
+    such multiset.  A row is a minimum over multisets, so it does not
+    depend on the order in which its items were added.
     """
-    free, paired = [(0, 0)] + [None] * g, [None] * (g + 1)
-    tables = [(free, paired)]
-    for _, w, v, t, _, is_pair in reversed(items):
-        free, paired = list(free), list(paired)
-        # a pair fills the paired table from any multiset, a single only
-        # from one that already holds a pair
-        source = free if is_pair else paired
-        for b in range(w, g + 1):
-            rest = free[b - w]
-            if rest is not None:
-                cand = (rest[0] + v, rest[1] + t)
-                if free[b] is None or cand < free[b]:
-                    free[b] = cand
-            rest = source[b - w]
-            if rest is not None:
-                cand = (rest[0] + v, rest[1] + t)
-                if paired[b] is None or cand < paired[b]:
-                    paired[b] = cand
-        tables.append((free, paired))
+    free, paired = row
+    # a pair fills the paired row from any multiset, a single only from
+    # one that already holds a pair
+    source = free if is_pair else paired
+    for b in range(w, len(free)):
+        rest = free[b - w]
+        if rest is not None:
+            cand = rest + x
+            cur = free[b]
+            if cur is None or cand < cur:
+                free[b] = cand
+        rest = source[b - w]
+        if rest is not None:
+            cand = rest + x
+            cur = paired[b]
+            if cur is None or cand < cur:
+                paired[b] = cand
+
+
+def _hbb_tables(items: list, g: int) -> list:
+    """Suffix rows of the two-state unbounded knapsack over HBB items.
+
+    ``items`` are (prong, weight, packed value, h, is_pair); tables[i] is
+    the (free, paired) row of ``_hbb_add`` over items[i:].
+    """
+    row = [0] + [None] * g, [None] * (g + 1)
+    tables = [row]
+    for _, w, x, _, is_pair in reversed(items):
+        row = list(row[0]), list(row[1])
+        _hbb_add(row, w, x, is_pair)
+        tables.append(row)
     tables.reverse()
     return tables
 
 
 def _hbb_least(paired: list, bottoms: list) -> tuple:
-    """((value, slope), g_b) of the least HBB multiset over bottom genera:
-    least value, then least slope, then least g_b.  ``bottoms[g_b]`` is the
-    scaled constant and bottom term at g_b."""
+    """(packed value, g_b) of the least HBB multiset over bottom genera,
+    the least g_b among ties.  ``bottoms[g_b]`` is the packed scaled
+    constant and bottom term at g_b."""
     g = len(bottoms)
     best = best_gb = None
     for g_b, base in enumerate(bottoms):
         entry = paired[g - g_b]
-        if entry is not None:
-            cand = (base + entry[0], entry[1])
-            if best is None or cand < best:
-                best, best_gb = cand, g_b
+        if entry is not None and (best is None or base + entry < best):
+            best, best_gb = base + entry, g_b
     return best, best_gb
 
 
-def _hbb_spec(items: list, tables: list, budget: int, target: tuple) -> tuple:
+def _hbb_spec(items: list, tables: list, budget: int, target: int) -> tuple:
     """The lexicographically first multiset of items of total weight
     ``budget`` with a pair that attains ``target`` = paired[budget] of
     ``_hbb_tables``, as ((h, ns, np), ...) over the h it uses.  An item is
     taken once more only when the suffix without it misses the target."""
     counts: dict = {}
-    state = 1  # the paired table until a pair is taken
-    for i, (_, w, v, t, h, is_pair) in enumerate(items):
+    state = 1  # the paired row until a pair is taken
+    for i, (_, w, x, h, is_pair) in enumerate(items):
         n = 0
         while tables[i + 1][state][budget] != target:
             budget -= w
-            target = (target[0] - v, target[1] - t)
+            target -= x
             n += 1
             if is_pair:
                 state = 0
@@ -563,6 +574,14 @@ def _hbb_spec(items: list, tables: list, budget: int, target: tuple) -> tuple:
             ns, np_ = counts.get(h, (0, 0))
             counts[h] = (ns, n) if is_pair else (n, np_)
     return tuple((h, ns, np_) for h, (ns, np_) in sorted(counts.items()))
+
+
+def _least_prime(n: int) -> int:
+    """The least prime factor of n >= 2."""
+    for p in range(2, math.isqrt(n) + 1):
+        if n % p == 0:
+            return p
+    return n
 
 
 class _Hull:
@@ -625,6 +644,11 @@ class _MinEngine:
         self._hbb_types = {h: (self._type_scalars(h, 1, (2 * h - 1,)),
                                self._type_scalars(h, 2, (h, h)))
                            for h in range(1, g + 1)}
+        # a multiset of weight <= g has at most g items, so its slope total
+        # stays below pack / 2 and value * pack + slope orders multisets by
+        # (value, slope): their value at y+ = y + 1 / (yd pack)
+        self._hbb_pack = 2 * g * max(abs(t) for types in self._hbb_types.values()
+                                     for _, t in types) + 1
         self._e1_family = None
         self._dp_affines: Dict[LevelGraph, AffineInY] = {}
         self._hbb_affines: Dict[LevelGraph, AffineInY] = {}
@@ -634,7 +658,7 @@ class _MinEngine:
 
     def _type_scalars(self, h: int, d: int, parts: tuple):
         g, den = self.g, self.den
-        iota_den = sum(m * (den // p) for p, m in Counter(parts).items())
+        iota_den = sum(parts.count(p) * (den // p) for p in set(parts))
         if d == 1:
             i = min(h, g - h)
             rho_den = 2 * iota_den
@@ -711,41 +735,65 @@ class _MinEngine:
         singles have 2h-1 | L and whose pairs have h | L.  A graph with
         prong lcm ell | L has value A - Q/ell <= A - Q/L, with equality at
         L = ell; so the minimum is min over L of K_L - Q/L.  Each K_L is a
-        two-state unbounded knapsack (``_hbb_tables``).  With K the same
+        two-state unbounded knapsack (``_hbb_add``).  With K the same
         knapsack over every item, K - Q/L bounds every L' >= L from below,
         so the loop stops at the first L where it exceeds the best value.
         The stop is strict: at a breakpoint a later L can tie in value and
         win on slope.  An L that is not the lcm of its allowed prongs has
-        the items, hence K_L, of that smaller lcm and is skipped.
+        the items, hence K_L, of that smaller lcm and is skipped; it shares
+        that lcm's row.  Each other L's row is grown from the row of L/p,
+        p the least prime factor of L, by the items whose prong divides L
+        but not L/p.
 
         Ties go as in a depth-first search over g_b, then h = 1, 2, ...
         with (ns, np) ascending: least value, then least slope, then least
         g_b, then the count vector (ns_1, np_1, ns_2, np_2, ...) least in
-        lexicographic order.
+        lexicographic order.  The knapsacks rank a multiset by the one
+        integer value * pack + slope (``_hbb_pack``), decoded once per L.
+        The suffix tables that name the first witness (``_hbb_spec``) are
+        built only for an L that beats or ties the best so far.
         """
-        g, q_num = self.g, self.q_num
-        items = []  # (prong, weight, value, slope, h, is_pair) in search order
+        g, q_num, pack = self.g, self.q_num, self._hbb_pack
+        half = pack // 2
+        items = []  # (prong, weight, packed value, h, is_pair) in search order
         for h, ((us, ts), (up, tp)) in self._hbb_types.items():
-            items.append((2 * h - 1, h, us * yd + ts * yn, ts, h, False))
-            items.append((h, h + 1, up * yd + tp * yn, tp, h, True))
+            items.append((2 * h - 1, h, (us * yd + ts * yn) * pack + ts, h, False))
+            items.append((h, h + 1, (up * yd + tp * yn) * pack + tp, h, True))
         const = self.k0 * yd + self.k1 * yn
-        bottoms = [const + 2 * g_b * q_num * yd for g_b in range(g)]
-        (k_value, _), _ = _hbb_least(_hbb_tables(items, g)[0][1], bottoms)
+        bottoms = [(const + 2 * g_b * q_num * yd) * pack for g_b in range(g)]
+        empty = [0] + [None] * g, [None] * (g + 1)
+        every = list(empty[0]), list(empty[1])
+        for _, w, x, _, is_pair in items:
+            _hbb_add(every, w, x, is_pair)
+        k_value = (_hbb_least(every[1], bottoms)[0] + half) // pack
         scale = q_num * yd  # Q / L at y, scaled, is scale // L
         best_value, best_key, best_ref = limit, None, None
+        rows = {}  # L -> the row over the items whose prong divides L
         for L in count(1):
             if (k_value - best_value) * L > scale:
                 break
             allowed = [item for item in items if L % item[0] == 0]
-            if math.lcm(*(item[0] for item in allowed)) != L:
+            ell = math.lcm(*(item[0] for item in allowed))
+            if ell != L:
+                rows[L] = rows[ell]
                 continue
-            tables = _hbb_tables(allowed, g)
-            (total, slope), g_b = _hbb_least(tables[0][1], bottoms)
+            if L == 1:
+                base, new = empty, allowed
+            else:
+                divisor = L // _least_prime(L)
+                base = rows[divisor]
+                new = [item for item in allowed if divisor % item[0]]
+            row = rows[L] = list(base[0]), list(base[1])
+            for _, w, x, _, is_pair in new:
+                _hbb_add(row, w, x, is_pair)
+            packed, g_b = _hbb_least(row[1], bottoms)
+            total = (packed + half) // pack
             value = total - scale // L
             if value > best_value or (best_ref is None and value == best_value):
                 continue  # neither below the limit nor a tie with the best
-            spec = _hbb_spec(allowed, tables, g - g_b,
-                             (total - bottoms[g_b], slope))
+            slope = packed - total * pack
+            spec = _hbb_spec(allowed, _hbb_tables(allowed, g), g - g_b,
+                             packed - bottoms[g_b])
             vector = [0] * (2 * g)
             for h, ns, np_ in spec:
                 vector[2 * h - 2:2 * h] = ns, np_

@@ -30,7 +30,8 @@ the same product, and builds no index.
 The per-graph invariants are exact rationals whose per-prong sums are
 taken on integers, with one Fraction built per value: in
 ``graph_invariants`` over ell = lcm(prongs) (2 ell for R_NC), and in
-``kappa_mu`` over lcm |m+1| of the orders.
+``kappa_mu`` over lcm |m+1| of the orders (``graph_invariants`` reads the
+legs' kappa as that integer pair, unreduced).
 """
 
 from __future__ import annotations
@@ -211,15 +212,20 @@ def classify_edges(graph: LevelGraph) -> tuple:
     return tuple(classes)
 
 
-def kappa_mu(orders: Sequence[int]) -> Fraction:
-    """sum of m(m+2)/(m+1) over entries m != -1 (simple poles excluded).
+def _kappa_mu_pair(orders: Sequence[int]) -> tuple:
+    """kappa_mu(orders) as an unreduced (numerator, denominator) pair.
 
     The sum is taken on integers over L = lcm |m+1|: each term is
     m(m+2) (L // (m+1)), exact for negative m+1 too.
     """
     dens = [m + 1 for m in orders if m != -1]
     big = math.lcm(*dens)  # lcm() is 1 and takes absolute values
-    return Fraction(sum(m * (m + 2) * (big // (m + 1)) for m in orders if m != -1), big)
+    return sum(m * (m + 2) * (big // (m + 1)) for m in orders if m != -1), big
+
+
+def kappa_mu(orders: Sequence[int]) -> Fraction:
+    """sum of m(m+2)/(m+1) over entries m != -1 (simple poles excluded)."""
+    return Fraction(*_kappa_mu_pair(orders))
 
 
 def hbb_shape(graph: LevelGraph) -> bool:
@@ -306,10 +312,9 @@ def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInv
     # kappa of the bottom level via the prong identity kappa_legs - (P -
     # P_{-1}); the direct signature evaluation lives in the divisor-class
     # module and the two routes are compared by the identity suite.
-    legs = kappa_mu(graph.bottom_legs)
-    kappa_bot = Fraction(legs.numerator * ell
-                         - legs.denominator * (p_sum * ell - share_sum),
-                         legs.denominator * ell)
+    legs_num, legs_den = _kappa_mu_pair(graph.bottom_legs)
+    kappa_bot = Fraction(legs_num * ell - legs_den * (p_sum * ell - share_sum),
+                         legs_den * ell)
     twice_rnc = sum(_RNC_WEIGHT2[cls] * share for cls, share in zip(classes, shares))
     delta_h = 1 if (hbb_shape_test and hbb_shape(graph)) else 0
     return GraphInvariants(

@@ -840,6 +840,139 @@ def test_hbb_loop_matches_dfs_oracle_at_analysis_queries(g):
             assert _hbb_dfs_oracle(engine, yn, yd, dp, found[0]) is None
 
 
+def _hbb_tables_oracle(items, g):
+    """Oracle: suffix tables of the two-state HBB knapsack keyed by
+    (value, slope) tuples.  ``items`` are (prong, weight, value, slope, h,
+    is_pair); tables[i] is (free, paired) over items[i:], free[b] the least
+    (value, slope) of a multiset of total weight b and paired[b] that of
+    one holding a pair, None where there is none."""
+    free, paired = [(0, 0)] + [None] * g, [None] * (g + 1)
+    tables = [(free, paired)]
+    for _, w, v, t, _, is_pair in reversed(items):
+        free, paired = list(free), list(paired)
+        source = free if is_pair else paired
+        for b in range(w, g + 1):
+            rest = free[b - w]
+            if rest is not None:
+                cand = (rest[0] + v, rest[1] + t)
+                if free[b] is None or cand < free[b]:
+                    free[b] = cand
+            rest = source[b - w]
+            if rest is not None:
+                cand = (rest[0] + v, rest[1] + t)
+                if paired[b] is None or cand < paired[b]:
+                    paired[b] = cand
+        tables.append((free, paired))
+    tables.reverse()
+    return tables
+
+
+def _hbb_items(engine, yn, yd):
+    """The HBB items at y = yn/yd in search order, each as (prong, weight,
+    value, slope, h, is_pair) for the oracle and packed for the engine."""
+    pack = engine._hbb_pack
+    tuples, packed = [], []
+    for h, ((us, ts), (up, tp)) in engine._hbb_types.items():
+        for prong, w, u, t, is_pair in ((2 * h - 1, h, us, ts, False),
+                                        (h, h + 1, up, tp, True)):
+            v = u * yd + t * yn
+            tuples.append((prong, w, v, t, h, is_pair))
+            packed.append((prong, w, v * pack + t, h, is_pair))
+    return tuples, packed
+
+
+def _unpack(engine, row):
+    pack = engine._hbb_pack
+    half = pack // 2
+    out = []
+    for x in row:
+        if x is None:
+            out.append(None)
+        else:
+            v = (x + half) // pack
+            out.append((v, x - v * pack))
+    return out
+
+
+@pytest.mark.parametrize("g", range(2, 41))
+def test_hbb_rows_grown_from_divisor_equal_fresh_rows(g):
+    # every query the shape-on analysis makes, and every L the loop visits
+    # at the best value it ends with: L's row grown in place from the row
+    # of L/p, p the least prime factor of L, by the items whose prong
+    # divides L but not L/p, decodes to the fresh tuple-keyed knapsack over
+    # L's items; an L that is not the lcm of its items shares that lcm's row
+    engine = _MinEngine(g)
+    queries = _recorded_hbb_queries(engine)
+    visited = 0
+    for yn, yd, limit, found in queries:
+        tuples, packed = _hbb_items(engine, yn, yd)
+        scale = engine.q_num * yd
+        bottoms = [engine.k0 * yd + engine.k1 * yn + 2 * g_b * engine.q_num * yd
+                   for g_b in range(g)]
+        every = _hbb_tables_oracle(tuples, g)[0][1]
+        k_value = min(base + every[g - g_b][0]
+                      for g_b, base in enumerate(bottoms) if every[g - g_b])
+        best = limit if found is None else found[0]
+        rows = {}
+        L = 0
+        while (k_value - best) * (L + 1) <= scale:
+            L += 1
+            allowed = [i for i, item in enumerate(tuples) if L % item[0] == 0]
+            ell = math.lcm(*(tuples[i][0] for i in allowed))
+            if ell < L:
+                rows[L] = rows[ell]
+            else:
+                divisor = L // certify_module._least_prime(L) if L > 1 else None
+                base = rows[divisor] if divisor else ([0] + [None] * g, [None] * (g + 1))
+                row = rows[L] = list(base[0]), list(base[1])
+                for i in allowed:
+                    if not divisor or divisor % tuples[i][0]:
+                        _, w, x, _, is_pair = packed[i]
+                        certify_module._hbb_add(row, w, x, is_pair)
+            fresh = _hbb_tables_oracle([tuples[i] for i in allowed], g)[0]
+            assert [_unpack(engine, part) for part in rows[L]] == list(fresh), (g, yn, yd, L)
+        visited += L
+    assert visited or g == 2  # at g = 2 no query's limit lets the loop start
+
+
+def test_least_prime():
+    for n in range(2, 400):
+        p = certify_module._least_prime(n)
+        assert n % p == 0 and all(p % q for q in range(2, p))
+
+
+@pytest.mark.parametrize("g", range(4, 11))
+def test_hbb_packing_orders_value_then_slope_at_large_slopes(g):
+    # the knapsack ranks a multiset by value * pack + slope; that is the
+    # (value, slope) order only while no slope total of a multiset of
+    # weight <= g reaches pack / 2.  Made-up contributions with slopes of
+    # +-1e6 DEN and intercepts of a few units put multisets whose values
+    # differ by a unit and whose slopes differ by up to 2 g max|t| near
+    # y = 0, and value ties at the walk hull's breakpoints.  With pack cut
+    # to g max|t| the search fails here at six of these seven genera
+    rng = random.Random(1729 + g)
+    table = {}
+
+    def scalars(engine, h, d, parts):
+        key = (h, d, parts)
+        if key not in table:
+            table[key] = (rng.randint(-3, 3), rng.choice((-1, 1)) * 10 ** 6 * engine.den)
+        return table[key]
+
+    engine = _engine_with_scalars(g, scalars)
+    lines = _hbb_walk_lines(engine)
+    hull = _Hull(lines)
+    above = _above_every_line(lines)
+    ys = [F(0), F(1, 10 ** 9)] + _oracle_ys()[:10]
+    ys += [F(num, den) for num, den in hull.breaks if 0 <= F(num, den) <= 1]
+    for y in ys:
+        _check_search_against_hull(engine, hull, y, above)
+        yn, yd = y.numerator, y.denominator
+        dp = _knapsack_dp(engine, yn, yd)
+        found = engine._hbb_minimum(yn, yd, above(yn, yd))
+        assert found == _hbb_dfs_oracle(engine, yn, yd, dp, above(yn, yd)), (g, y)
+
+
 def _hbb_line(engine, ref):
     """(t, u) of the shape-HBB graph ``ref``, scaled like _Hull's lines."""
     g_b, spec = ref
