@@ -36,7 +36,10 @@ Two exact engines are provided.
   listed, and the banana-backbone shapes (their delta_H correction
   carries a non-additive -Q/lcm) are minimised at each queried y by a
   short loop over candidate lcms L, one small knapsack per L, grown from
-  the knapsack of L/p (p the least prime factor of L).  Both
+  the knapsack of L/p (p the least prime factor of L).  The bottom genus
+  is one of its items, and one packed integer per multiset carries the
+  value, the slope and the item counts, so the least entry names its
+  graph as well.  Both
   deviations only lower s_Gamma, so the true minimum is the minimum of
   the three parts.  The positivity interval of the concave lower envelope
   is then located by exact Newton steps on active pieces, once per engine
@@ -526,56 +529,6 @@ def _hbb_add(row: tuple, w: int, x: int, is_pair: bool) -> None:
                 paired[b] = cand
 
 
-def _hbb_tables(items: list, g: int) -> list:
-    """Suffix rows of the two-state unbounded knapsack over HBB items.
-
-    ``items`` are (prong, weight, packed value, h, is_pair); tables[i] is
-    the (free, paired) row of ``_hbb_add`` over items[i:].
-    """
-    row = [0] + [None] * g, [None] * (g + 1)
-    tables = [row]
-    for _, w, x, _, is_pair in reversed(items):
-        row = list(row[0]), list(row[1])
-        _hbb_add(row, w, x, is_pair)
-        tables.append(row)
-    tables.reverse()
-    return tables
-
-
-def _hbb_least(paired: list, bottoms: list) -> tuple:
-    """(packed value, g_b) of the least HBB multiset over bottom genera,
-    the least g_b among ties.  ``bottoms[g_b]`` is the packed scaled
-    constant and bottom term at g_b."""
-    g = len(bottoms)
-    best = best_gb = None
-    for g_b, base in enumerate(bottoms):
-        entry = paired[g - g_b]
-        if entry is not None and (best is None or base + entry < best):
-            best, best_gb = base + entry, g_b
-    return best, best_gb
-
-
-def _hbb_spec(items: list, tables: list, budget: int, target: int) -> tuple:
-    """The lexicographically first multiset of items of total weight
-    ``budget`` with a pair that attains ``target`` = paired[budget] of
-    ``_hbb_tables``, as ((h, ns, np), ...) over the h it uses.  An item is
-    taken once more only when the suffix without it misses the target."""
-    counts: dict = {}
-    state = 1  # the paired row until a pair is taken
-    for i, (_, w, x, h, is_pair) in enumerate(items):
-        n = 0
-        while tables[i + 1][state][budget] != target:
-            budget -= w
-            target -= x
-            n += 1
-            if is_pair:
-                state = 0
-        if n:
-            ns, np_ = counts.get(h, (0, 0))
-            counts[h] = (ns, n) if is_pair else (n, np_)
-    return tuple((h, ns, np_) for h, (ns, np_) in sorted(counts.items()))
-
-
 def _least_prime(n: int) -> int:
     """The least prime factor of n >= 2."""
     for p in range(2, math.isqrt(n) + 1):
@@ -644,11 +597,25 @@ class _MinEngine:
         self._hbb_types = {h: (self._type_scalars(h, 1, (2 * h - 1,)),
                                self._type_scalars(h, 2, (h, h)))
                            for h in range(1, g + 1)}
-        # a multiset of weight <= g has at most g items, so its slope total
-        # stays below pack / 2 and value * pack + slope orders multisets by
-        # (value, slope): their value at y+ = y + 1 / (yd pack)
-        self._hbb_pack = 2 * g * max(abs(t) for types in self._hbb_types.values()
-                                     for _, t in types) + 1
+        # The HBB knapsack ranks a multiset by one integer,
+        #   value * pack + slope * R + counts,
+        # where counts is the mixed-radix number whose digits are the item
+        # counts in search order, g_b first: an item of weight w occurs at
+        # most g // w times, and R is the product of the radices.  A
+        # multiset of weight <= g has at most g items, so |slope| <= g max|t|
+        # and slope * R + counts stays under pack / 2 in size: integer order
+        # is the order of (value, slope, g_b, ns_1, np_1, ns_2, ...).
+        # _hbb_digits holds (place value, radix) per item in search order.
+        weights = [1] + [w for h in range(1, g + 1) for w in (h, h + 1)]
+        self._hbb_digits = []
+        place = 1
+        for w in reversed(weights):
+            self._hbb_digits.append((place, g // w + 1))
+            place *= g // w + 1
+        self._hbb_digits.reverse()
+        self._hbb_radix = place  # R
+        self._hbb_pack = (2 * g * max(abs(t) for types in self._hbb_types.values()
+                                      for _, t in types) + 3) * place
         self._e1_family = None
         self._dp_affines: Dict[LevelGraph, AffineInY] = {}
         self._hbb_affines: Dict[LevelGraph, AffineInY] = {}
@@ -735,7 +702,9 @@ class _MinEngine:
         singles have 2h-1 | L and whose pairs have h | L.  A graph with
         prong lcm ell | L has value A - Q/ell <= A - Q/L, with equality at
         L = ell; so the minimum is min over L of K_L - Q/L.  Each K_L is a
-        two-state unbounded knapsack (``_hbb_add``).  With K the same
+        two-state unbounded knapsack (``_hbb_add``) whose item 0 is the
+        bottom genus: prong 1, weight 1, 2 Q per unit, slope 0, not a pair,
+        so K_L is the paired row's entry at weight g.  With K the same
         knapsack over every item, K - Q/L bounds every L' >= L from below,
         so the loop stops at the first L where it exceeds the best value.
         The stop is strict: at a breakpoint a later L can tie in value and
@@ -748,29 +717,31 @@ class _MinEngine:
         Ties go as in a depth-first search over g_b, then h = 1, 2, ...
         with (ns, np) ascending: least value, then least slope, then least
         g_b, then the count vector (ns_1, np_1, ns_2, np_2, ...) least in
-        lexicographic order.  The knapsacks rank a multiset by the one
-        integer value * pack + slope (``_hbb_pack``), decoded once per L.
-        The suffix tables that name the first witness (``_hbb_spec``) are
-        built only for an L that beats or ties the best so far.
+        lexicographic order.  The rows rank a multiset by one packed
+        integer that holds its counts too (``_hbb_pack``), so each L gives
+        one key, (value - Q/L, the rest of the packed integer), and only
+        the best key is decoded into a graph.
         """
-        g, q_num, pack = self.g, self.q_num, self._hbb_pack
+        g, pack, radix = self.g, self._hbb_pack, self._hbb_radix
         half = pack // 2
-        items = []  # (prong, weight, packed value, h, is_pair) in search order
+        # (prong, weight, packed value, is_pair) in search order
+        items = [(1, 1, 2 * self.q_num * yd * pack, False)]
         for h, ((us, ts), (up, tp)) in self._hbb_types.items():
-            items.append((2 * h - 1, h, (us * yd + ts * yn) * pack + ts, h, False))
-            items.append((h, h + 1, (up * yd + tp * yn) * pack + tp, h, True))
+            items.append((2 * h - 1, h, (us * yd + ts * yn) * pack + ts * radix, False))
+            items.append((h, h + 1, (up * yd + tp * yn) * pack + tp * radix, True))
+        items = [(prong, w, x + place, is_pair) for (prong, w, x, is_pair), (place, _)
+                 in zip(items, self._hbb_digits)]
         const = self.k0 * yd + self.k1 * yn
-        bottoms = [(const + 2 * g_b * q_num * yd) * pack for g_b in range(g)]
         empty = [0] + [None] * g, [None] * (g + 1)
         every = list(empty[0]), list(empty[1])
-        for _, w, x, _, is_pair in items:
+        for _, w, x, is_pair in items:
             _hbb_add(every, w, x, is_pair)
-        k_value = (_hbb_least(every[1], bottoms)[0] + half) // pack
-        scale = q_num * yd  # Q / L at y, scaled, is scale // L
-        best_value, best_key, best_ref = limit, None, None
+        k_value = const + (every[1][g] + half) // pack
+        scale = self.q_num * yd  # Q / L at y, scaled, is scale // L
+        best = limit, -pack  # below the key of any multiset of value limit
         rows = {}  # L -> the row over the items whose prong divides L
         for L in count(1):
-            if (k_value - best_value) * L > scale:
+            if (k_value - best[0]) * L > scale:
                 break
             allowed = [item for item in items if L % item[0] == 0]
             ell = math.lcm(*(item[0] for item in allowed))
@@ -784,23 +755,19 @@ class _MinEngine:
                 base = rows[divisor]
                 new = [item for item in allowed if divisor % item[0]]
             row = rows[L] = list(base[0]), list(base[1])
-            for _, w, x, _, is_pair in new:
+            for _, w, x, is_pair in new:
                 _hbb_add(row, w, x, is_pair)
-            packed, g_b = _hbb_least(row[1], bottoms)
-            total = (packed + half) // pack
-            value = total - scale // L
-            if value > best_value or (best_ref is None and value == best_value):
-                continue  # neither below the limit nor a tie with the best
-            slope = packed - total * pack
-            spec = _hbb_spec(allowed, _hbb_tables(allowed, g), g - g_b,
-                             packed - bottoms[g_b])
-            vector = [0] * (2 * g)
-            for h, ns, np_ in spec:
-                vector[2 * h - 2:2 * h] = ns, np_
-            key = (value, slope, g_b, vector)
-            if best_ref is None or key < best_key:
-                best_value, best_key, best_ref = value, key, (g_b, spec)
-        return None if best_ref is None else (best_value, best_ref)
+            value = (row[1][g] + half) // pack
+            best = min(best, (const + value - scale // L, row[1][g] - value * pack))
+        return None if best[0] == limit else (best[0], self._hbb_ref(best[1]))
+
+    def _hbb_ref(self, low: int) -> tuple:
+        """(g_b, ((h, ns, np), ...)) over the h used, of the HBB multiset
+        whose packed integer has ``low`` below its value."""
+        counts = low % self._hbb_radix
+        g_b, *digits = (counts // place % base for place, base in self._hbb_digits)
+        return g_b, tuple((h, ns, np_) for h, ns, np_ in
+                          zip(count(1), digits[::2], digits[1::2]) if ns or np_)
 
     def hbb_witness(self, ref) -> LevelGraph:
         g_b, spec = ref

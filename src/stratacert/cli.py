@@ -22,7 +22,13 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import checks
-from .certify import Certificate, cert_requests, certify_request, rational_str
+from .certify import (
+    Certificate,
+    CertRequest,
+    cert_requests,
+    certify_request,
+    rational_str,
+)
 from .classes import (
     bn_class,
     d_nc_class,
@@ -311,13 +317,10 @@ def _scan_row(cert: Certificate, seconds: Optional[float]) -> str:
     ])
 
 
-def _requests(args, g_from: int, g_to: int) -> list:
-    return cert_requests(g_from, g_to, args.mode, y_policy=_parse_y_policy(args.y),
-                         hbb_shape_test=not args.no_hbb_shape)
-
-
 def _cmd_certify(args) -> int:
-    (req,) = _requests(args, args.genus, args.genus)
+    # a genus below 2 fails in the certifier's own request check
+    req = CertRequest(args.genus, args.mode, y_policy=_parse_y_policy(args.y),
+                      hbb_shape_test=not args.no_hbb_shape)
     print(f"certifying genus {args.genus} ({args.mode})...", file=sys.stderr)
     cert = certify_request(req)
     if args.format == "json":
@@ -352,7 +355,9 @@ def _timed_certificate(req):
 def _cmd_scan(args) -> int:
     rows = []
     certs = []
-    requests = _requests(args, args.g_from, args.g_to)
+    requests = cert_requests(args.g_from, args.g_to, args.mode,
+                             y_policy=_parse_y_policy(args.y),
+                             hbb_shape_test=not args.no_hbb_shape)
     for cert, dt in _pmap(_timed_certificate, requests, args.workers):
         print(f"genus {cert.genus}: {cert.status}", file=sys.stderr)
         certs.append(cert)
@@ -398,6 +403,8 @@ def _identity_task(task) -> tuple:
 
 
 def _cmd_identities(args) -> int:
+    if args.genus_max < 2:
+        raise UsageError("--genus-max must be at least 2")
     hbb = not args.no_hbb_shape
     all_ok = True
     lines = []

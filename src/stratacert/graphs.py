@@ -511,13 +511,6 @@ def atlas_count(g: int, dimension_filter: bool = True) -> int:
     return sum(any_row[1:]) - (d1_row[g] if dimension_filter else 1)
 
 
-def _graph_from_choice(g: int, g_b: int, chosen) -> LevelGraph:
-    tops = []
-    for (h, prongs, mult) in chosen:
-        tops.extend(TopVertex(h, prongs) for _ in range(mult))
-    return LevelGraph(g, g_b, (2 * g - 2,), tuple(tops))
-
-
 def _unrank_multiset(n: int, k: int, rank: int) -> list:
     """rank-th k-multiset of indices in [0, n) as ((index, mult), ...) runs,
     in the order of ``combinations_with_replacement(range(n), k)``."""
@@ -608,14 +601,15 @@ def atlas_unrank(g: int, rank: int, dimension_filter: bool = True) -> LevelGraph
         need_d2 = g_b == 0 and dimension_filter
         if g_b == 0 and not dimension_filter and rank >= idx.single_edge_rank():
             rank += 1  # step over the one multiset raw mode rejects
-        chosen = _unrank_choice(idx, g - g_b, rank, need_d2)
-        return _graph_from_choice(g, g_b, chosen)
+        return LevelGraph(g, g_b, (2 * g - 2,),
+                          _unrank_choice(idx, g - g_b, rank, need_d2))
     raise IndexError("atlas rank out of range")
 
 
 def _unrank_choice(idx: _AtlasIndex, budget: int, rank: int, need_d2: bool):
-    """The rank-th multiset of total weight ``budget``; while ``need_d2``
-    is set, only multisets that still take a degree >= 2 type count."""
+    """The rank-th multiset of total weight ``budget`` as a tuple of
+    TopVertex, one per vertex as the walk builds it; while ``need_d2`` is
+    set, only multisets that still take a degree >= 2 type count."""
     blocks = idx.blocks
     chosen = ()
     b = 0
@@ -633,11 +627,9 @@ def _unrank_choice(idx: _AtlasIndex, budget: int, rank: int, need_d2: bool):
             ways = _multiset_count(blk.size, k)
             if suffix and rank < ways * suffix:
                 combo_rank, rank = divmod(rank, suffix)
-                combo = _unrank_multiset(blk.size, k, combo_rank)
-                chosen = chosen + tuple(
-                    (blk.genus, partition_unrank(parts_total, blk.degree, j), m)
-                    for j, m in combo
-                )
+                for j, m in _unrank_multiset(blk.size, k, combo_rank):
+                    prongs = partition_unrank(parts_total, blk.degree, j)
+                    chosen += (TopVertex(blk.genus, prongs),) * m
                 budget -= k * blk.weight
                 need_d2 = need_after
                 b += 1

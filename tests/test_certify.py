@@ -840,58 +840,52 @@ def test_hbb_loop_matches_dfs_oracle_at_analysis_queries(g):
             assert _hbb_dfs_oracle(engine, yn, yd, dp, found[0]) is None
 
 
-def _hbb_tables_oracle(items, g):
-    """Oracle: suffix tables of the two-state HBB knapsack keyed by
-    (value, slope) tuples.  ``items`` are (prong, weight, value, slope, h,
-    is_pair); tables[i] is (free, paired) over items[i:], free[b] the least
-    (value, slope) of a multiset of total weight b and paired[b] that of
-    one holding a pair, None where there is none."""
-    free, paired = [(0, 0)] + [None] * g, [None] * (g + 1)
-    tables = [(free, paired)]
-    for _, w, v, t, _, is_pair in reversed(items):
-        free, paired = list(free), list(paired)
+def _hbb_row_oracle(items, g):
+    """Oracle: the (free, paired) row of the two-state HBB knapsack keyed
+    by (value, slope, counts) tuples.  ``items`` are (prong, weight, value,
+    slope, is_pair, index), index the item's place in the engine's search
+    order and counts the count of each item in that order; free[b] is the
+    least key of a multiset of total weight b and paired[b] that of one
+    holding a pair, None where there is none."""
+    size = 2 * g + 1
+    free, paired = [(0, 0, (0,) * size)] + [None] * g, [None] * (g + 1)
+    for _, w, v, t, is_pair, i in items:
         source = free if is_pair else paired
         for b in range(w, g + 1):
-            rest = free[b - w]
-            if rest is not None:
-                cand = (rest[0] + v, rest[1] + t)
-                if free[b] is None or cand < free[b]:
-                    free[b] = cand
-            rest = source[b - w]
-            if rest is not None:
-                cand = (rest[0] + v, rest[1] + t)
-                if paired[b] is None or cand < paired[b]:
-                    paired[b] = cand
-        tables.append((free, paired))
-    tables.reverse()
-    return tables
+            for src, dst in ((free, free), (source, paired)):
+                rest = src[b - w]
+                if rest is not None:
+                    n = rest[2]
+                    cand = (rest[0] + v, rest[1] + t, n[:i] + (n[i] + 1,) + n[i + 1:])
+                    if dst[b] is None or cand < dst[b]:
+                        dst[b] = cand
+    return free, paired
 
 
 def _hbb_items(engine, yn, yd):
-    """The HBB items at y = yn/yd in search order, each as (prong, weight,
-    value, slope, h, is_pair) for the oracle and packed for the engine."""
-    pack = engine._hbb_pack
-    tuples, packed = [], []
+    """The HBB items at y = yn/yd in search order, the bottom genus first,
+    each as (prong, weight, value, slope, is_pair, index) for the oracle
+    and packed as the engine packs it, count digit included."""
+    pack, radix = engine._hbb_pack, engine._hbb_radix
+    tuples = [(1, 1, 2 * engine.q_num * yd, 0, False, 0)]
     for h, ((us, ts), (up, tp)) in engine._hbb_types.items():
-        for prong, w, u, t, is_pair in ((2 * h - 1, h, us, ts, False),
-                                        (h, h + 1, up, tp, True)):
-            v = u * yd + t * yn
-            tuples.append((prong, w, v, t, h, is_pair))
-            packed.append((prong, w, v * pack + t, h, is_pair))
+        tuples.append((2 * h - 1, h, us * yd + ts * yn, ts, False, 2 * h - 1))
+        tuples.append((h, h + 1, up * yd + tp * yn, tp, True, 2 * h))
+    packed = [(prong, w, v * pack + t * radix + engine._hbb_digits[i][0], is_pair)
+              for prong, w, v, t, is_pair, i in tuples]
     return tuples, packed
 
 
-def _unpack(engine, row):
-    pack = engine._hbb_pack
-    half = pack // 2
-    out = []
-    for x in row:
-        if x is None:
-            out.append(None)
-        else:
-            v = (x + half) // pack
-            out.append((v, x - v * pack))
-    return out
+def _unpack(engine, x):
+    """(value, slope, counts) of a packed multiset, None for None."""
+    if x is None:
+        return None
+    pack, radix = engine._hbb_pack, engine._hbb_radix
+    value = (x + pack // 2) // pack
+    low = x - value * pack
+    counts = low % radix
+    return value, low // radix, tuple(counts // place % base
+                                      for place, base in engine._hbb_digits)
 
 
 @pytest.mark.parametrize("g", range(2, 41))
@@ -900,18 +894,15 @@ def test_hbb_rows_grown_from_divisor_equal_fresh_rows(g):
     # at the best value it ends with: L's row grown in place from the row
     # of L/p, p the least prime factor of L, by the items whose prong
     # divides L but not L/p, decodes to the fresh tuple-keyed knapsack over
-    # L's items; an L that is not the lcm of its items shares that lcm's row
+    # L's items, counts and all; an L that is not the lcm of its items
+    # shares that lcm's row
     engine = _MinEngine(g)
     queries = _recorded_hbb_queries(engine)
     visited = 0
     for yn, yd, limit, found in queries:
         tuples, packed = _hbb_items(engine, yn, yd)
         scale = engine.q_num * yd
-        bottoms = [engine.k0 * yd + engine.k1 * yn + 2 * g_b * engine.q_num * yd
-                   for g_b in range(g)]
-        every = _hbb_tables_oracle(tuples, g)[0][1]
-        k_value = min(base + every[g - g_b][0]
-                      for g_b, base in enumerate(bottoms) if every[g - g_b])
+        k_value = engine.k0 * yd + engine.k1 * yn + _hbb_row_oracle(tuples, g)[1][g][0]
         best = limit if found is None else found[0]
         rows = {}
         L = 0
@@ -927,12 +918,41 @@ def test_hbb_rows_grown_from_divisor_equal_fresh_rows(g):
                 row = rows[L] = list(base[0]), list(base[1])
                 for i in allowed:
                     if not divisor or divisor % tuples[i][0]:
-                        _, w, x, _, is_pair = packed[i]
-                        certify_module._hbb_add(row, w, x, is_pair)
-            fresh = _hbb_tables_oracle([tuples[i] for i in allowed], g)[0]
-            assert [_unpack(engine, part) for part in rows[L]] == list(fresh), (g, yn, yd, L)
+                        certify_module._hbb_add(row, *packed[i][1:])
+            fresh = _hbb_row_oracle([tuples[i] for i in allowed], g)
+            assert [[_unpack(engine, x) for x in part] for part in rows[L]] == \
+                list(fresh), (g, yn, yd, L)
         visited += L
     assert visited or g == 2  # at g = 2 no query's limit lets the loop start
+
+
+@pytest.mark.parametrize("g", [2, 7, 31])
+def test_hbb_packing_round_trips_at_the_bounds(g):
+    # a packed multiset is value * pack + slope * R + counts, counts the
+    # mixed-radix number of its item counts; at |slope| = g max|t| and
+    # every count at g // w, packing then decoding gives back (value,
+    # slope, g_b, counts), and integer order is tuple order
+    engine = _MinEngine(g)
+    pack, radix, digits = engine._hbb_pack, engine._hbb_radix, engine._hbb_digits
+    top = g * max(abs(t) for types in engine._hbb_types.values() for _, t in types)
+    full = tuple(base - 1 for _, base in digits)  # g // w per item
+    zero = (0,) * len(digits)
+    # the pair (g, [g, g]) weighs g + 1, so its count is always 0; the
+    # single (g, [2g-1]) is the last item that can occur
+    last = zero[:-2] + (1, 0)
+    vectors = [zero, full, full[:1] + zero[1:], last, (0, 1) + full[2:]]
+    keys = [(value, slope, counts) for value in (-10 ** 40, -1, 0, 1, 10 ** 40)
+            for slope in (-top, 1 - top, 0, top - 1, top) for counts in vectors]
+    packed = {}
+    for value, slope, counts in keys:
+        x = value * pack + slope * radix + sum(n * place
+                                               for n, (place, _) in zip(counts, digits))
+        assert _unpack(engine, x) == (value, slope, counts)
+        assert engine._hbb_ref(x - value * pack) == (counts[0], tuple(
+            (h, ns, np_) for h, ns, np_ in zip(range(1, g + 1), counts[1::2], counts[2::2])
+            if ns or np_))
+        packed[(value, slope, counts)] = x
+    assert sorted(keys, key=packed.get) == sorted(keys)
 
 
 def test_least_prime():
@@ -943,13 +963,14 @@ def test_least_prime():
 
 @pytest.mark.parametrize("g", range(4, 11))
 def test_hbb_packing_orders_value_then_slope_at_large_slopes(g):
-    # the knapsack ranks a multiset by value * pack + slope; that is the
-    # (value, slope) order only while no slope total of a multiset of
-    # weight <= g reaches pack / 2.  Made-up contributions with slopes of
-    # +-1e6 DEN and intercepts of a few units put multisets whose values
-    # differ by a unit and whose slopes differ by up to 2 g max|t| near
-    # y = 0, and value ties at the walk hull's breakpoints.  With pack cut
-    # to g max|t| the search fails here at six of these seven genera
+    # the knapsack ranks a multiset by value * pack + slope * R + counts;
+    # that is the (value, slope, counts) order only while slope * R +
+    # counts stays under pack / 2 in size for every multiset of weight
+    # <= g.  Made-up contributions with slopes of +-1e6 DEN and intercepts
+    # of a few units put multisets whose values differ by a unit and whose
+    # slopes differ by up to 2 g max|t| near y = 0, and value ties at the
+    # walk hull's breakpoints.  With pack cut to g max|t| R the search
+    # fails here at six of these seven genera
     rng = random.Random(1729 + g)
     table = {}
 

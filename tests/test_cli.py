@@ -204,6 +204,21 @@ def test_usage_errors(capsys):
         assert code == 1 and "--samples" in err, samples
 
 
+@pytest.mark.parametrize("mode", ["coarse", "exact"])
+def test_certify_refuses_a_genus_below_two_as_a_genus(capsys, mode):
+    # one genus, so the error names the genus and not a genus range
+    code, out, err = run(capsys, "certify", "--genus", "1", "--mode", mode)
+    assert (code, out) == (1, "") and "genus must be >= 2" in err
+    assert "g_from" not in err
+
+
+@pytest.mark.parametrize("genus_max", ["1", "0"])
+def test_identities_refuses_a_genus_max_below_two(capsys, genus_max):
+    # such a range checks no genus, so it is a usage error, not a success
+    code, out, err = run(capsys, "identities", "--genus-max", genus_max)
+    assert (code, out) == (1, "") and "--genus-max" in err
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "cert.json"
     code, out, _ = run(capsys, "certify", "--genus", "31", "--mode", "coarse",
