@@ -475,10 +475,13 @@ def _row_minimum(rows: list) -> Callable:
 # Lambda = lcm(1..2g-1) and B the effective divisor's denominator.
 # Within a (weight, degree) block (u_k, t_k) is affine in iota_k, so the
 # per-weight hulls are built from the two types of extreme iota only
-# (_iota_extremes says why that suffices).  _type_scalars takes sigma =
-# 2h - 2 + d from the prong balance, and rho and beta as multiples of
-# iota, whose one sum runs over the type's distinct parts (at most two in
-# either extreme).
+# (_iota_extremes says why that suffices), and from genus 13 on of
+# degrees 1, 2 and w only (_MinEngine._build_type_hulls says why).
+# _type_scalars takes sigma = 2h - 2 + d from the prong balance, and rho
+# and beta as multiples of iota, whose one sum runs over the type's
+# distinct parts (at most two in either extreme).
+
+_LEMMA_GENUS = 13
 
 
 def _iota_extremes(n: int, d: int) -> tuple:
@@ -640,13 +643,50 @@ class _MinEngine:
         return u, t
 
     def _build_type_hulls(self):
+        """hull_all[w] and hull_d2[w]: the lower envelopes of the lines of
+        the weight-w vertex types of any degree and of degree >= 2.
+
+        Below genus 13 (_LEMMA_GENUS) each degree d = 1..w gives its two
+        iota extremes.  From genus 13 on only d = 1, d = 2 and d = w (the
+        one type h = 1 with every prong 1) do, on this lemma: for
+        3 <= d < w both lines of degree d lie strictly above the degree-2
+        and degree-w lines' envelope at every y in [0, 1].  So the hulls
+        have the same envelope on [0, 1], the only y ``evaluate`` accepts,
+        and ``_Hull.query``, which at a breakpoint answers with the line of
+        least slope through it, answers with the same line there.
+
+        Proof.  A type of degree d >= 2 and weight w has h = w + 1 - d and
+        sigma = 2w - d, so with beta = hor / den its value at y is
+            V = A(y) + B(y) d + C(y) iota,
+            B = Q - 1 + J y,   C = -Q/2 - 1 + 2 beta + (J - 2 beta) y,
+        with A depending on w and y only.  C falls with y (2 beta > J) and
+        C(0) > 0, so C >= 0 exactly for y <= y_C, its root.
+        * Where C < 0, each degree's least line is its spread extreme, of
+          iota d - 1 + 1/(2w - 2d + 1), which is strictly convex in d; so V
+          is strictly concave in d and least only at d = 2 or d = w.
+        * Where C >= 0, each degree's least line is its balanced extreme,
+          of iota 2d/q - 2w/(q (q + 1)) with q = (2w - d) // d, which is
+          convex and piecewise linear in d; so V is convex in d, and d = 2
+          is its strict minimum once V(3) - V(2) =
+          B + C (iota_bal(3) - iota_bal(2)) > 0.  That is affine in y, so
+          it holds on all of [0, min(y_C, 1)] once it holds at both ends.
+        The test suite checks both ends exactly for 13 <= g <= 400 and
+        3 <= w <= g, and that they fail at g = 12.  For g > 400: beta >=
+        1 - 11/(3g) for either divisor, so C(0) > 0.48; by HM-AM
+        iota_bal(3) >= 9/(2w - 3), and iota_bal(2) = 2/(w - 1), so
+        iota_bal(3) - iota_bal(2) >= (5w - 3)/((2w - 3)(w - 1)) > 5/(2g).
+        At y = 0 the difference is then above -1/(2g - 1) + 1.2/g > 0; at
+        min(y_C, 1) it is at least B, positive because y_C > 0.48/2 lies
+        above B's root (g + 11)/(12 (2g - 1)) < 1/20.
+        """
         g = self.g
         self.hull_all: Dict[int, _Hull] = {}
         self.hull_d2: Dict[int, _Hull] = {}
         for w in range(1, g + 1):
             lines_all = []
             lines_d2 = []
-            for d in range(1, w + 1):
+            degrees = (1, 2, w) if g >= _LEMMA_GENUS and w > 3 else range(1, w + 1)
+            for d in degrees:
                 h = w + 1 - d
                 for parts in _iota_extremes(2 * h - 2 + d, d):
                     u, t = self._type_scalars(h, d, parts)
@@ -789,11 +829,16 @@ class _MinEngine:
         minimum is min over L of (least additive value with prongs dividing
         L) - Q/L (``_hbb_minimum``).  It replaces the other parts' witness
         only when strictly lower, and its witness is checked against the
-        per-graph pipeline."""
+        per-graph pipeline.
+
+        The per-weight hulls are exact on [0, 1] only, so y outside it
+        raises ValueError."""
         g = self.g
         yn, yd = y.numerator, y.denominator
         if yd <= 0:
             raise ValueError("denominator must be positive")
+        if not 0 <= yn <= yd:
+            raise ValueError("y must lie in [0, 1], where the type hulls are exact")
         best_all = {w: self.hull_all[w].query(yn, yd) for w in range(1, g + 1)}
         best_d2 = {w: h.query(yn, yd) for w, h in self.hull_d2.items()}
         # unbounded knapsack over weights

@@ -232,10 +232,6 @@ def boundary_coeff_canonical(graph: LevelGraph, hbb_shape_test: bool = True) -> 
     return _canonical_coeff(graph, graph_invariants(graph, hbb_shape_test))
 
 
-def boundary_coeff_dnc(graph: LevelGraph) -> Fraction:
-    return graph_invariants(graph).b_NC
-
-
 # The helpers below take the graph's invariants from the caller, so one
 # graph_invariants call can serve every coefficient of the assembly check.
 # Only the canonical coefficient reads delta_H, the one invariant that

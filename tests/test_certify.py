@@ -378,10 +378,14 @@ def test_scan_rejects_bad_range_and_mode():
 
 
 def _full_type_engine(g):
-    """Oracle: the minimization engine with hulls over every vertex type."""
+    """Oracle: the minimization engine with hulls over every degree 1..w of
+    every weight w and, through genus 20, over every vertex type of each
+    degree rather than the two iota extremes."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certify_module, "_iota_extremes",
-                   lambda n, d: tuple(partitions_exact(n, d)))
+        mp.setattr(certify_module, "_LEMMA_GENUS", math.inf)
+        if g <= 20:
+            mp.setattr(certify_module, "_iota_extremes",
+                       lambda n, d: tuple(partitions_exact(n, d)))
         return _MinEngine(g)
 
 
@@ -396,20 +400,102 @@ def _oracle_ys():
     return ys
 
 
-@pytest.mark.parametrize("g", range(4, 21))
+def _lines_on_unit(hull):
+    """The lines of a hull that _Hull.query answers with at some y in
+    [0, 1]: line i answers on [break i - 1, break i), where a breakpoint
+    goes to the later line."""
+    ends = [None] + [F(num, den) for num, den in hull.breaks] + [None]
+    return [line for line, lo, hi in zip(hull.lines, ends, ends[1:])
+            if (lo is None or lo <= 1) and (hi is None or hi > 0)]
+
+
+@pytest.mark.parametrize("g", [*range(4, 41), 60, 100, 200])
 def test_extreme_type_hulls_match_full_type_oracle(g):
+    # below genus 13 the engine builds every degree, so its hulls equal the
+    # oracle's line for line; from 13 on it builds degrees 1, 2 and w only,
+    # and the lines that can answer a query in [0, 1] are the same
     engine = _MinEngine(g)
     oracle = _full_type_engine(g)
+    same = (lambda hull: hull.lines) if g < 13 else _lines_on_unit
     for hulls, o_hulls in ((engine.hull_all, oracle.hull_all),
                            (engine.hull_d2, oracle.hull_d2)):
         assert hulls.keys() == o_hulls.keys()
-        assert all(hulls[w].lines == o_hulls[w].lines for w in hulls)
+        for w in hulls:
+            assert same(hulls[w]) == same(o_hulls[w]), (g, w)
     for y in _oracle_ys():
         for hbb in (True, False):
-            value, witness, _ = engine.evaluate(y, hbb)
-            o_value, o_witness, _ = oracle.evaluate(y, hbb)
+            value, witness, affine = engine.evaluate(y, hbb)
+            o_value, o_witness, o_affine = oracle.evaluate(y, hbb)
             assert value == o_value, (g, y, hbb)
             assert canonical_encoding(witness) == canonical_encoding(o_witness), (g, y, hbb)
+            assert typed(affine) == typed(o_affine), (g, y, hbb)
+
+
+def test_every_degree_is_needed_below_genus_13():
+    # at genus 12 a degree-3 type of weight 11 answers queries in [0, 1],
+    # so the reduced build would change the hull there
+    lines = _lines_on_unit(_MinEngine(12).hull_all[11])
+    assert (9, (6, 6, 7)) in [ref for _, _, ref in lines]
+
+
+def _iota(parts):
+    return sum(F(1, p) for p in parts)
+
+
+def _iota_balanced(w, d):
+    """iota of the balanced partition of 2w - d into d parts, in closed form."""
+    q = (2 * w - d) // d
+    return F(2 * d, q) - F(2 * w, q * (q + 1))
+
+
+def test_lemma_iota_closed_forms():
+    # the two extremes' iota as the lemma writes them, and their convexity
+    # in d, for every weight w and degree 2 <= d <= w
+    for w in range(2, 121):
+        spread = [d - 1 + F(1, 2 * w - 2 * d + 1) for d in range(2, w + 1)]
+        balanced = [_iota_balanced(w, d) for d in range(2, w + 1)]
+        if w <= 16:
+            for d in range(2, w + 1):
+                iotas = [_iota(parts) for parts in partitions_exact(2 * w - d, d)]
+                assert (balanced[d - 2], spread[d - 2]) == (min(iotas), max(iotas))
+        for row in (spread, balanced):
+            assert all(a - 2 * b + c >= 0 for a, b, c in zip(row, row[1:], row[2:]))
+
+
+def _lemma_differences(g, gaps):
+    """B + C (iota_bal(3) - iota_bal(2)) for 3 <= w <= g, at both ends of
+    [0, min(y_C, 1)], the part of [0, 1] where C >= 0 (the lemma of
+    _MinEngine._build_type_hulls); built from the divisor's integers, with
+    gaps[w] = iota_bal(3) - iota_bal(2) at weight w."""
+    _, den, hor, _ = certify_module._divisor(g)
+    q, j, beta = F(2 * g - 2, 2 * g - 1), F(12, g + 11), F(hor, den)
+    c0, c1 = -q / 2 - 1 + 2 * beta, j - 2 * beta
+    assert c0 > 0 > c1
+    diffs = []
+    for y in (F(0), min(-c0 / c1, F(1))):
+        b, c = q - 1 + j * y, c0 + c1 * y
+        diffs.extend(b + c * gaps[w] for w in range(3, g + 1))
+    return diffs
+
+
+def test_lemma_inequality_holds_from_genus_13():
+    gaps = {w: _iota_balanced(w, 3) - _iota_balanced(w, 2) for w in range(3, 401)}
+    for g in range(13, 401):
+        assert min(_lemma_differences(g, gaps)) > 0, g
+    # at genus 12 it fails, and there the every-degree build is needed
+    # (test_every_degree_is_needed_below_genus_13)
+    assert min(_lemma_differences(12, gaps)) <= 0
+
+
+def test_evaluate_refuses_y_outside_the_unit_interval():
+    engine = _MinEngine(13)
+    for y in (F(-1, 10 ** 9), F(1 + 10 ** 9, 10 ** 9), F(-3), F(2)):
+        for hbb in (True, False):
+            with pytest.raises(ValueError):
+                engine.evaluate(y, hbb)
+    for y in (F(0), F(1)):
+        for hbb in (True, False):
+            engine.evaluate(y, hbb)
 
 
 def test_iota_extremes_are_argmin_and_argmax():
