@@ -35,11 +35,12 @@ Two exact engines are provided.
   whose edge is an elliptic dumbbell rather than plain compact type are
   listed, and the banana-backbone shapes (their delta_H correction
   carries a non-additive -Q/lcm) are minimised at each queried y by a
-  short loop over candidate lcms L, one small knapsack per L, grown from
-  the knapsack of L/p (p the least prime factor of L).  The bottom genus
-  is one of its items, and one packed integer per multiset carries the
-  value, the slope and the item counts, so the least entry names its
-  graph as well.  Both
+  short loop over candidate lcms L, one small knapsack row per L, grown
+  from the row of L/p (p the least prime factor of L); the best multiset
+  with a pair is one pair plus the row's entry at the remaining weight.
+  The bottom genus is one of its items, and one packed integer per
+  multiset carries the value, the slope and the item counts, so the
+  least entry names its graph as well.  Both
   deviations only lower s_Gamma, so the true minimum is the minimum of
   the three parts.  The positivity interval of the concave lower envelope
   is then located by exact Newton steps on active pieces, once per engine
@@ -504,32 +505,19 @@ def _iota_extremes(n: int, d: int) -> tuple:
     return (spread,) if spread == balanced else (spread, balanced)
 
 
-def _hbb_add(row: tuple, w: int, x: int, is_pair: bool) -> None:
+def _hbb_add(row: list, w: int, x: int) -> None:
     """Add an HBB item of weight ``w`` and packed value ``x`` to the
-    knapsack row (free, paired) in place, in any number of copies.
+    knapsack row in place, in any number of copies.
 
-    free[b] is the least packed value of a multiset of total weight b, and
-    paired[b] that of one holding at least one pair; None where there is no
-    such multiset.  A row is a minimum over multisets, so it does not
-    depend on the order in which its items were added.
+    row[b] is the least packed value of a multiset of total weight b.  The
+    bottom genus, of weight 1, starts every row, so no entry is empty.  A
+    row is a minimum over multisets, so it does not depend on the order in
+    which its items were added.
     """
-    free, paired = row
-    # a pair fills the paired row from any multiset, a single only from
-    # one that already holds a pair
-    source = free if is_pair else paired
-    for b in range(w, len(free)):
-        rest = free[b - w]
-        if rest is not None:
-            cand = rest + x
-            cur = free[b]
-            if cur is None or cand < cur:
-                free[b] = cand
-        rest = source[b - w]
-        if rest is not None:
-            cand = rest + x
-            cur = paired[b]
-            if cur is None or cand < cur:
-                paired[b] = cand
+    for b in range(w, len(row)):
+        cand = row[b - w] + x
+        if cand < row[b]:
+            row[b] = cand
 
 
 def _least_prime(n: int) -> int:
@@ -741,64 +729,74 @@ class _MinEngine:
         bottom term 2 g_b Q included, of a multiset with a pair whose
         singles have 2h-1 | L and whose pairs have h | L.  A graph with
         prong lcm ell | L has value A - Q/ell <= A - Q/L, with equality at
-        L = ell; so the minimum is min over L of K_L - Q/L.  Each K_L is a
-        two-state unbounded knapsack (``_hbb_add``) whose item 0 is the
-        bottom genus: prong 1, weight 1, 2 Q per unit, slope 0, not a pair,
-        so K_L is the paired row's entry at weight g.  With K the same
-        knapsack over every item, K - Q/L bounds every L' >= L from below,
-        so the loop stops at the first L where it exceeds the best value.
-        The stop is strict: at a breakpoint a later L can tie in value and
-        win on slope.  An L that is not the lcm of its allowed prongs has
-        the items, hence K_L, of that smaller lcm and is skipped; it shares
-        that lcm's row.  Each other L's row is grown from the row of L/p,
-        p the least prime factor of L, by the items whose prong divides L
-        but not L/p.
+        L = ell; so the minimum is min over L of K_L - Q/L.
+
+        Each L has one unbounded-knapsack row (``_hbb_add``) over the items
+        whose prong divides L: the bottom genus (prong 1, weight 1, 2 Q per
+        unit, slope 0), the singles and the pairs.  A multiset with a pair
+        is one pair plus any multiset of the remaining weight, so K_L is
+        the least x + row[g - w] over the pairs (w, x) whose prong divides
+        L; the pair (g, [g, g]) weighs g + 1 and is never one.  L = 1's row
+        holds the items of prong 1, and each later L's row is grown from
+        the row of L/p, p the least prime factor of L, by the items whose
+        prong divides L but not L/p.  With K the same minimum over every
+        item, K - Q/L bounds every L' >= L from below, so the loop stops at
+        the first L where it exceeds the best value.  The stop is strict:
+        at a breakpoint a later L can tie in value and win on slope.
+
+        An L that is not the lcm ell of its items needs no test.  Its row
+        is ell's, and ell divides lcm(1, ..., 2g-1), which divides the
+        scaled Q; so its candidate, with scale // L <= scale / L <
+        scale // ell, is strictly worse than ell's, which the loop met
+        first.
 
         Ties go as in a depth-first search over g_b, then h = 1, 2, ...
         with (ns, np) ascending: least value, then least slope, then least
         g_b, then the count vector (ns_1, np_1, ns_2, np_2, ...) least in
         lexicographic order.  The rows rank a multiset by one packed
-        integer that holds its counts too (``_hbb_pack``), so each L gives
-        one key, (value - Q/L, the rest of the packed integer), and only
-        the best key is decoded into a graph.
+        integer that holds its counts too (``_hbb_pack``), and the packed
+        integer of a multiset does not depend on which of its pairs is
+        singled out; so each L gives one key, (value - Q/L, the rest of the
+        packed integer), and only the best key is decoded into a graph.
         """
         g, pack, radix = self.g, self._hbb_pack, self._hbb_radix
+        digits = self._hbb_digits
         half = pack // 2
-        # (prong, weight, packed value, is_pair) in search order
-        items = [(1, 1, 2 * self.q_num * yd * pack, False)]
-        for h, ((us, ts), (up, tp)) in self._hbb_types.items():
-            items.append((2 * h - 1, h, (us * yd + ts * yn) * pack + ts * radix, False))
-            items.append((h, h + 1, (up * yd + tp * yn) * pack + tp * radix, True))
-        items = [(prong, w, x + place, is_pair) for (prong, w, x, is_pair), (place, _)
-                 in zip(items, self._hbb_digits)]
+        # (prong, weight, packed value) of each single and pair in search
+        # order, and of the pairs that fit in weight g
+        items, pairs = [], []
+        for (h, ((us, ts), (up, tp))), (place_s, _), (place_p, _) in zip(
+                self._hbb_types.items(), digits[1::2], digits[2::2]):
+            items.append((2 * h - 1, h, (us * yd + ts * yn) * pack + ts * radix + place_s))
+            pair = h, h + 1, (up * yd + tp * yn) * pack + tp * radix + place_p
+            items.append(pair)
+            if h < g:
+                pairs.append(pair)
         const = self.k0 * yd + self.k1 * yn
-        empty = [0] + [None] * g, [None] * (g + 1)
-        every = list(empty[0]), list(empty[1])
-        for _, w, x, is_pair in items:
-            _hbb_add(every, w, x, is_pair)
-        k_value = const + (every[1][g] + half) // pack
+        bottom = 2 * self.q_num * yd * pack + digits[0][0]
+        row = [b * bottom for b in range(g + 1)]  # the bottom genus alone
+        every = list(row)
+        for _, w, x in items:
+            _hbb_add(every, w, x)
+        k_value = const + (min(x + every[g - w] for _, w, x in pairs) + half) // pack
+        for prong, w, x in items:
+            if prong == 1:
+                _hbb_add(row, w, x)
+        rows = {1: row}  # L -> the row over the items whose prong divides L
         scale = self.q_num * yd  # Q / L at y, scaled, is scale // L
         best = limit, -pack  # below the key of any multiset of value limit
-        rows = {}  # L -> the row over the items whose prong divides L
         for L in count(1):
             if (k_value - best[0]) * L > scale:
                 break
-            allowed = [item for item in items if L % item[0] == 0]
-            ell = math.lcm(*(item[0] for item in allowed))
-            if ell != L:
-                rows[L] = rows[ell]
-                continue
-            if L == 1:
-                base, new = empty, allowed
-            else:
+            if L > 1:
                 divisor = L // _least_prime(L)
-                base = rows[divisor]
-                new = [item for item in allowed if divisor % item[0]]
-            row = rows[L] = list(base[0]), list(base[1])
-            for _, w, x, is_pair in new:
-                _hbb_add(row, w, x, is_pair)
-            value = (row[1][g] + half) // pack
-            best = min(best, (const + value - scale // L, row[1][g] - value * pack))
+                row = rows[L] = list(rows[divisor])
+                for prong, w, x in items:
+                    if L % prong == 0 and divisor % prong:
+                        _hbb_add(row, w, x)
+            key = min(x + row[g - w] for prong, w, x in pairs if L % prong == 0)
+            value = (key + half) // pack
+            best = min(best, (const + value - scale // L, key - value * pack))
         return None if best[0] == limit else (best[0], self._hbb_ref(best[1]))
 
     def _hbb_ref(self, low: int) -> tuple:

@@ -144,17 +144,15 @@ def _is_ell_times(x: Fraction, y: Fraction, ell: int) -> bool:
     return x.numerator * y.denominator == ell * y.numerator * x.denominator
 
 
-def assembly_failures(graph: LevelGraph, *, hbb_shape_test: bool = True,
-                      ys: Sequence[Fraction] = DEFAULT_Y_SAMPLES) -> List[str]:
+def assembly_failures(graph: LevelGraph, *, hbb_shape_test: bool = True) -> List[str]:
     """Check that the assembled boundary coefficient from the divisor-class
     route equals ell * s_Gamma(y) from the certifier route."""
     inv = graph_invariants(graph, hbb_shape_test)
-    return _assembly_failures(graph, inv, s_gamma_affine(inv, graph.genus), ys)
+    return _assembly_failures(graph, inv, s_gamma_affine(inv, graph.genus))
 
 
 def _assembly_failures(graph: LevelGraph, inv: GraphInvariants,
-                       s_gamma: AffineInY,
-                       ys: Sequence[Fraction] = DEFAULT_Y_SAMPLES) -> List[str]:
+                       s_gamma: AffineInY) -> List[str]:
     via_classes = _assembly_affine(graph, inv)
     ell = inv.ell
     bad = []
@@ -164,15 +162,14 @@ def _assembly_failures(graph: LevelGraph, inv: GraphInvariants,
     else:
         # affine equality already implies equality at every sample; spot
         # evaluation guards the affine algebra itself
-        for y in ys[:3]:
+        for y in DEFAULT_Y_SAMPLES[:3]:
             if not _is_ell_times(via_classes(y), s_gamma(y), ell):
                 bad.append(f"assembled coefficient differs at y={y}")
                 break
     return bad
 
 
-def assembly_scalar_failures(g: int, *,
-                             ys: Sequence[Fraction] = DEFAULT_Y_SAMPLES) -> List[str]:
+def assembly_scalar_failures(g: int) -> List[str]:
     """The graph-independent coordinates of the assembled class: lambda
     cancels exactly and the horizontal coefficient is s_hor(y)."""
     bad = []
@@ -181,7 +178,7 @@ def assembly_scalar_failures(g: int, *,
     den, hor, _ = _divisor_integers(g)
     ratio = Fraction(hor, den)
     hor = s_hor_affine(g)
-    for y in ys:
+    for y in DEFAULT_Y_SAMPLES:
         lam = 12 - y * Fraction(12) / w_lam * w_lam - (1 - y) * 2 * 6
         if lam != 0:
             bad.append(f"lambda coefficient nonzero at y={y}")
@@ -202,8 +199,7 @@ def y_hor_root_failures(g_values: Iterable[int]) -> List[str]:
     return bad
 
 
-def identity_suite(graphs: Iterable[LevelGraph], hbb_shape_test: bool = True,
-                   with_assembly: bool = True) -> tuple:
+def identity_suite(graphs: Iterable[LevelGraph], hbb_shape_test: bool = True) -> tuple:
     """Run the battery over a graph collection; returns (checked, failures)."""
     checked = 0
     failures: List[str] = []
@@ -213,8 +209,7 @@ def identity_suite(graphs: Iterable[LevelGraph], hbb_shape_test: bool = True,
         inv = graph_invariants(graph, hbb_shape_test)
         six = six_coefficients(inv, graph.genus)
         failures.extend(_identity_failures(graph, inv, six))
-        if with_assembly:
-            failures.extend(_assembly_failures(graph, inv, six.s_gamma()))
+        failures.extend(_assembly_failures(graph, inv, six.s_gamma()))
         if len(failures) > 20:
             failures.append("... (stopping after 20 failures)")
             break

@@ -79,8 +79,9 @@ def zeta_pull_graph(delta: LevelGraph, g: int):
     """
     if delta.genus != g + 1:
         raise ValueError("graph genus does not match the clutching source")
-    if validate(delta):
-        raise ValueError(f"invalid graph: {validate(delta)}")
+    problems = validate(delta)
+    if problems:
+        raise ValueError(f"invalid graph: {problems}")
     if delta.has_top_legs():
         return ZERO
     if is_gamma1(delta, g):
@@ -106,7 +107,8 @@ def surgery_up(graph: LevelGraph, mu: Sequence[int]) -> LevelGraph:
 def image_correspondence(g: int, mu: Sequence[int]) -> Dict[str, LevelGraph]:
     """Gamma_1 plus the inverse surgery of the full genus-g atlas, keyed by
     canonical encoding."""
-    graphs = {canonical_encoding(gamma1_graph(g, mu)): gamma1_graph(g, mu)}
+    gamma1 = gamma1_graph(g, mu)
+    graphs = {canonical_encoding(gamma1): gamma1}
     for graph in enumerate_level_graphs(g):
         up = surgery_up(graph, mu)
         graphs[canonical_encoding(up)] = up

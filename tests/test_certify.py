@@ -951,13 +951,14 @@ def _hbb_row_oracle(items, g):
 def _hbb_items(engine, yn, yd):
     """The HBB items at y = yn/yd in search order, the bottom genus first,
     each as (prong, weight, value, slope, is_pair, index) for the oracle
-    and packed as the engine packs it, count digit included."""
+    and as (prong, weight, packed value), packed as the engine packs it,
+    count digit included."""
     pack, radix = engine._hbb_pack, engine._hbb_radix
     tuples = [(1, 1, 2 * engine.q_num * yd, 0, False, 0)]
     for h, ((us, ts), (up, tp)) in engine._hbb_types.items():
         tuples.append((2 * h - 1, h, us * yd + ts * yn, ts, False, 2 * h - 1))
         tuples.append((h, h + 1, up * yd + tp * yn, tp, True, 2 * h))
-    packed = [(prong, w, v * pack + t * radix + engine._hbb_digits[i][0], is_pair)
+    packed = [(prong, w, v * pack + t * radix + engine._hbb_digits[i][0])
               for prong, w, v, t, is_pair, i in tuples]
     return tuples, packed
 
@@ -974,42 +975,80 @@ def _unpack(engine, x):
                                       for place, base in engine._hbb_digits)
 
 
+def _least_pair(tuples, packed, row, indices, g):
+    """The least x + row[g - w] over the pairs (w, x) among ``indices``
+    that fit in weight g: the least multiset of weight g with a pair."""
+    return min(packed[i][2] + row[g - tuples[i][1]] for i in indices
+               if tuples[i][4] and tuples[i][1] <= g)
+
+
 @pytest.mark.parametrize("g", range(2, 41))
 def test_hbb_rows_grown_from_divisor_equal_fresh_rows(g):
     # every query the shape-on analysis makes, and every L the loop visits
-    # at the best value it ends with: L's row grown in place from the row
-    # of L/p, p the least prime factor of L, by the items whose prong
-    # divides L but not L/p, decodes to the fresh tuple-keyed knapsack over
-    # L's items, counts and all; an L that is not the lcm of its items
-    # shares that lcm's row
+    # at the best value it ends with: L's one-state row, grown in place
+    # from the row of L/p, p the least prime factor of L, by the items
+    # whose prong divides L but not L/p, decodes to the free row of the
+    # two-state tuple-keyed knapsack over L's items, counts and all, and
+    # its least pair plus the rest decodes to that knapsack's paired[g].
+    # The same holds over every item, for the stop bound K
     engine = _MinEngine(g)
     queries = _recorded_hbb_queries(engine)
     visited = 0
     for yn, yd, limit, found in queries:
         tuples, packed = _hbb_items(engine, yn, yd)
         scale = engine.q_num * yd
-        k_value = engine.k0 * yd + engine.k1 * yn + _hbb_row_oracle(tuples, g)[1][g][0]
+        free, paired = _hbb_row_oracle(tuples, g)
+        every = [b * packed[0][2] for b in range(g + 1)]  # the bottom genus alone
+        for item in packed[1:]:
+            certify_module._hbb_add(every, *item[1:])
+        assert [_unpack(engine, x) for x in every] == free
+        everything = range(len(tuples))
+        assert _unpack(engine, _least_pair(tuples, packed, every, everything, g)) == paired[g]
+        k_value = engine.k0 * yd + engine.k1 * yn + paired[g][0]
         best = limit if found is None else found[0]
         rows = {}
         L = 0
         while (k_value - best) * (L + 1) <= scale:
             L += 1
             allowed = [i for i, item in enumerate(tuples) if L % item[0] == 0]
-            ell = math.lcm(*(tuples[i][0] for i in allowed))
-            if ell < L:
-                rows[L] = rows[ell]
+            if L == 1:
+                row = [b * packed[0][2] for b in range(g + 1)]
+                new = allowed[1:]
             else:
-                divisor = L // certify_module._least_prime(L) if L > 1 else None
-                base = rows[divisor] if divisor else ([0] + [None] * g, [None] * (g + 1))
-                row = rows[L] = list(base[0]), list(base[1])
-                for i in allowed:
-                    if not divisor or divisor % tuples[i][0]:
-                        certify_module._hbb_add(row, *packed[i][1:])
-            fresh = _hbb_row_oracle([tuples[i] for i in allowed], g)
-            assert [[_unpack(engine, x) for x in part] for part in rows[L]] == \
-                list(fresh), (g, yn, yd, L)
+                divisor = L // certify_module._least_prime(L)
+                row = list(rows[divisor])
+                new = [i for i in allowed if divisor % tuples[i][0]]
+            for i in new:
+                certify_module._hbb_add(row, *packed[i][1:])
+            rows[L] = row
+            free, paired = _hbb_row_oracle([tuples[i] for i in allowed], g)
+            assert [_unpack(engine, x) for x in row] == free, (g, yn, yd, L)
+            assert _unpack(engine, _least_pair(tuples, packed, row, allowed, g)) == \
+                paired[g], (g, yn, yd, L)
         visited += L
     assert visited or g == 2  # at g = 2 no query's limit lets the loop start
+
+
+@pytest.mark.parametrize("g", range(3, 9))
+def test_hbb_loop_skips_the_pair_that_outweighs_the_genus(g):
+    # the pair (g, [g, g]) weighs g + 1, so no graph of genus g holds it;
+    # made-up contributions make it by far the cheapest item, so a loop
+    # that let it into a row's pair minimum (reading row[g - (g + 1)])
+    # would name a graph that does not exist
+    def scalars(engine, h, d, parts):
+        if h == engine.g and parts == (h, h):
+            return -100 * engine.q_num, 0
+        return 0, 0
+
+    engine = _engine_with_scalars(g, scalars)
+    assert engine._hbb_types[g][1] == (-100 * engine.q_num, 0)
+    for y in _oracle_ys()[:8]:
+        yn, yd = y.numerator, y.denominator
+        dp = _knapsack_dp(engine, yn, yd)
+        limit = engine.k0 * yd + engine.k1 * yn + 1
+        found = engine._hbb_minimum(yn, yd, limit)
+        assert found is not None
+        assert found == _hbb_dfs_oracle(engine, yn, yd, dp, limit), (g, y)
 
 
 @pytest.mark.parametrize("g", [2, 7, 31])

@@ -231,7 +231,7 @@ def test_out_file(tmp_path, capsys):
 def test_identities_detects_violations(monkeypatch, capsys):
     from stratacert import cli as cli_mod
 
-    def broken_suite(graphs, hbb_shape_test=True, with_assembly=True):
+    def broken_suite(graphs, hbb_shape_test=True):
         return 1, ["synthetic violation"]
 
     monkeypatch.setattr(cli_mod.checks, "identity_suite", broken_suite)
