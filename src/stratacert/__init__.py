@@ -49,10 +49,8 @@ from .classes import (
 )
 from .exactq import (
     AffineInY,
-    Rational,
     RationalInterval,
     affine_positivity_interval,
-    intersect_all,
     lcm_list,
     parse_rational,
     rational_str,

@@ -36,8 +36,9 @@ Two exact engines are provided.
   listed, and the banana-backbone shapes (their delta_H correction
   carries a non-additive -Q/lcm) are minimised at each queried y by a
   short loop over candidate lcms L, one small knapsack row per L, grown
-  from the row of L/p (p the least prime factor of L); the best multiset
-  with a pair is one pair plus the row's entry at the remaining weight.
+  from the row of L/p (p the least prime factor of L) and kept only while
+  a later L can still read it; the best multiset with a pair is one pair
+  plus the row's entry at the remaining weight.
   The bottom genus is one of its items, and one packed integer per
   multiset carries the value, the slope and the item counts, so the
   least entry names its graph as well.  Both
@@ -338,17 +339,15 @@ def coarse_bounds(g: int) -> RationalInterval:
     the parity-dependent upper bound makes the remaining top-level term
     positive via a previously published estimate (not re-derived here).
     """
-    out = UNIT
-    out = out.intersect(RationalInterval(lo=y_hor(g), hi=None, lo_open=True))
-    out = out.intersect(RationalInterval(lo=Fraction(g + 11, 12 * g - 6),
-                                         hi=None, lo_open=False))
-    out = out.intersect(RationalInterval(lo=Fraction(g + 12, 48 * g - 24),
-                                         hi=None, lo_open=False))
+    one = Fraction(1)
+    out = UNIT.intersect(RationalInterval(y_hor(g), one, True, False))
+    out = out.intersect(RationalInterval(Fraction(g + 11, 12 * g - 6), one, False, False))
+    out = out.intersect(RationalInterval(Fraction(g + 12, 48 * g - 24), one, False, False))
     if g % 2:
         hi = Fraction(g - 5, 4 * g - 4)
     else:
         hi = Fraction(g * g - 7 * g, 4 * g * g + 16 * g - 8)
-    return out.intersect(RationalInterval(lo=None, hi=hi, hi_open=False))
+    return out.intersect(RationalInterval(Fraction(0), hi, False, False))
 
 
 def certify_coarse(req: CertRequest) -> Certificate:
@@ -584,10 +583,12 @@ class _MinEngine:
         self.k0 = -4 * g * (g - 1) * (self.den // (2 * g - 1))  # -kappa * DEN
         self.k1 = 12 * (g - 1) * (self.den // (g + 11))  # J (g-1) * DEN
         self._build_type_hulls()
-        # (single, pair) scalars per top genus h for the HBB search
+        # (single, pair) scalars per top genus h < g for the HBB search: the
+        # pair (g, [g, g]) weighs g + 1, and the single (g, [2g - 1]) leaves
+        # no weight for the pair every HBB graph holds
         self._hbb_types = {h: (self._type_scalars(h, 1, (2 * h - 1,)),
                                self._type_scalars(h, 2, (h, h)))
-                           for h in range(1, g + 1)}
+                           for h in range(1, g)}
         # The HBB knapsack ranks a multiset by one integer,
         #   value * pack + slope * R + counts,
         # where counts is the mixed-radix number whose digits are the item
@@ -597,7 +598,7 @@ class _MinEngine:
         # and slope * R + counts stays under pack / 2 in size: integer order
         # is the order of (value, slope, g_b, ns_1, np_1, ns_2, ...).
         # _hbb_digits holds (place value, radix) per item in search order.
-        weights = [1] + [w for h in range(1, g + 1) for w in (h, h + 1)]
+        weights = [1] + [w for h in range(1, g) for w in (h, h + 1)]
         self._hbb_digits = []
         place = 1
         for w in reversed(weights):
@@ -609,7 +610,6 @@ class _MinEngine:
                                       for _, t in types) + 3) * place
         self._e1_family = None
         self._dp_affines: Dict[LevelGraph, AffineInY] = {}
-        self._hbb_affines: Dict[LevelGraph, AffineInY] = {}
         self._analyses: Dict[bool, _Analysis] = {}
 
     # -- per-type contributions ------------------------------------------
@@ -733,16 +733,20 @@ class _MinEngine:
 
         Each L has one unbounded-knapsack row (``_hbb_add``) over the items
         whose prong divides L: the bottom genus (prong 1, weight 1, 2 Q per
-        unit, slope 0), the singles and the pairs.  A multiset with a pair
-        is one pair plus any multiset of the remaining weight, so K_L is
-        the least x + row[g - w] over the pairs (w, x) whose prong divides
-        L; the pair (g, [g, g]) weighs g + 1 and is never one.  L = 1's row
-        holds the items of prong 1, and each later L's row is grown from
-        the row of L/p, p the least prime factor of L, by the items whose
-        prong divides L but not L/p.  With K the same minimum over every
-        item, K - Q/L bounds every L' >= L from below, so the loop stops at
-        the first L where it exceeds the best value.  The stop is strict:
-        at a breakpoint a later L can tie in value and win on slope.
+        unit, slope 0), the singles and the pairs of top genus h <= g - 1
+        (``_hbb_types`` says why h = g never occurs).  A multiset with a
+        pair is one pair plus any multiset of the remaining weight, so K_L
+        is the least x + row[g - w] over the pairs (w, x) whose prong
+        divides L.  L = 1's row holds the items of prong 1, and each later
+        L's row is grown from the row of L/p, p the least prime factor of
+        L, by the items whose prong divides L but not L/p.  With K the same
+        minimum over every item, K - Q/L bounds every L' >= L from below,
+        so the loop stops at the first L where it exceeds the best value.
+        The stop is strict: at a breakpoint a later L can tie in value and
+        win on slope.  The row of L is read only to grow some L p >= 2 L,
+        and the best value only falls, so the row is kept only while K -
+        Q/(2 L) does not exceed the best value; otherwise the loop stops
+        before 2 L.
 
         An L that is not the lcm ell of its items needs no test.  Its row
         is ell's, and ell divides lcm(1, ..., 2g-1), which divides the
@@ -763,15 +767,13 @@ class _MinEngine:
         digits = self._hbb_digits
         half = pack // 2
         # (prong, weight, packed value) of each single and pair in search
-        # order, and of the pairs that fit in weight g
-        items, pairs = [], []
+        # order
+        items = []
         for (h, ((us, ts), (up, tp))), (place_s, _), (place_p, _) in zip(
                 self._hbb_types.items(), digits[1::2], digits[2::2]):
             items.append((2 * h - 1, h, (us * yd + ts * yn) * pack + ts * radix + place_s))
-            pair = h, h + 1, (up * yd + tp * yn) * pack + tp * radix + place_p
-            items.append(pair)
-            if h < g:
-                pairs.append(pair)
+            items.append((h, h + 1, (up * yd + tp * yn) * pack + tp * radix + place_p))
+        pairs = items[1::2]
         const = self.k0 * yd + self.k1 * yn
         bottom = 2 * self.q_num * yd * pack + digits[0][0]
         row = [b * bottom for b in range(g + 1)]  # the bottom genus alone
@@ -782,7 +784,9 @@ class _MinEngine:
         for prong, w, x in items:
             if prong == 1:
                 _hbb_add(row, w, x)
-        rows = {1: row}  # L -> the row over the items whose prong divides L
+        # L -> the row over the items whose prong divides L, kept while a
+        # later L * p may still read it
+        rows = {}
         scale = self.q_num * yd  # Q / L at y, scaled, is scale // L
         best = limit, -pack  # below the key of any multiset of value limit
         for L in count(1):
@@ -790,13 +794,15 @@ class _MinEngine:
                 break
             if L > 1:
                 divisor = L // _least_prime(L)
-                row = rows[L] = list(rows[divisor])
+                row = list(rows[divisor])
                 for prong, w, x in items:
                     if L % prong == 0 and divisor % prong:
                         _hbb_add(row, w, x)
             key = min(x + row[g - w] for prong, w, x in pairs if L % prong == 0)
             value = (key + half) // pack
             best = min(best, (const + value - scale // L, key - value * pack))
+            if (k_value - best[0]) * 2 * L <= scale:
+                rows[L] = row
         return None if best[0] == limit else (best[0], self._hbb_ref(best[1]))
 
     def _hbb_ref(self, low: int) -> tuple:
@@ -876,7 +882,7 @@ class _MinEngine:
             if found is not None:
                 best_value, ref = found
                 witness = self.hbb_witness(ref)
-                affine = self._hbb_affine(witness)
+                affine = s_gamma_affine(graph_invariants(witness), g)
                 if affine(y) != Fraction(best_value, scale):
                     raise AssertionError("HBB family self-check failed")
         return Fraction(best_value, scale), witness, affine
@@ -911,15 +917,6 @@ class _MinEngine:
                 inv = replace(inv, edge_classes=(OCT,), R_NC=r_nc,
                               b_NC=inv.ell * r_nc - 1)
             affine = self._dp_affines[graph] = s_gamma_affine(inv, self.g)
-        return affine
-
-    def _hbb_affine(self, graph: LevelGraph) -> AffineInY:
-        """s_Gamma of an HBB witness with the shape test on, memoized per
-        graph; HBB self-check only."""
-        affine = self._hbb_affines.get(graph)
-        if affine is None:
-            affine = self._hbb_affines[graph] = s_gamma_affine(
-                graph_invariants(graph, hbb_shape_test=True), self.g)
         return affine
 
     # -- y-independent analysis ----------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence
 
 from .exactq import parse_rational, rational_str
 from .graphs import (
@@ -27,10 +27,6 @@ from .graphs import (
     graph_invariants,
     kappa_mu,
 )
-
-Signature = Tuple[int, ...]
-AlphaPartition = Tuple[int, ...]
-
 
 def theta(orders: Sequence[int], alpha: Sequence[int]) -> Fraction:
     """sum of a(a+1)/(2(m+1)) over paired entries of the two partitions."""

@@ -5,7 +5,8 @@ Everything downstream of this module is built on `fractions.Fraction`; no
 floating point is used anywhere in the certification pipeline.  Intervals
 support open/closed endpoints because positivity of the boundary
 coefficients is a strict inequality: a certificate must exhibit a rational
-y strictly inside the feasible set.
+y strictly inside the feasible set.  Their endpoints are finite: the
+mixing parameter lives in [0, 1], and every interval is cut to it.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
-
-Rational = Fraction
+from typing import Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -76,106 +75,58 @@ class AffineInY:
 
 @dataclass(frozen=True)
 class RationalInterval:
-    """An interval with rational (or infinite) endpoints and openness flags.
+    """An interval with rational endpoints and openness flags.
 
-    ``lo is None`` means -oo and ``hi is None`` means +oo; infinite
-    endpoints are always open.  The interval is empty iff lo > hi, or
-    lo == hi with either endpoint open.
+    The interval is empty iff lo > hi, or lo == hi with either endpoint
+    open.  Every interval the package builds lies inside [0, 1].
     """
 
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
+    lo: Fraction
+    hi: Fraction
     lo_open: bool = True
     hi_open: bool = True
 
-    def __post_init__(self):
-        if self.lo is None and not self.lo_open:
-            object.__setattr__(self, "lo_open", True)
-        if self.hi is None and not self.hi_open:
-            object.__setattr__(self, "hi_open", True)
-
     def is_empty(self) -> bool:
-        if self.lo is None or self.hi is None:
-            return False
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and (self.lo_open or self.hi_open)
+        return self.lo > self.hi or (
+            self.lo == self.hi and (self.lo_open or self.hi_open))
 
     def contains(self, y: RationalLike) -> bool:
         y = Fraction(y)
-        if self.lo is not None:
-            if y < self.lo or (y == self.lo and self.lo_open):
-                return False
-        if self.hi is not None:
-            if y > self.hi or (y == self.hi and self.hi_open):
-                return False
-        return True
+        return ((self.lo < y or (y == self.lo and not self.lo_open))
+                and (y < self.hi or (y == self.hi and not self.hi_open)))
 
     def intersect(self, other: "RationalInterval") -> "RationalInterval":
-        if self.lo is None:
-            lo, lo_open = other.lo, other.lo_open
-        elif other.lo is None:
-            lo, lo_open = self.lo, self.lo_open
-        elif self.lo > other.lo:
-            lo, lo_open = self.lo, self.lo_open
-        elif self.lo < other.lo:
-            lo, lo_open = other.lo, other.lo_open
-        else:
-            lo, lo_open = self.lo, self.lo_open or other.lo_open
-        if self.hi is None:
-            hi, hi_open = other.hi, other.hi_open
-        elif other.hi is None:
-            hi, hi_open = self.hi, self.hi_open
-        elif self.hi < other.hi:
-            hi, hi_open = self.hi, self.hi_open
-        elif self.hi > other.hi:
-            hi, hi_open = other.hi, other.hi_open
-        else:
-            hi, hi_open = self.hi, self.hi_open or other.hi_open
-        return RationalInterval(lo, hi, lo_open, hi_open)
+        """The larger lower and the smaller upper end; an end is open when
+        it is an open end of either interval."""
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        return RationalInterval(
+            lo, hi,
+            (self.lo_open and self.lo == lo) or (other.lo_open and other.lo == lo),
+            (self.hi_open and self.hi == hi) or (other.hi_open and other.hi == hi))
 
     def interior_point(self) -> Optional[Fraction]:
-        """A rational strictly inside the interval, or None if empty.
-
-        Bounded intervals use the midpoint; half-bounded ones step one unit
-        away from the finite endpoint; the unbounded interval returns 0.
-        """
-        if self.is_empty():
-            return None
-        if self.lo is not None and self.hi is not None:
-            if self.lo == self.hi:
-                # only possible when both endpoints are closed
-                return None
-            return (self.lo + self.hi) / 2
-        if self.lo is not None:
-            return self.lo + 1
-        if self.hi is not None:
-            return self.hi - 1
-        return Fraction(0)
+        """The midpoint, or None when no rational lies strictly inside."""
+        return (self.lo + self.hi) / 2 if self.lo < self.hi else None
 
     def to_json(self) -> dict:
         return {
-            "lo": "-inf" if self.lo is None else rational_str(self.lo),
-            "hi": "inf" if self.hi is None else rational_str(self.hi),
+            "lo": rational_str(self.lo),
+            "hi": rational_str(self.hi),
             "lo_open": self.lo_open,
             "hi_open": self.hi_open,
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "RationalInterval":
-        lo = None if data["lo"] == "-inf" else parse_rational(data["lo"])
-        hi = None if data["hi"] == "inf" else parse_rational(data["hi"])
-        return cls(lo, hi, bool(data["lo_open"]), bool(data["hi_open"]))
+        return cls(parse_rational(data["lo"]), parse_rational(data["hi"]),
+                   bool(data["lo_open"]), bool(data["hi_open"]))
 
     def __str__(self) -> str:
         left = "(" if self.lo_open else "["
         right = ")" if self.hi_open else "]"
-        lo = "-inf" if self.lo is None else rational_str(self.lo)
-        hi = "inf" if self.hi is None else rational_str(self.hi)
-        return f"{left}{lo}, {hi}{right}"
+        return f"{left}{rational_str(self.lo)}, {rational_str(self.hi)}{right}"
 
 
-UNBOUNDED = RationalInterval()
 EMPTY = RationalInterval(Fraction(1), Fraction(0))
 UNIT = RationalInterval(Fraction(0), Fraction(1), lo_open=False, hi_open=False)
 
@@ -192,15 +143,7 @@ def affine_positivity_interval(f: AffineInY, domain: RationalInterval) -> Ration
         return domain if f.intercept > 0 else EMPTY
     r = f.root()
     if f.slope > 0:
-        half = RationalInterval(lo=r, hi=None, lo_open=True)
+        half = RationalInterval(r, domain.hi, True, domain.hi_open)
     else:
-        half = RationalInterval(lo=None, hi=r, hi_open=True)
+        half = RationalInterval(domain.lo, r, domain.lo_open, True)
     return domain.intersect(half)
-
-
-def intersect_all(intervals: Iterable[RationalInterval]) -> RationalInterval:
-    """Exact intersection; the empty input yields the unbounded interval."""
-    acc = UNBOUNDED
-    for iv in intervals:
-        acc = acc.intersect(iv)
-    return acc

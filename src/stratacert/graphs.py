@@ -423,6 +423,8 @@ def vertex_blocks(max_weight: int) -> tuple:
 #     g_b >= 1, for g_b = 0 it requires some type of degree >= 2;
 #   * raw mode (filter off) keeps only bottom stability: for g_b = 0 the
 #     unique single-edge multiset {one degree-1 type of weight W} is out.
+#     Raw mode is streamed and counted only; unranking and sampling read
+#     the filtered atlas.
 
 
 def _multiset_count(n: int, k: int) -> int:
@@ -472,23 +474,9 @@ class _AtlasIndex:
         total = self._any[b][budget]
         return total - self._d1[b][budget] if need_d2 else total
 
-    def count_for_bottom(self, g_b: int, dimension_filter: bool) -> int:
-        budget = self.g - g_b
-        if budget < 1:
-            return 0
-        if g_b > 0:
-            return self.count(budget, 0)
-        if dimension_filter:
-            return self.count(budget, 0, need_d2=True)
-        return self.count(budget, 0) - 1  # the single-edge multiset
-
-    def single_edge_rank(self) -> int:
-        """Raw rank (at g_b = 0) of the single-edge multiset: every block
-        before the weight-g degree-1 block is skipped, so only that
-        block's skip subtree precedes it."""
-        b = next(i for i, blk in enumerate(self.blocks)
-                 if blk.weight == self.g and blk.degree == 1)
-        return self.count(self.g, b + 1)
+    def count_for_bottom(self, g_b: int) -> int:
+        """Graphs of the filtered atlas with bottom genus ``g_b`` < g."""
+        return self.count(self.g - g_b, 0, need_d2=g_b == 0)
 
 
 _atlas_index = lru_cache(maxsize=1)(_AtlasIndex)
@@ -535,8 +523,9 @@ def enumerate_level_graphs(g: int, dimension_filter: bool = True) -> Iterator[Le
 
     The stream is a depth-first walk of the tree :func:`atlas_unrank`
     descends, and a branch is entered only when the same counts that
-    unranking reads say it holds a graph; so the stream matches
-    :func:`atlas_unrank` index-for-index and builds no dead-end choice.
+    unranking reads say it holds a graph; so the filtered stream matches
+    :func:`atlas_unrank` index-for-index, and no stream builds a dead-end
+    choice.
     Order: bottom genus ascending, then multisets of vertex types in block
     order (per block: multiplicity zero first, then ascending, prong
     multisets lexicographically).  The graphs of one stream share one
@@ -588,21 +577,19 @@ def enumerate_level_graphs(g: int, dimension_filter: bool = True) -> Iterator[Le
                 yield graph
 
 
-def atlas_unrank(g: int, rank: int, dimension_filter: bool = True) -> LevelGraph:
-    """The graph at a given stream index, without enumerating predecessors."""
+def atlas_unrank(g: int, rank: int) -> LevelGraph:
+    """The graph at a given index of the (filtered) stream, without
+    enumerating predecessors."""
     if rank < 0:
         raise IndexError("negative atlas rank")
     idx = _atlas_index(g)
     for g_b in range(g):
-        n_here = idx.count_for_bottom(g_b, dimension_filter)
+        n_here = idx.count_for_bottom(g_b)
         if rank >= n_here:
             rank -= n_here
             continue
-        need_d2 = g_b == 0 and dimension_filter
-        if g_b == 0 and not dimension_filter and rank >= idx.single_edge_rank():
-            rank += 1  # step over the one multiset raw mode rejects
         return LevelGraph(g, g_b, (2 * g - 2,),
-                          _unrank_choice(idx, g - g_b, rank, need_d2))
+                          _unrank_choice(idx, g - g_b, rank, g_b == 0))
     raise IndexError("atlas rank out of range")
 
 
@@ -640,19 +627,19 @@ def _unrank_choice(idx: _AtlasIndex, budget: int, rank: int, need_d2: bool):
     return chosen
 
 
-def sample_atlas(g: int, count: int, dimension_filter: bool = True) -> list:
-    """Deterministic spread sample: ``count`` >= 1 graphs at evenly spaced
-    ranks."""
+def sample_atlas(g: int, count: int) -> list:
+    """Deterministic spread sample of the (filtered) atlas: ``count`` >= 1
+    graphs at evenly spaced ranks."""
     if count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
-    total = atlas_count(g, dimension_filter)
+    total = atlas_count(g)
     if count >= total:
-        return list(enumerate_level_graphs(g, dimension_filter))
+        return list(enumerate_level_graphs(g))
     if count == 1:
         ranks = [0]
     else:
         ranks = sorted({(i * (total - 1)) // (count - 1) for i in range(count)})
-    return [atlas_unrank(g, r, dimension_filter) for r in ranks]
+    return [atlas_unrank(g, r) for r in ranks]
 
 
 # ---------------------------------------------------------------------------

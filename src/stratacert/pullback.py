@@ -104,9 +104,19 @@ def surgery_up(graph: LevelGraph, mu: Sequence[int]) -> LevelGraph:
                       graph.top_vertices)
 
 
+def _check_mu(g: int, mu: Sequence[int]) -> tuple:
+    """mu as a tuple, once it is a signature of the genus-(g+1) stratum the
+    clutching lands in: a positive partition of 2g."""
+    mu = tuple(mu)
+    if sum(mu) != 2 * g or any(m < 1 for m in mu):
+        raise ValueError("mu must be a positive partition of 2g")
+    return mu
+
+
 def image_correspondence(g: int, mu: Sequence[int]) -> Dict[str, LevelGraph]:
     """Gamma_1 plus the inverse surgery of the full genus-g atlas, keyed by
     canonical encoding."""
+    mu = _check_mu(g, mu)
     gamma1 = gamma1_graph(g, mu)
     graphs = {canonical_encoding(gamma1): gamma1}
     for graph in enumerate_level_graphs(g):
@@ -202,9 +212,7 @@ def wplus_derivation_check(g: int, mu: Sequence[int], k: int) -> PullbackReport:
     """Pull the twist-corrected genus-(g+1) class back and compare it with
     the raw form of the extra-vanishing Weierstrass class, coordinate by
     coordinate over the image correspondence."""
-    mu = tuple(mu)
-    if sum(mu) != 2 * g or any(m < 1 for m in mu):
-        raise ValueError("mu must be a positive partition of 2g")
+    mu = _check_mu(g, mu)
     if not 1 <= k <= len(mu) or mu[k - 1] > g:
         raise ValueError("invalid saturation index")
     alpha = saturated_alpha(mu, k)

@@ -657,10 +657,15 @@ def _hbb_dfs_oracle(engine, yn, yd, dp, limit):
     candidate of the per-weight hull of its weight, so the knapsack ``dp``
     bounds the rest, and the lcm ell only grows.  Ties go as in
     _Hull.query: least value, then least slope, then the first found.
+    It reads every single and pair of top genus h <= g from
+    ``_type_scalars``, those of h = g too, which the engine never builds.
     """
     q_num = engine.q_num
-    types = {h: (us * yd + ts * yn, ts, up * yd + tp * yn, tp)
-             for h, ((us, ts), (up, tp)) in engine._hbb_types.items()}
+    types = {}
+    for h in range(1, engine.g + 1):
+        us, ts = engine._type_scalars(h, 1, (2 * h - 1,))
+        up, tp = engine._type_scalars(h, 2, (h, h))
+        types[h] = us * yd + ts * yn, ts, up * yd + tp * yn, tp
     best = [limit, None, None]  # value, slope, ref
     path = []
 
@@ -771,8 +776,8 @@ def _type_scalars_per_part(engine, h, d, parts):
 @pytest.mark.parametrize("effdiv", ["brill_noether", "hurwitz"])
 def test_type_scalars_match_per_part_oracle(effdiv, monkeypatch):
     # every vertex type of every (weight, degree) block, not only the iota
-    # extremes the engine builds from, and the HBB types, whose pair (g, g)
-    # lies in no block; each genus also under the other divisor's constants
+    # extremes the engine builds from, and the HBB types the engine keeps
+    # apart (h <= g - 1); each genus also under the other divisor's constants
     monkeypatch.setattr(certify_module, "_divisor",
                         lambda g: (effdiv,) + _DIVISOR_CONSTANTS[effdiv](g))
     for g in range(2, 21):
@@ -950,21 +955,26 @@ def _hbb_row_oracle(items, g):
 
 def _hbb_items(engine, yn, yd):
     """The HBB items at y = yn/yd in search order, the bottom genus first,
-    each as (prong, weight, value, slope, is_pair, index) for the oracle
-    and as (prong, weight, packed value), packed as the engine packs it,
-    count digit included."""
+    each as (prong, weight, value, slope, is_pair, index) for the oracle,
+    over every top genus h <= g from ``_type_scalars``; and those the
+    engine builds (h <= g - 1) as (prong, weight, packed value), packed as
+    the engine packs them, count digit included."""
     pack, radix = engine._hbb_pack, engine._hbb_radix
     tuples = [(1, 1, 2 * engine.q_num * yd, 0, False, 0)]
-    for h, ((us, ts), (up, tp)) in engine._hbb_types.items():
+    for h in range(1, engine.g + 1):
+        us, ts = engine._type_scalars(h, 1, (2 * h - 1,))
+        up, tp = engine._type_scalars(h, 2, (h, h))
         tuples.append((2 * h - 1, h, us * yd + ts * yn, ts, False, 2 * h - 1))
         tuples.append((h, h + 1, up * yd + tp * yn, tp, True, 2 * h))
-    packed = [(prong, w, v * pack + t * radix + engine._hbb_digits[i][0])
-              for prong, w, v, t, is_pair, i in tuples]
+    packed = [(prong, w, v * pack + t * radix + place)
+              for (prong, w, v, t, _, _), (place, _) in zip(tuples, engine._hbb_digits)]
     return tuples, packed
 
 
 def _unpack(engine, x):
-    """(value, slope, counts) of a packed multiset, None for None."""
+    """(value, slope, counts) of a packed multiset, None for None; counts
+    has one entry per item of every top genus h <= g, and the two of h = g,
+    which the engine holds no digit for, are 0."""
     if x is None:
         return None
     pack, radix = engine._hbb_pack, engine._hbb_radix
@@ -972,7 +982,7 @@ def _unpack(engine, x):
     low = x - value * pack
     counts = low % radix
     return value, low // radix, tuple(counts // place % base
-                                      for place, base in engine._hbb_digits)
+                                      for place, base in engine._hbb_digits) + (0, 0)
 
 
 def _least_pair(tuples, packed, row, indices, g):
@@ -990,7 +1000,10 @@ def test_hbb_rows_grown_from_divisor_equal_fresh_rows(g):
     # whose prong divides L but not L/p, decodes to the free row of the
     # two-state tuple-keyed knapsack over L's items, counts and all, and
     # its least pair plus the rest decodes to that knapsack's paired[g].
-    # The same holds over every item, for the stop bound K
+    # The same holds over every item, for the stop bound K.  The oracle
+    # also holds the two items of top genus g, which the engine does not
+    # build: the single of weight g enters its free row at weight g only,
+    # which no pair reads, and neither item changes paired[g]
     engine = _MinEngine(g)
     queries = _recorded_hbb_queries(engine)
     visited = 0
@@ -1001,7 +1014,7 @@ def test_hbb_rows_grown_from_divisor_equal_fresh_rows(g):
         every = [b * packed[0][2] for b in range(g + 1)]  # the bottom genus alone
         for item in packed[1:]:
             certify_module._hbb_add(every, *item[1:])
-        assert [_unpack(engine, x) for x in every] == free
+        assert [_unpack(engine, x) for x in every[:g]] == free[:g]
         everything = range(len(tuples))
         assert _unpack(engine, _least_pair(tuples, packed, every, everything, g)) == paired[g]
         k_value = engine.k0 * yd + engine.k1 * yn + paired[g][0]
@@ -1019,10 +1032,11 @@ def test_hbb_rows_grown_from_divisor_equal_fresh_rows(g):
                 row = list(rows[divisor])
                 new = [i for i in allowed if divisor % tuples[i][0]]
             for i in new:
-                certify_module._hbb_add(row, *packed[i][1:])
+                if i < len(packed):
+                    certify_module._hbb_add(row, *packed[i][1:])
             rows[L] = row
             free, paired = _hbb_row_oracle([tuples[i] for i in allowed], g)
-            assert [_unpack(engine, x) for x in row] == free, (g, yn, yd, L)
+            assert [_unpack(engine, x) for x in row[:g]] == free[:g], (g, yn, yd, L)
             assert _unpack(engine, _least_pair(tuples, packed, row, allowed, g)) == \
                 paired[g], (g, yn, yd, L)
         visited += L
@@ -1032,16 +1046,16 @@ def test_hbb_rows_grown_from_divisor_equal_fresh_rows(g):
 @pytest.mark.parametrize("g", range(3, 9))
 def test_hbb_loop_skips_the_pair_that_outweighs_the_genus(g):
     # the pair (g, [g, g]) weighs g + 1, so no graph of genus g holds it;
-    # made-up contributions make it by far the cheapest item, so a loop
-    # that let it into a row's pair minimum (reading row[g - (g + 1)])
-    # would name a graph that does not exist
+    # made-up contributions make it by far the cheapest type, and the loop
+    # must agree with the search oracle, which still holds it (and the
+    # single (g, [2g - 1]), which leaves no room for a pair)
     def scalars(engine, h, d, parts):
         if h == engine.g and parts == (h, h):
             return -100 * engine.q_num, 0
         return 0, 0
 
     engine = _engine_with_scalars(g, scalars)
-    assert engine._hbb_types[g][1] == (-100 * engine.q_num, 0)
+    assert engine._type_scalars(g, 2, (g, g)) == (-100 * engine.q_num, 0)
     for y in _oracle_ys()[:8]:
         yn, yd = y.numerator, y.denominator
         dp = _knapsack_dp(engine, yn, yd)
@@ -1059,12 +1073,14 @@ def test_hbb_packing_round_trips_at_the_bounds(g):
     # slope, g_b, counts), and integer order is tuple order
     engine = _MinEngine(g)
     pack, radix, digits = engine._hbb_pack, engine._hbb_radix, engine._hbb_digits
-    top = g * max(abs(t) for types in engine._hbb_types.values() for _, t in types)
+    # the items are the bottom genus and the single and pair of each top
+    # genus h <= g - 1; those of h = g never occur in a genus-g graph
+    assert len(digits) == 2 * g - 1
+    top = g * max(abs(engine._type_scalars(h, d, parts)[1]) for h in range(1, g)
+                  for d, parts in ((1, (2 * h - 1,)), (2, (h, h))))
     full = tuple(base - 1 for _, base in digits)  # g // w per item
     zero = (0,) * len(digits)
-    # the pair (g, [g, g]) weighs g + 1, so its count is always 0; the
-    # single (g, [2g-1]) is the last item that can occur
-    last = zero[:-2] + (1, 0)
+    last = zero[:-1] + (1,)  # the banana (g - 1, [g - 1, g - 1]), the last item
     vectors = [zero, full, full[:1] + zero[1:], last, (0, 1) + full[2:]]
     keys = [(value, slope, counts) for value in (-10 ** 40, -1, 0, 1, 10 ** 40)
             for slope in (-top, 1 - top, 0, top - 1, top) for counts in vectors]
@@ -1072,9 +1088,9 @@ def test_hbb_packing_round_trips_at_the_bounds(g):
     for value, slope, counts in keys:
         x = value * pack + slope * radix + sum(n * place
                                                for n, (place, _) in zip(counts, digits))
-        assert _unpack(engine, x) == (value, slope, counts)
+        assert _unpack(engine, x) == (value, slope, counts + (0, 0))
         assert engine._hbb_ref(x - value * pack) == (counts[0], tuple(
-            (h, ns, np_) for h, ns, np_ in zip(range(1, g + 1), counts[1::2], counts[2::2])
+            (h, ns, np_) for h, ns, np_ in zip(range(1, g), counts[1::2], counts[2::2])
             if ns or np_))
         packed[(value, slope, counts)] = x
     assert sorted(keys, key=packed.get) == sorted(keys)
@@ -1124,7 +1140,8 @@ def _hbb_line(engine, ref):
     g_b, spec = ref
     u, t = engine.k0 + 2 * g_b * engine.q_num, engine.k1
     for h, ns, np_ in spec:
-        (us, ts), (up, tp) = engine._hbb_types[h]
+        us, ts = engine._type_scalars(h, 1, (2 * h - 1,))
+        up, tp = engine._type_scalars(h, 2, (h, h))
         u += ns * us + np_ * up
         t += ns * ts + np_ * tp
     return t, u - engine.q_num // _hbb_lcm(spec)
@@ -1232,7 +1249,7 @@ def test_hbb_self_check_runs_on_warm_evaluate(monkeypatch, fresh_engines):
     certify_exact(CertRequest(31, "exact", "auto", y, True))
     engine = certify_module._engine(31)
     _, witness, _ = engine.evaluate(y, True)
-    assert witness == BANANA31  # an HBB witness, its affine memoized
+    assert witness == BANANA31  # an HBB witness
     single, (u, t) = engine._hbb_types[30]
     monkeypatch.setitem(engine._hbb_types, 30, (single, (u - 1, t)))
     with pytest.raises(AssertionError, match="HBB family self-check failed"):

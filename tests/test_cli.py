@@ -135,6 +135,15 @@ def test_class_genw(capsys):
     assert data["psi"] == ["10", "0"]
 
 
+def test_class_genw_rejects_a_mu_of_the_wrong_total(capsys):
+    # mu is a signature of the genus-(g+1) stratum, a positive partition
+    # of 2g; a wrong total is named as such, before any surgery
+    code, out, err = run(capsys, "class", "--genus", "4", "--which", "genw",
+                         "--mu", "3,3", "--alpha", "3,0")
+    assert (code, out) == (1, "")
+    assert err == "error: mu must be a positive partition of 2g\n"
+
+
 def test_hurwitz_genus_domain_differs_between_routes(capsys):
     # Pins a known disagreement, not a design: the certifier and the
     # identity battery use the Hurwitz divisor at every even genus, while

@@ -1,16 +1,15 @@
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
 from stratacert.exactq import (
     EMPTY,
-    UNBOUNDED,
     UNIT,
     AffineInY,
     RationalInterval,
     affine_positivity_interval,
-    intersect_all,
     lcm_list,
     parse_rational,
     rational_str,
@@ -73,6 +72,13 @@ def test_positivity_interval_examples():
     assert affine_positivity_interval(AffineInY(F(1), F(0)), UNIT) == UNIT
     # constant zero is not strictly positive
     assert affine_positivity_interval(AffineInY(F(0), F(0)), UNIT).is_empty()
+    # a falling function keeps the domain's open lower end
+    half_open = RationalInterval(F(0), F(1), lo_open=True, hi_open=False)
+    got = affine_positivity_interval(AffineInY(F(1), F(-2)), half_open)
+    assert got == RationalInterval(F(0), F(1, 2), lo_open=True, hi_open=True)
+    # a root outside the domain: all of it, or nothing
+    assert affine_positivity_interval(AffineInY(F(2), F(-1)), UNIT) == UNIT
+    assert affine_positivity_interval(AffineInY(F(-2), F(1)), UNIT).is_empty()
 
 
 def test_positivity_never_contains_nonpositive_points():
@@ -89,14 +95,21 @@ def test_positivity_never_contains_nonpositive_points():
                 assert got.contains(y)
 
 
+def _intersect_all(intervals):
+    return reduce(RationalInterval.intersect, intervals, UNIT)
+
+
 def test_intersection_examples():
     a = RationalInterval(F(0), F(1), lo_open=False, hi_open=False)
     b = RationalInterval(F(1, 2), F(1), lo_open=True, hi_open=False)
-    assert intersect_all([a, b]) == b
+    assert a.intersect(b) == b.intersect(a) == b
     c = RationalInterval(F(0), F(1, 3))
     d = RationalInterval(F(1, 4), F(1))
-    assert intersect_all([c, d]) == RationalInterval(F(1, 4), F(1, 3))
-    assert intersect_all([]) == UNBOUNDED
+    assert c.intersect(d) == RationalInterval(F(1, 4), F(1, 3))
+    # an end shared by both is open when either has it open
+    e = RationalInterval(F(1, 4), F(1, 3), lo_open=False, hi_open=False)
+    assert e.intersect(c) == RationalInterval(F(1, 4), F(1, 3), lo_open=False)
+    assert _intersect_all([]) == UNIT
 
 
 def test_intersection_permutation_invariance():
@@ -104,31 +117,35 @@ def test_intersection_permutation_invariance():
     for _ in range(200):
         intervals = []
         for _ in range(rng.randint(0, 5)):
-            lo = None if rng.random() < 0.2 else F(rng.randint(-8, 8), rng.randint(1, 5))
-            hi = None if rng.random() < 0.2 else F(rng.randint(-8, 8), rng.randint(1, 5))
+            lo = F(rng.randint(-8, 8), rng.randint(1, 5))
+            hi = F(rng.randint(-8, 8), rng.randint(1, 5))
             intervals.append(RationalInterval(lo, hi, rng.random() < 0.5,
                                               rng.random() < 0.5))
         shuffled = intervals[:]
         rng.shuffle(shuffled)
-        a = intersect_all(intervals)
-        b = intersect_all(shuffled)
+        a = _intersect_all(intervals)
+        b = _intersect_all(shuffled)
         assert a.is_empty() == b.is_empty()
         if not a.is_empty():
             assert a == b
+        for _ in range(10):
+            y = F(rng.randint(-8, 8), rng.randint(1, 5))
+            assert a.contains(y) == all(iv.contains(y) for iv in [UNIT] + intervals)
 
 
 def test_emptiness_rules():
     assert RationalInterval(F(1), F(0)).is_empty()
     assert RationalInterval(F(1), F(1), lo_open=True, hi_open=False).is_empty()
     assert not RationalInterval(F(1), F(1), lo_open=False, hi_open=False).is_empty()
-    assert not UNBOUNDED.is_empty()
+    assert not UNIT.is_empty()
     assert EMPTY.is_empty()
 
 
 def test_interior_point():
     assert UNIT.interior_point() == F(1, 2)
-    assert RationalInterval(F(0), None).interior_point() == F(1)
-    assert UNBOUNDED.interior_point() == F(0)
+    assert RationalInterval(F(1, 4), F(1, 3)).interior_point() == F(7, 24)
+    # a closed single point is not empty, but nothing lies strictly inside
+    assert RationalInterval(F(1), F(1), lo_open=False, hi_open=False).interior_point() is None
     assert EMPTY.interior_point() is None
 
 
@@ -143,4 +160,5 @@ def test_addition_is_exact():
 def test_interval_serialization_round_trip():
     iv = RationalInterval(F(147, 793), F(1), lo_open=True, hi_open=False)
     assert RationalInterval.from_json(iv.to_json()) == iv
-    assert RationalInterval.from_json(UNBOUNDED.to_json()) == UNBOUNDED
+    assert RationalInterval.from_json(EMPTY.to_json()) == EMPTY
+    assert str(iv) == "(147/793, 1]"

@@ -195,22 +195,31 @@ def test_counts_match_stream(g):
 
 @pytest.mark.parametrize("g", range(2, 10))
 def test_unrank_matches_stream(g):
-    for flag in (True, False):
-        stream = list(enumerate_level_graphs(g, dimension_filter=flag))
-        for i, graph in enumerate(stream):
-            assert atlas_unrank(g, i, dimension_filter=flag) == graph
-        with pytest.raises(IndexError):
-            atlas_unrank(g, len(stream), dimension_filter=flag)
+    stream = list(enumerate_level_graphs(g))
+    for i, graph in enumerate(stream):
+        assert atlas_unrank(g, i) == graph
+    with pytest.raises(IndexError):
+        atlas_unrank(g, len(stream))
+
+
+def _partition_count(n):
+    """p(n), the number of partitions of n, by the usual coin DP."""
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            ways[total] += ways[total - part]
+    return ways[n]
 
 
 @pytest.mark.parametrize("g", range(2, 41))
 def test_count_matches_index(g):
     # the count grows one row per weight; the unranking index, one per
-    # block, is its oracle
+    # block, is its oracle.  Raw mode differs only at g_b = 0: the filter
+    # drops every multiset of degree-1 types (one type per weight, so p(g)
+    # of them), raw mode the single edge alone
     idx = graphs_module._AtlasIndex(g)
-    for flag in (True, False):
-        assert atlas_count(g, flag) == sum(idx.count_for_bottom(gb, flag)
-                                           for gb in range(g))
+    assert atlas_count(g) == sum(idx.count_for_bottom(gb) for gb in range(g))
+    assert atlas_count(g, False) - atlas_count(g) == _partition_count(g) - 1
 
 
 def test_finished_stream_keeps_no_partition_lists():

@@ -126,6 +126,15 @@ def test_wplus_derivation_check_other_signature():
     assert report.match
 
 
+@pytest.mark.parametrize("mu", [(3, 3), (4, 3), (9,), (8, 0), (9, -1), ()])
+def test_image_correspondence_rejects_a_mu_that_is_no_positive_partition_of_2g(mu):
+    # the one rule both entry points reach, stated before any surgery
+    for call in (lambda: image_correspondence(4, mu),
+                 lambda: wplus_derivation_check(4, mu, 1)):
+        with pytest.raises(ValueError, match="mu must be a positive partition of 2g"):
+            call()
+
+
 def test_derivation_rejects_bad_input():
     with pytest.raises(ValueError):
         wplus_derivation_check(4, (4, 3), 1)
