@@ -52,7 +52,6 @@ from .exactq import (
     RationalInterval,
     affine_positivity_interval,
     lcm_list,
-    parse_rational,
     rational_str,
 )
 from .graphs import (
@@ -72,7 +71,6 @@ from .graphs import (
     hbb_shape,
     minimal_graph,
     parse_canonical_encoding,
-    read_atlas,
     sample_atlas,
     validate,
     write_atlas,
@@ -89,7 +87,6 @@ from .linseries import (
 )
 from .pullback import (
     GAMMA1,
-    ZERO,
     PullbackReport,
     gamma1_graph,
     image_correspondence,

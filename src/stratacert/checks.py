@@ -76,7 +76,7 @@ def _identity_failures(graph: LevelGraph, inv: GraphInvariants,
         bad.append("b_NC != ell * R_NC - 1")
     if inv.ell != lcm_list(inv.prongs):
         bad.append("ell != lcm of prongs")
-    k_top, p_inv = inv.kappa_top, inv.P_minus1
+    k_top, p_inv = kappa_mu([p - 1 for p in inv.prongs]), inv.P_minus1
     if (k_top.numerator * p_inv.denominator
             != (inv.P * p_inv.denominator - p_inv.numerator) * k_top.denominator):
         bad.append("kappa_top != P - P_minus1")

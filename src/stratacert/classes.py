@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence
 
-from .exactq import parse_rational, rational_str
+from .exactq import rational_str
 from .graphs import (
     DELTA_IRR,
     GraphInvariants,
@@ -140,31 +140,15 @@ class DivisorClass:
             "boundary": {k: rational_str(v) for k, v in sorted(self.boundary.items())},
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "DivisorClass":
-        raw_psi = data.get("psi", "0")
-        if isinstance(raw_psi, list):
-            psi = tuple(parse_rational(a) for a in raw_psi)
-        else:
-            value = parse_rational(raw_psi)
-            psi = (value,) if value else ()
-        return cls(
-            parse_rational(data.get("lambda", "0")),
-            parse_rational(data.get("d_h", "0")),
-            psi,
-            parse_rational(data.get("xi", "0")),
-            {k: parse_rational(v) for k, v in data.get("boundary", {}).items()},
-        )
-
 
 @dataclass(frozen=True)
 class ClassContext:
     """Everything reduce() needs: the stratum signature and, per graph,
     the enhancement scale and the bottom-level kappa.
 
-    Valid only when the marked legs sit on the bottom vertex of every
-    graph in the set, which holds for the minimal-stratum atlas and for
-    the clutching image correspondence.
+    The marked legs sit on the bottom vertex of every graph (a
+    ``TopVertex`` carries none), so the bottom-level kappa is that of the
+    bottom signature, and each psi_i relation runs over every graph.
     """
 
     genus: int
@@ -178,8 +162,6 @@ class ClassContext:
         ell: Dict[str, int] = {}
         kb: Dict[str, Fraction] = {}
         for graph in graphs:
-            if graph.has_top_legs():
-                raise ValueError("ClassContext requires all legs on the bottom vertex")
             inv = graph_invariants(graph)
             ell[inv.encoding] = inv.ell
             kb[inv.encoding] = kappa_mu(graph.bottom_orders())
@@ -221,11 +203,6 @@ def reduce_class(c: DivisorClass, ctx: ClassContext) -> DivisorClass:
 
 # ---------------------------------------------------------------------------
 # per-graph boundary coefficients (streaming-friendly)
-
-
-def boundary_coeff_canonical(graph: LevelGraph, hbb_shape_test: bool = True) -> Fraction:
-    """D_Gamma coefficient of the scaled canonical class (kappa/2g) c1(K)."""
-    return _canonical_coeff(graph, graph_invariants(graph, hbb_shape_test))
 
 
 # The helpers below take the graph's invariants from the caller, so one

@@ -27,11 +27,6 @@ def rational_str(x: RationalLike) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the output of :func:`rational_str` (also accepts ``"p"``)."""
-    return Fraction(text.strip())
-
-
 def lcm_list(values: Sequence[int]) -> int:
     """Least common multiple of a sequence of positive integers.
 
@@ -115,11 +110,6 @@ class RationalInterval:
             "lo_open": self.lo_open,
             "hi_open": self.hi_open,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RationalInterval":
-        return cls(parse_rational(data["lo"]), parse_rational(data["hi"]),
-                   bool(data["lo_open"]), bool(data["hi_open"]))
 
     def __str__(self) -> str:
         left = "(" if self.lo_open else "["

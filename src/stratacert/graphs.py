@@ -2,13 +2,15 @@
 
 A graph here is a star: a unique bottom-level vertex carrying the marked
 legs, and top-level vertices each joined to the bottom by one or more
-edges.  Every edge carries an enhancement (prong) ``p_e >= 1`` encoding a
-zero of order ``p_e - 1`` on its upper branch and a pole of order
-``-p_e - 1`` on its lower branch.  For the minimal signature ``(2g-2)``
-the isomorphism class of such a graph ("coarse type") is exactly the
-bottom genus together with the multiset of (top genus, prong multiset)
-pairs, so canonical forms are obtained by sorting -- no general
-graph-isomorphism machinery is needed.
+edges.  On the minimal stratum the single zero lies on the bottom vertex
+of every boundary graph, so a top vertex carries no leg and the canonical
+encoding has no place for one.  Every edge carries an enhancement
+(prong) ``p_e >= 1`` encoding a zero of order ``p_e - 1`` on its upper
+branch and a pole of order ``-p_e - 1`` on its lower branch.  For the
+minimal signature ``(2g-2)`` the isomorphism class of such a graph
+("coarse type") is exactly the bottom genus together with the multiset
+of (top genus, prong multiset) pairs, so canonical forms are obtained by
+sorting -- no general graph-isomorphism machinery is needed.
 
 Enumeration is organized around *vertex types*: a type is a pair
 ``(h, prongs)`` with ``h >= 1`` and ``sum(prongs) = 2h - 2 + len(prongs)``
@@ -58,22 +60,21 @@ DELTA_IRR = "irr"
 
 @dataclass(frozen=True, slots=True)
 class TopVertex:
-    """A top-level vertex: genus, prong multiset, optional marked legs."""
+    """A top-level vertex: genus and prong multiset.  It carries no marked
+    leg, since every leg of a graph sits on its bottom vertex."""
 
     genus: int
     prongs: tuple
-    legs: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "prongs", tuple(sorted(self.prongs)))
-        object.__setattr__(self, "legs", tuple(sorted(self.legs)))
 
     @property
     def degree(self) -> int:
         return len(self.prongs)
 
     def sort_key(self):
-        return (self.genus, self.prongs, self.legs)
+        return (self.genus, self.prongs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,9 +107,6 @@ class LevelGraph:
         """Leg orders on the bottom plus a pole of order -p-1 per edge."""
         return self.bottom_legs + tuple(-p - 1 for p in self.prongs())
 
-    def has_top_legs(self) -> bool:
-        return any(v.legs for v in self.top_vertices)
-
 
 def minimal_graph(g: int, bottom_genus: int, tops: Iterable) -> LevelGraph:
     """Constructor for the minimal signature: ``tops`` = (genus, prongs) pairs."""
@@ -122,20 +120,29 @@ def minimal_graph(g: int, bottom_genus: int, tops: Iterable) -> LevelGraph:
 
 def canonical_encoding(graph: LevelGraph) -> str:
     """Bit-exact canonical text form; equality iff coarse-type isomorphism."""
-    if graph.has_top_legs():
-        raise ValueError("canonical_encoding: top-level legs are not encoded")
     legs = ",".join(map(str, graph.bottom_legs))
     tops = ",".join(
         f"({v.genus},[{','.join(map(str, v.prongs))}])" for v in graph.top_vertices)
     return f"g={graph.genus};gb={graph.bottom_genus};legs={legs};top=[{tops}]"
 
 
-_TOP_RE = re.compile(r"\((\d+),\[([\d,]*)\]\)")
-_ENC_RE = re.compile(r"^g=(\d+);gb=(\d+);legs=([-\d,]*);top=\[(.*)\]$")
+def _list_re(item: str) -> str:
+    """A comma-separated list of ``item``: possibly empty, no empty item."""
+    return f"(?:{item}(?:,{item})*)?"
+
+
+_PRONGS = _list_re("[0-9]+")
+_TOP_RE = re.compile(r"\(([0-9]+),\[(" + _PRONGS + r")\]\)")
+_ENC_RE = re.compile(
+    r"g=([0-9]+);gb=([0-9]+);legs=(" + _list_re("-?[0-9]+") + r");top=\["
+    + "(" + _list_re(r"\([0-9]+,\[" + _PRONGS + r"\]\)") + r")\]")
 
 
 def parse_canonical_encoding(text: str) -> LevelGraph:
-    m = _ENC_RE.match(text.strip())
+    """The graph a canonical encoding names.  The whole text must match:
+    every vertex and every list item, comma-separated with none empty;
+    vertices and prongs may come in any order."""
+    m = _ENC_RE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"bad graph encoding: {text!r}")
     g, gb = int(m.group(1)), int(m.group(2))
@@ -164,10 +171,9 @@ def validate(graph: LevelGraph) -> list:
             problems.append("top vertex genus negative")
         if any(p < 1 for p in v.prongs) or v.degree < 1:
             problems.append("prong must be >= 1 on every edge")
-        balance = 2 * v.genus - 2 + v.degree + sum(v.legs)
-        if sum(v.prongs) != balance:
+        if sum(v.prongs) != 2 * v.genus - 2 + v.degree:
             problems.append("prong balance violated at top vertex")
-        if v.genus == 0 and v.degree + len(v.legs) < 3:
+        if v.genus == 0 and v.degree < 3:
             problems.append("unstable genus-0 top vertex")
     e = graph.edge_count
     top_genus = sum(v.genus for v in graph.top_vertices)
@@ -263,7 +269,6 @@ class GraphInvariants:
     N_top: int
     N_bot: int
     kappa_bot: Fraction
-    kappa_top: Fraction
     edge_classes: tuple
     delta_assignments: tuple
     R_NC: Fraction
@@ -287,16 +292,13 @@ def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInv
     ell) with S the sum of twice each edge class's weight times its share,
     so b_NC = ell R_NC - 1 = (S - 2) / 2.  Each value is one Fraction.
     One loop over the top vertices gathers the prongs, N_top and the delta
-    targets; it rejects a graph with legs on a top vertex before any sum
-    is taken, since such a graph has no canonical encoding.
+    targets.
     """
     g = graph.genus
     prongs = []
     deltas = []
     n_top = 0
     for v in graph.top_vertices:
-        if v.legs:
-            raise ValueError("graph_invariants: top-level legs are not supported")
         d = len(v.prongs)
         prongs += v.prongs
         n_top += 2 * v.genus - 1 + d
@@ -329,7 +331,6 @@ def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInv
         N_top=n_top,
         N_bot=2 * graph.bottom_genus + e - v_top,
         kappa_bot=kappa_bot,
-        kappa_top=kappa_mu([p - 1 for p in prongs]),
         edge_classes=classes,
         delta_assignments=tuple(deltas),
         R_NC=Fraction(twice_rnc, 2 * ell),
@@ -580,6 +581,8 @@ def enumerate_level_graphs(g: int, dimension_filter: bool = True) -> Iterator[Le
 def atlas_unrank(g: int, rank: int) -> LevelGraph:
     """The graph at a given index of the (filtered) stream, without
     enumerating predecessors."""
+    if g < 2:
+        raise ValueError("genus must be >= 2")
     if rank < 0:
         raise IndexError("negative atlas rank")
     idx = _atlas_index(g)
@@ -697,13 +700,13 @@ def write_atlas(graphs: Iterable[LevelGraph], out, fmt: str = "text",
 
 def iter_atlas(lines: Iterable[str]) -> Iterator[tuple]:
     """(line number, graph) for each encoding line of a text atlas;
-    blank lines and ``#`` comments are skipped."""
+    blank lines and ``#`` comments are skipped.  A line that is not a
+    canonical encoding raises ValueError naming its line number."""
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if line and not line.startswith("#"):
-            yield lineno, parse_canonical_encoding(line)
-
-
-def read_atlas(lines: Iterable[str]) -> list:
-    """Read a text atlas (one canonical encoding per line)."""
-    return [graph for _, graph in iter_atlas(lines)]
+            try:
+                graph = parse_canonical_encoding(line)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            yield lineno, graph

@@ -5,7 +5,7 @@ onto the unique zero of a genus-g curve, landing in the boundary divisor
 of the distinguished single-edge graph ``Gamma_1`` (prong 2g-1, genus-1
 bottom with all legs) inside a genus-(g+1) stratum.  Pulling back:
 
-* a boundary graph with a leg on a top vertex dies;
+* a boundary graph with a leg on a top vertex misses the image and dies;
 * a boundary graph with all legs on the bottom loses one from its bottom
   genus and trades its legs for the single leg of order 2g-2;
 * ``Gamma_1`` itself contributes ``-psi``; lambda is fixed, psi_i die,
@@ -13,7 +13,9 @@ bottom with all legs) inside a genus-(g+1) stratum.  Pulling back:
 
 Only the image correspondence is ever materialized: ``Gamma_1`` together
 with the inverse surgery applied to the genus-g atlas.  This keeps the
-derivation check linear in the atlas size.
+derivation check linear in the atlas size.  By the first rule the
+correspondence holds only all-legs-bottom graphs, which are the only
+graphs this package represents: a ``TopVertex`` carries no leg.
 """
 
 from __future__ import annotations
@@ -39,13 +41,6 @@ from .graphs import (
 )
 
 
-class ZeroPullback:
-    """Sentinel: the boundary divisor misses the clutching image."""
-
-    def __repr__(self):
-        return "ZERO"
-
-
 class Gamma1Marker:
     """Sentinel: the divisor is Gamma_1 itself (pulls back to -psi)."""
 
@@ -53,7 +48,6 @@ class Gamma1Marker:
         return "GAMMA1"
 
 
-ZERO = ZeroPullback()
 GAMMA1 = Gamma1Marker()
 
 
@@ -66,24 +60,21 @@ def gamma1_graph(g: int, mu: Sequence[int]) -> LevelGraph:
 def is_gamma1(graph: LevelGraph, g: int) -> bool:
     return (graph.bottom_genus == 1 and graph.v_top == 1
             and graph.top_vertices[0].genus == g
-            and graph.top_vertices[0].prongs == (2 * g - 1,)
-            and not graph.has_top_legs())
+            and graph.top_vertices[0].prongs == (2 * g - 1,))
 
 
 def zeta_pull_graph(delta: LevelGraph, g: int):
     """Pull a genus-(g+1) boundary graph back to genus g.
 
-    Returns ZERO when some leg sits on a top vertex, GAMMA1 for the
-    distinguished graph, and otherwise the surgered graph: bottom genus
-    decreased by one, legs replaced by the single order-(2g-2) leg.
+    Returns GAMMA1 for the distinguished graph, and otherwise the surgered
+    graph: bottom genus decreased by one, legs replaced by the single
+    order-(2g-2) leg.
     """
     if delta.genus != g + 1:
         raise ValueError("graph genus does not match the clutching source")
     problems = validate(delta)
     if problems:
         raise ValueError(f"invalid graph: {problems}")
-    if delta.has_top_legs():
-        return ZERO
     if is_gamma1(delta, g):
         return GAMMA1
     if delta.bottom_genus < 1:
@@ -137,8 +128,6 @@ def zeta_pull_class(c: DivisorClass, g: int,
     boundary: Dict[str, Fraction] = {}
     for enc, coeff in c.boundary.items():
         image = zeta_pull_graph(graphs[enc], g)
-        if image is ZERO:
-            continue
         if image is GAMMA1:
             psi -= coeff
             continue
@@ -213,8 +202,6 @@ def wplus_derivation_check(g: int, mu: Sequence[int], k: int) -> PullbackReport:
     the raw form of the extra-vanishing Weierstrass class, coordinate by
     coordinate over the image correspondence."""
     mu = _check_mu(g, mu)
-    if not 1 <= k <= len(mu) or mu[k - 1] > g:
-        raise ValueError("invalid saturation index")
     alpha = saturated_alpha(mu, k)
     graphs = image_correspondence(g, mu)
     upstairs = class_with_twist_bounds(g, mu, alpha, graphs)

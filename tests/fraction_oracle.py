@@ -102,7 +102,6 @@ def graph_invariants(graph, hbb_shape_test=True):
     n_top = sum(2 * v.genus - 1 + v.degree for v in graph.top_vertices)
     n_bot = 2 * graph.bottom_genus + e - graph.v_top
     kappa_bot = kappa_mu(graph.bottom_legs) - (p_sum - p_inv)
-    kappa_top = kappa_mu(tuple(p - 1 for p in prongs))
     r_nc = Fraction(0)
     for p, cls in zip(prongs, classes):
         r_nc += _RNC_WEIGHT[cls] / p
@@ -118,7 +117,7 @@ def graph_invariants(graph, hbb_shape_test=True):
     return GraphInvariants(
         genus=g, encoding=canonical_encoding(graph), prongs=prongs, P=p_sum,
         P_minus1=p_inv, ell=ell, edges=e, v_top=graph.v_top, N_top=n_top,
-        N_bot=n_bot, kappa_bot=kappa_bot, kappa_top=kappa_top,
+        N_bot=n_bot, kappa_bot=kappa_bot,
         edge_classes=classes, delta_assignments=tuple(deltas), R_NC=r_nc,
         b_NC=b_nc, delta_H=delta_h)
 
@@ -210,7 +209,7 @@ def _identity_failures(graph, inv, six):
         bad.append("b_NC != ell * R_NC - 1")
     if inv.ell != lcm_list(inv.prongs):
         bad.append("ell != lcm of prongs")
-    if inv.kappa_top != inv.P - inv.P_minus1:
+    if kappa_mu(tuple(p - 1 for p in inv.prongs)) != inv.P - inv.P_minus1:
         bad.append("kappa_top != P - P_minus1")
     if any(v.genus < 1 for v in graph.top_vertices):
         bad.append("top vertex of genus 0 in a minimal-stratum graph")

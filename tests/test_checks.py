@@ -52,7 +52,7 @@ def _identity_cases():
         ("ell != lcm of prongs",
          BASE, replace(inv, ell=2 * inv.ell), six),
         ("kappa_top != P - P_minus1",
-         BASE, replace(inv, kappa_top=inv.kappa_top + F(1, 5)), six),
+         BASE, replace(inv, P_minus1=inv.P_minus1 + F(1, 5)), six),
         ("top vertex of genus 0 in a minimal-stratum graph",
          replace(BASE, top_vertices=BASE.top_vertices + (TopVertex(0, (1, 1, 1)),)),
          inv, six),

@@ -5,8 +5,8 @@ import pytest
 from stratacert.classes import (
     ClassContext,
     DivisorClass,
+    _canonical_coeff,
     bn_class,
-    boundary_coeff_canonical,
     d_nc_class,
     gen_weierstrass_class,
     hur_class,
@@ -61,8 +61,8 @@ def test_scaled_canonical_class_genus2():
 
 
 def test_canonical_hbb_correction_is_conservative():
-    with_h = boundary_coeff_canonical(BANANA2, True)
-    without = boundary_coeff_canonical(BANANA2, False)
+    with_h = _canonical_coeff(BANANA2, graph_invariants(BANANA2, True))
+    without = _canonical_coeff(BANANA2, graph_invariants(BANANA2, False))
     assert without - with_h == F(2, 3)  # kappa/(2g) at g = 2
 
 
@@ -167,7 +167,8 @@ def test_twist_improvement_bound():
 def test_divisor_class_json_round_trip():
     cls = DivisorClass(lam=F(7, 10), d_h=F(-17, 120), psi=(F(466),),
                        xi=F(1), boundary={"enc": F(-3, 2)})
-    assert DivisorClass.from_json(cls.to_json()) == cls
+    assert cls.to_json() == {"lambda": "7/10", "d_h": "-17/120", "psi": "466",
+                             "xi": "1", "boundary": {"enc": "-3/2"}}
 
 
 def test_kappa_bot_routes_agree():

@@ -91,6 +91,15 @@ def test_pullback_check(capsys):
     assert data["alpha"] == [4, 0]
 
 
+def test_pullback_check_rejects_a_bad_saturation_index(capsys):
+    code, out, err = run(capsys, "pullback-check", "--genus", "6", "--k", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: index k out of range\n"
+    code, out, err = run(capsys, "pullback-check", "--genus", "6", "--mu", "10,2")
+    assert (code, out) == (1, "")
+    assert err == "error: no k-saturated partition exists when m_k > g\n"
+
+
 def test_identities_command(capsys):
     code, out, _ = run(capsys, "identities", "--genus-max", "5")
     assert code == 0
@@ -328,6 +337,19 @@ def test_atlas_lines_are_validated(tmp_path, capsys):
     _, _, err = run(capsys, "enumerate", "--genus", "5",
                     "--atlas", str(tmp_path / "duplicate.txt"))
     assert "line 2: repeats line 1" in err
+
+
+def test_atlas_rejects_malformed_encodings(tmp_path, capsys):
+    good = "g=3;gb=0;legs=4;top=[(2,[2,2])]\n"
+    path = tmp_path / "bad.txt"
+    for line in ("g=3;gb=0;legs=4;top=[(2,[2,2])junk]",
+                 "g=3;gb=1;legs=4;top=[(1,[1])(1,[1])]",
+                 "g=3;gb=0;legs=4;top=[(2,[2,,2])]",
+                 "g=3;gb=0;legs=,4,;top=[(2,[2,2])]"):
+        path.write_text(good + line + "\n")
+        code, out, err = run(capsys, "invariants", "--genus", "3", "--atlas", str(path))
+        assert (code, out) == (1, ""), line
+        assert f"line 2: bad graph encoding: {line!r}" in err
 
 
 def test_identities_workers_equivalence(capsys):

@@ -21,12 +21,12 @@ from stratacert.graphs import (
     enumerate_level_graphs,
     graph_invariants,
     hbb_shape,
+    iter_atlas,
     kappa_mu,
     minimal_graph,
     parse_canonical_encoding,
     partition_unrank,
     partitions_exact,
-    read_atlas,
     sample_atlas,
     validate,
     write_atlas,
@@ -76,6 +76,24 @@ def test_encoding_round_trip():
         for graph in enumerate_level_graphs(g):
             enc = canonical_encoding(graph)
             assert parse_canonical_encoding(enc) == graph
+
+
+@pytest.mark.parametrize("text", [
+    "g=3;gb=0;legs=4;top=[(2,[2,2])junk]",
+    "g=3;gb=1;legs=4;top=[(1,[1])(1,[1])]",
+    "g=3;gb=0;legs=4;top=[(2,[2,,2])]",
+    "g=3;gb=0;legs=,4,;top=[(2,[2,2])]",
+])
+def test_malformed_encoding_rejected(text):
+    with pytest.raises(ValueError, match="bad graph encoding"):
+        parse_canonical_encoding(text)
+
+
+def test_encoding_parts_in_any_order():
+    graph = minimal_graph(5, 1, [(2, (1, 3)), (1, (1,))])
+    text = "g=5;gb=1;legs=8;top=[(1,[1]),(2,[3,1])]"
+    assert canonical_encoding(graph) != text
+    assert parse_canonical_encoding(text) == graph
 
 
 def test_validate_examples():
@@ -132,12 +150,6 @@ def test_hbb_shape():
 
 def test_hbb_shape_flag_off():
     assert graph_invariants(BANANA2, hbb_shape_test=False).delta_H == 0
-
-
-def test_top_legs_are_rejected_before_any_work():
-    graph = LevelGraph(3, 1, (2,), (TopVertex(1, (1,), legs=(2,)),))
-    with pytest.raises(ValueError, match="graph_invariants"):
-        graph_invariants(graph)
 
 
 def test_kappa_mu_matches_fraction_oracle():
@@ -283,8 +295,8 @@ def test_atlas_io_round_trip(tmp_path):
         write_atlas(graphs, fh, fmt="text")
         fh.write("# trailing comment\n")
     with open(path) as fh:
-        back = read_atlas(fh)
-    assert back == graphs
+        back = list(iter_atlas(fh))
+    assert back == list(enumerate(graphs, 1))
 
 
 def test_atlas_csv_and_json(tmp_path):
@@ -310,6 +322,9 @@ def test_genus_below_two_rejected():
         list(enumerate_level_graphs(1))
     with pytest.raises(ValueError):
         atlas_count(1)
+    for g in (1, 0, -3):
+        with pytest.raises(ValueError, match="genus must be >= 2"):
+            atlas_unrank(g, 0)
 
 
 def test_unrank_matches_stream_prefix_large_genus():

@@ -13,7 +13,6 @@ from stratacert.graphs import (
 )
 from stratacert.pullback import (
     GAMMA1,
-    ZERO,
     gamma1_graph,
     image_correspondence,
     saturated_alpha,
@@ -36,10 +35,6 @@ def test_gamma1_graph_shape():
 
 def test_pull_graph_rules():
     g = 4
-    # a leg stranded on a top vertex dies
-    delta = LevelGraph(g + 1, 3, (4,), (TopVertex(2, (7,), legs=(4,)),))
-    assert validate(delta) == []
-    assert zeta_pull_graph(delta, g) is ZERO
     # the distinguished graph is marked
     assert zeta_pull_graph(gamma1_graph(g, (g, g)), g) is GAMMA1
     # the surgery drops one from the bottom genus and merges the legs
