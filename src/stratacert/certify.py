@@ -474,9 +474,9 @@ def _row_minimum(rows: list) -> Callable:
 # Everything is an integer over DEN = 2 (2g-1) (g+11) B Lambda, with
 # Lambda = lcm(1..2g-1) and B the effective divisor's denominator.
 # Within a (weight, degree) block (u_k, t_k) is affine in iota_k, so the
-# per-weight hulls are built from the two types of extreme iota only
+# per-weight lines are built from the two types of extreme iota only
 # (_iota_extremes says why that suffices), and from genus 13 on of
-# degrees 1, 2 and w only (_MinEngine._build_type_hulls says why).
+# degrees 1, 2 and w only (_MinEngine._build_type_lines says why).
 # _type_scalars takes sigma = 2h - 2 + d from the prong balance, and rho
 # and beta as multiples of iota, whose one sum runs over the type's
 # distinct parts (at most two in either extreme).
@@ -527,47 +527,19 @@ def _least_prime(n: int) -> int:
     return n
 
 
-class _Hull:
-    """Lower envelope of lines y -> u + t y with exact integer queries."""
-
-    __slots__ = ("lines", "breaks")
-
-    def __init__(self, lines: list):
-        # sort by slope descending (activation order as y grows); among
-        # equal slopes only the smallest intercept can ever win
-        lines = sorted(lines, key=lambda line: (-line[0], line[1]))
-        hull: list = []
-        for t, u, ref in lines:
-            if hull and hull[-1][0] == t:
-                continue
-            while len(hull) >= 2:
-                t1, u1, _ = hull[-1]
-                t2, u2, _ = hull[-2]
-                # drop the top line if the new one overtakes it no later
-                # than it overtook the one below it
-                if (u1 - u) * (t1 - t2) <= (u2 - u1) * (t - t1):
-                    hull.pop()
-                else:
-                    break
-            hull.append((t, u, ref))
-        self.lines = hull
-        self.breaks = [
-            (u2 - u1, t1 - t2)  # y-coordinate where line i+1 takes over
-            for (t1, u1, _), (t2, u2, _) in zip(hull, hull[1:])
-        ]
-
-    def query(self, yn: int, yd: int):
-        """(u yd + t yn, ref) of the minimal line at y = yn/yd, yd > 0."""
-        lo, hi = 0, len(self.breaks)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            num, den = self.breaks[mid]
-            if yn * den >= num * yd:
-                lo = mid + 1
-            else:
-                hi = mid
-        t, u, ref = self.lines[lo]
-        return u * yd + t * yn, ref
+def _least_line(lines, yn: int, yd: int) -> tuple:
+    """(u yd + t yn, t, ref) of the least of ``lines``, each (t, u, ref),
+    at y = yn/yd, yd > 0: least value, then least slope, then the first
+    given.  At a breakpoint the least slope is the line that stays least
+    just right of it."""
+    lines = iter(lines)
+    best_t, u, best_ref = next(lines)
+    best = u * yd + best_t * yn
+    for t, u, ref in lines:
+        value = u * yd + t * yn
+        if value < best or (value == best and t < best_t):
+            best, best_t, best_ref = value, t, ref
+    return best, best_t, best_ref
 
 
 class _MinEngine:
@@ -582,7 +554,7 @@ class _MinEngine:
         self.q_num = (2 * g - 2) * (self.den // (2 * g - 1))  # Q * DEN
         self.k0 = -4 * g * (g - 1) * (self.den // (2 * g - 1))  # -kappa * DEN
         self.k1 = 12 * (g - 1) * (self.den // (g + 11))  # J (g-1) * DEN
-        self._build_type_hulls()
+        self._build_type_lines()
         # (single, pair) scalars per top genus h < g for the HBB search: the
         # pair (g, [g, g]) weighs g + 1, and the single (g, [2g - 1]) leaves
         # no weight for the pair every HBB graph holds
@@ -630,18 +602,20 @@ class _MinEngine:
         t = self.k1 - diff_den // (g + 11) * 12 - beta_den
         return u, t
 
-    def _build_type_hulls(self):
-        """hull_all[w] and hull_d2[w]: the lower envelopes of the lines of
-        the weight-w vertex types of any degree and of degree >= 2.
+    def _build_type_lines(self):
+        """type_lines[w] = (line_d1, lines_d2): the line (t, u, ref) of the
+        one weight-w vertex type of degree 1, ref = (w, (2w - 1,)), and a
+        tuple of lines of the weight-w types of degree >= 2, ref = (h,
+        parts), empty for w = 1.
 
-        Below genus 13 (_LEMMA_GENUS) each degree d = 1..w gives its two
-        iota extremes.  From genus 13 on only d = 1, d = 2 and d = w (the
-        one type h = 1 with every prong 1) do, on this lemma: for
-        3 <= d < w both lines of degree d lie strictly above the degree-2
-        and degree-w lines' envelope at every y in [0, 1].  So the hulls
-        have the same envelope on [0, 1], the only y ``evaluate`` accepts,
-        and ``_Hull.query``, which at a breakpoint answers with the line of
-        least slope through it, answers with the same line there.
+        Below genus 13 (_LEMMA_GENUS) each degree d = 2..w gives its two
+        iota extremes.  From genus 13 on only d = 2 and d = w (the one
+        type h = 1 with every prong 1) do, on this lemma: for 3 <= d < w
+        both lines of degree d lie strictly above the degree-2 and
+        degree-w lines' envelope at every y in [0, 1].  So at every y in
+        [0, 1], the only y ``evaluate`` accepts, no dropped line reaches
+        the least kept line, and the least line, ties included, is the
+        same as over every degree.
 
         Proof.  A type of degree d >= 2 and weight w has h = w + 1 - d and
         sigma = 2w - d, so with beta = hor / den its value at y is
@@ -668,23 +642,18 @@ class _MinEngine:
         above B's root (g + 11)/(12 (2g - 1)) < 1/20.
         """
         g = self.g
-        self.hull_all: Dict[int, _Hull] = {}
-        self.hull_d2: Dict[int, _Hull] = {}
+        self.type_lines: Dict[int, tuple] = {}
         for w in range(1, g + 1):
-            lines_all = []
+            u, t = self._type_scalars(w, 1, (2 * w - 1,))
+            line_d1 = (t, u, (w, (2 * w - 1,)))
+            degrees = (2, w) if g >= _LEMMA_GENUS and w > 3 else range(2, w + 1)
             lines_d2 = []
-            degrees = (1, 2, w) if g >= _LEMMA_GENUS and w > 3 else range(1, w + 1)
             for d in degrees:
                 h = w + 1 - d
                 for parts in _iota_extremes(2 * h - 2 + d, d):
                     u, t = self._type_scalars(h, d, parts)
-                    entry = (t, u, (h, parts))
-                    lines_all.append(entry)
-                    if d >= 2:
-                        lines_d2.append(entry)
-            self.hull_all[w] = _Hull(lines_all)
-            if lines_d2:
-                self.hull_d2[w] = _Hull(lines_d2)
+                    lines_d2.append((t, u, (h, parts)))
+            self.type_lines[w] = line_d1, tuple(lines_d2)
 
     # -- exhaustively enumerated special families --------------------------
 
@@ -826,8 +795,9 @@ class _MinEngine:
     def evaluate(self, y: Fraction, hbb: bool):
         """(min over the atlas of s_Gamma(y), witness graph, active affine).
 
-        The minimum has three parts: the knapsack over per-weight hulls, the
-        single-edge EDB family, and, with the shape test on, the HBB family.
+        The minimum has three parts: the knapsack over the per-weight least
+        lines, the single-edge EDB family, and, with the shape test on, the
+        HBB family.
         An HBB graph whose prong lcm ell divides L is worth at most its
         additive value minus Q/L, with equality at L = ell, so the HBB
         minimum is min over L of (least additive value with prongs dividing
@@ -835,16 +805,16 @@ class _MinEngine:
         only when strictly lower, and its witness is checked against the
         per-graph pipeline.
 
-        The per-weight hulls are exact on [0, 1] only, so y outside it
-        raises ValueError."""
+        From genus 13 on the kept per-weight lines give the least line only
+        on [0, 1] (``_build_type_lines``), so y outside it raises
+        ValueError."""
         g = self.g
         yn, yd = y.numerator, y.denominator
         if yd <= 0:
             raise ValueError("denominator must be positive")
         if not 0 <= yn <= yd:
-            raise ValueError("y must lie in [0, 1], where the type hulls are exact")
-        best_all = {w: self.hull_all[w].query(yn, yd) for w in range(1, g + 1)}
-        best_d2 = {w: h.query(yn, yd) for w, h in self.hull_d2.items()}
+            raise ValueError("y must lie in [0, 1], where the kept type lines are exact")
+        best_all, best_d2 = self._weight_minima(yn, yd)
         # unbounded knapsack over weights
         dp = [0] * (g + 1)
         choice = [0] * (g + 1)
@@ -887,17 +857,33 @@ class _MinEngine:
                     raise AssertionError("HBB family self-check failed")
         return Fraction(best_value, scale), witness, affine
 
+    def _weight_minima(self, yn: int, yd: int):
+        """(best_all, best_d2) at y = yn/yd: per weight w, the least line,
+        as ``_least_line`` gives it, over the weight-w types of any degree,
+        and for w >= 2 over those of degree >= 2.  The degree >= 2 lines
+        are scanned once; the degree-1 line counts as given first, so it
+        wins an exact tie with their least."""
+        best_all, best_d2 = {}, {}
+        for w, ((t, u, ref), lines_d2) in self.type_lines.items():
+            best = u * yd + t * yn, t, ref
+            if lines_d2:
+                least = best_d2[w] = _least_line(lines_d2, yn, yd)
+                if least[:2] < best[:2]:
+                    best = least
+            best_all[w] = best
+        return best_all, best_d2
+
     def _reconstruct(self, plan, best_all, best_d2, choice) -> LevelGraph:
         g_b, d2_weight = plan
         tops = []
         rest = self.g - g_b
         if d2_weight is not None:
-            h, parts = best_d2[d2_weight][1]
+            h, parts = best_d2[d2_weight][2]
             tops.append(TopVertex(h, parts))
             rest -= d2_weight
         while rest:
             w = choice[rest]
-            h, parts = best_all[w][1]
+            h, parts = best_all[w][2]
             tops.append(TopVertex(h, parts))
             rest -= w
         return LevelGraph(self.g, g_b, (2 * self.g - 2,), tuple(tops))

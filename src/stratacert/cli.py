@@ -391,7 +391,7 @@ def _cmd_pullback_check(args) -> int:
 def _identity_task(task) -> tuple:
     g, full_max, samples, hbb = task
     start = time.perf_counter()
-    if g <= full_max:
+    if g <= full_max or samples >= atlas_count(g):
         graphs = enumerate_level_graphs(g)
         label = "full atlas"
     else:

@@ -31,8 +31,8 @@ from stratacert.certify import (
     scan,
     six_coefficients,
     y_hor,
-    _Hull,
     _iota_extremes,
+    _least_line,
     _MinEngine,
 )
 from stratacert.checks import (
@@ -316,6 +316,53 @@ def test_stale_divisor_argument_fails_loudly():
             call()
 
 
+class _Hull:
+    """Oracle: the lower envelope of lines (t, u, ref), y -> u + t y, with
+    exact integer queries.  Among lines of equal slope it keeps the least
+    intercept, the first given on a tie, and at a breakpoint it answers
+    with the later line, of lesser slope: the tie rule the engine's
+    per-weight minimum and HBB search must reproduce."""
+
+    __slots__ = ("lines", "breaks")
+
+    def __init__(self, lines: list):
+        # sort by slope descending (activation order as y grows); among
+        # equal slopes only the smallest intercept can ever win
+        lines = sorted(lines, key=lambda line: (-line[0], line[1]))
+        hull: list = []
+        for t, u, ref in lines:
+            if hull and hull[-1][0] == t:
+                continue
+            while len(hull) >= 2:
+                t1, u1, _ = hull[-1]
+                t2, u2, _ = hull[-2]
+                # drop the top line if the new one overtakes it no later
+                # than it overtook the one below it
+                if (u1 - u) * (t1 - t2) <= (u2 - u1) * (t - t1):
+                    hull.pop()
+                else:
+                    break
+            hull.append((t, u, ref))
+        self.lines = hull
+        self.breaks = [
+            (u2 - u1, t1 - t2)  # y-coordinate where line i+1 takes over
+            for (t1, u1, _), (t2, u2, _) in zip(hull, hull[1:])
+        ]
+
+    def query(self, yn: int, yd: int):
+        """(u yd + t yn, ref) of the minimal line at y = yn/yd, yd > 0."""
+        lo, hi = 0, len(self.breaks)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            num, den = self.breaks[mid]
+            if yn * den >= num * yd:
+                lo = mid + 1
+            else:
+                hi = mid
+        t, u, ref = self.lines[lo]
+        return u * yd + t * yn, ref
+
+
 def test_hull_matches_linear_scan():
     rng = random.Random(424242)
     for _ in range(50):
@@ -378,7 +425,7 @@ def test_scan_rejects_bad_range_and_mode():
 
 
 def _full_type_engine(g):
-    """Oracle: the minimization engine with hulls over every degree 1..w of
+    """Oracle: the minimization engine with lines over every degree 1..w of
     every weight w and, through genus 20, over every vertex type of each
     degree rather than the two iota extremes."""
     with pytest.MonkeyPatch.context() as mp:
@@ -400,10 +447,23 @@ def _oracle_ys():
     return ys
 
 
-def _lines_on_unit(hull):
-    """The lines of a hull that _Hull.query answers with at some y in
-    [0, 1]: line i answers on [break i - 1, break i), where a breakpoint
-    goes to the later line."""
+def _weight_lines(engine):
+    """(every, d2): per weight w, the engine's kept lines of every degree,
+    the degree-1 line first, and those of degree >= 2, for the weights
+    that have any."""
+    every, d2 = {}, {}
+    for w, (line_d1, lines_d2) in engine.type_lines.items():
+        every[w] = [line_d1, *lines_d2]
+        if lines_d2:
+            d2[w] = list(lines_d2)
+    return every, d2
+
+
+def _lines_on_unit(lines):
+    """The lines of the envelope of ``lines`` that _Hull.query answers
+    with at some y in [0, 1]: line i answers on [break i - 1, break i),
+    where a breakpoint goes to the later line."""
+    hull = _Hull(lines)
     ends = [None] + [F(num, den) for num, den in hull.breaks] + [None]
     return [line for line, lo, hi in zip(hull.lines, ends, ends[1:])
             if (lo is None or lo <= 1) and (hi is None or hi > 0)]
@@ -411,17 +471,17 @@ def _lines_on_unit(hull):
 
 @pytest.mark.parametrize("g", [*range(4, 41), 60, 100, 200])
 def test_extreme_type_hulls_match_full_type_oracle(g):
-    # below genus 13 the engine builds every degree, so its hulls equal the
-    # oracle's line for line; from 13 on it builds degrees 1, 2 and w only,
-    # and the lines that can answer a query in [0, 1] are the same
+    # below genus 13 the engine builds every degree, so the envelopes of
+    # its lines equal the oracle's line for line; from 13 on it builds
+    # degrees 1, 2 and w only, and the lines that can answer a query in
+    # [0, 1] are the same
     engine = _MinEngine(g)
     oracle = _full_type_engine(g)
-    same = (lambda hull: hull.lines) if g < 13 else _lines_on_unit
-    for hulls, o_hulls in ((engine.hull_all, oracle.hull_all),
-                           (engine.hull_d2, oracle.hull_d2)):
-        assert hulls.keys() == o_hulls.keys()
-        for w in hulls:
-            assert same(hulls[w]) == same(o_hulls[w]), (g, w)
+    same = (lambda lines: _Hull(lines).lines) if g < 13 else _lines_on_unit
+    for lines, o_lines in zip(_weight_lines(engine), _weight_lines(oracle)):
+        assert lines.keys() == o_lines.keys()
+        for w in lines:
+            assert same(lines[w]) == same(o_lines[w]), (g, w)
     for y in _oracle_ys():
         for hbb in (True, False):
             value, witness, affine = engine.evaluate(y, hbb)
@@ -433,9 +493,66 @@ def test_extreme_type_hulls_match_full_type_oracle(g):
 
 def test_every_degree_is_needed_below_genus_13():
     # at genus 12 a degree-3 type of weight 11 answers queries in [0, 1],
-    # so the reduced build would change the hull there
-    lines = _lines_on_unit(_MinEngine(12).hull_all[11])
+    # so the reduced build would change the least line there
+    every, _ = _weight_lines(_MinEngine(12))
+    lines = _lines_on_unit(every[11])
     assert (9, (6, 6, 7)) in [ref for _, _, ref in lines]
+
+
+@pytest.mark.parametrize("g", [*range(2, 41), 60, 100])
+def test_weight_minima_match_hull_at_breakpoints(g):
+    # the random _oracle_ys rarely land on a breakpoint, where the tie rule
+    # decides; at every breakpoint in [0, 1] of the envelope of any weight's
+    # lines, and at both ends, every weight's least line over every degree
+    # and over degree >= 2 is the one _Hull.query names, value and ref
+    engine = _MinEngine(g)
+    hulls = [{w: _Hull(lines) for w, lines in by_weight.items()}
+             for by_weight in _weight_lines(engine)]
+    ys = {F(0), F(1)}
+    for by_weight in hulls:
+        for hull in by_weight.values():
+            ys.update(y for y in (F(num, den) for num, den in hull.breaks) if 0 <= y <= 1)
+    for y in sorted(ys):
+        yn, yd = y.numerator, y.denominator
+        for least, by_weight in zip(engine._weight_minima(yn, yd), hulls):
+            assert least.keys() == by_weight.keys()
+            for w, hull in by_weight.items():
+                value, _, ref = least[w]
+                assert (value, ref) == hull.query(yn, yd), (g, y, w)
+
+
+def test_least_line_tie_rule():
+    # a value tie goes to the least slope, and identical lines to the first
+    # given, in any order, as _Hull.query has it
+    lines = [(3, 0, "a"), (1, 2, "b"), (1, 2, "c"), (5, -1, "d"), (1, 5, "e")]
+    assert _least_line(lines, 0, 1) == (-1, 5, "d")
+    assert _least_line(lines, 1, 2) == (3, 3, "a")  # ties d, of slope 5
+    assert _least_line(lines, 1, 1) == (3, 1, "b")  # ties a and c
+    for order in itertools.permutations(lines):
+        first = next(ref for _, _, ref in order if ref in ("b", "c"))
+        assert _least_line(order, 1, 1) == (3, 1, first)
+        for yn, yd in ((0, 1), (1, 6), (1, 5), (1, 4), (1, 2), (2, 3), (1, 1)):
+            value, _, ref = _least_line(order, yn, yd)
+            assert (value, ref) == _Hull(list(order)).query(yn, yd), (order, yn, yd)
+
+
+@pytest.mark.parametrize("g", [5, 14])
+def test_degree_one_line_wins_an_identical_tie(g):
+    # with every type's contribution zero, every line of a weight is the
+    # same: the degree-1 type, built first, is the least over every degree,
+    # and the first degree >= 2 line built the least over those
+    engine = _engine_with_scalars(g, lambda *_: (0, 0))
+    best_all, best_d2 = engine._weight_minima(1, 3)
+    for w, (_, lines_d2) in engine.type_lines.items():
+        assert best_all[w] == (0, 0, (w, (2 * w - 1,))), (g, w)
+        if lines_d2:
+            assert best_d2[w] == (0, 0, lines_d2[0][2]), (g, w)
+    # a degree >= 2 line of equal value wins only on a lesser slope
+    for slope_d2, winner in ((-1, "d2"), (0, "d1"), (1, "d1")):
+        engine.type_lines = {1: ((0, 0, "d1"), ((slope_d2, -slope_d2, "d2"),))}
+        best_all, best_d2 = engine._weight_minima(1, 1)
+        assert best_all[1] == (0, min(slope_d2, 0), winner), slope_d2
+        assert best_d2[1] == (0, slope_d2, "d2")
 
 
 def _iota(parts):
@@ -465,7 +582,7 @@ def test_lemma_iota_closed_forms():
 def _lemma_differences(g, gaps):
     """B + C (iota_bal(3) - iota_bal(2)) for 3 <= w <= g, at both ends of
     [0, min(y_C, 1)], the part of [0, 1] where C >= 0 (the lemma of
-    _MinEngine._build_type_hulls); built from the divisor's integers, with
+    _MinEngine._build_type_lines); built from the divisor's integers, with
     gaps[w] = iota_bal(3) - iota_bal(2) at weight w."""
     _, den, hor, _ = certify_module._divisor(g)
     q, j, beta = F(2 * g - 2, 2 * g - 1), F(12, g + 11), F(hor, den)
@@ -639,11 +756,13 @@ def _hbb_memo_hull(engine):
 
 
 def _knapsack_dp(engine, yn, yd):
-    """The knapsack over the engine's per-weight hulls, as evaluate fills it."""
+    """The knapsack over the envelopes of the engine's per-weight lines, as
+    evaluate fills it."""
+    every, _ = _weight_lines(engine)
+    least = {w: _Hull(lines).query(yn, yd)[0] for w, lines in every.items()}
     dp = [0] * (engine.g + 1)
     for total in range(1, engine.g + 1):
-        dp[total] = min(dp[total - w] + engine.hull_all[w].query(yn, yd)[0]
-                        for w in range(1, total + 1))
+        dp[total] = min(dp[total - w] + least[w] for w in range(1, total + 1))
     return dp
 
 
@@ -701,7 +820,7 @@ def _hbb_dfs_oracle(engine, yn, yd, dp, limit):
 
 
 def _engine_with_scalars(g, scalars):
-    """An engine whose per-type contributions (hulls and HBB types alike)
+    """An engine whose per-type contributions (type lines and HBB types alike)
     are ``scalars(engine, h, d, parts)``."""
     engine = _MinEngine.__new__(_MinEngine)
     engine._type_scalars = lambda h, d, parts: scalars(engine, h, d, parts)

@@ -277,6 +277,21 @@ def test_identities_moderate_genus(capsys):
     assert "genus 12: 40 graphs (40 spread samples): ok" in out
 
 
+def test_identities_labels_a_sample_that_covers_the_atlas_full(capsys):
+    # a sample of at least the atlas's size is the whole atlas, and is
+    # labelled so; one graph fewer is a spread sample
+    assert atlas_count(4) == 23
+    code, out, _ = run(capsys, "identities", "--genus-max", "3", "--full-max", "0")
+    assert code == 0
+    assert "genus 2: 2 graphs (full atlas): ok" in out
+    assert "genus 3: 8 graphs (full atlas): ok" in out
+    for samples, label in ((23, "full atlas"), (22, "22 spread samples")):
+        code, out, _ = run(capsys, "identities", "--genus-max", "4", "--full-max", "3",
+                           "--samples", str(samples))
+        assert code == 0
+        assert f"genus 4: {samples} graphs ({label}): ok" in out, samples
+
+
 def test_workers_below_one_rejected(capsys):
     assert run(capsys, "identities", "--genus-max", "3", "--workers", "0")[0] == 1
     assert run(capsys, "scan", "--from", "29", "--to", "30", "--workers", "-1")[0] == 1
