@@ -56,7 +56,7 @@ them the notes that quote the witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -900,8 +900,8 @@ class _MinEngine:
             if inv.edges == 1 and EDB in inv.edge_classes:
                 p = inv.prongs[0]
                 r_nc = Fraction(2, p)
-                inv = replace(inv, edge_classes=(OCT,), R_NC=r_nc,
-                              b_NC=inv.ell * r_nc - 1)
+                inv = inv._replace(edge_classes=(OCT,), R_NC=r_nc,
+                                   b_NC=inv.ell * r_nc - 1)
             affine = self._dp_affines[graph] = s_gamma_affine(inv, self.g)
         return affine
 

@@ -4,7 +4,11 @@ and their exact conversion to the reduced basis (lambda, D_h, {D_Gamma}).
 Boundary coordinates are keyed by canonical graph encodings.  Each class
 builder reads its boundary coefficients from a per-graph helper, so that
 large atlases can be processed streaming without materializing the full
-boundary map.
+boundary map.  Every boundary coefficient a builder emits, and every
+coordinate ``reduce_class`` updates, is one Fraction built from integer
+numerators and denominators: no per-graph sum, product or negation runs
+on Fractions.  A builder of genus g raises ValueError on a graph of
+another genus, naming its encoding.
 
 The kappa value of a bottom level is evaluated here directly on the full
 bottom signature (legs plus a pole of order -p-1 per edge); the graph
@@ -24,6 +28,7 @@ from .graphs import (
     DELTA_IRR,
     GraphInvariants,
     LevelGraph,
+    _kappa_mu_pair,
     graph_invariants,
     kappa_mu,
 )
@@ -162,7 +167,7 @@ class ClassContext:
         ell: Dict[str, int] = {}
         kb: Dict[str, Fraction] = {}
         for graph in graphs:
-            inv = graph_invariants(graph)
+            inv = _invariants(genus, graph)
             ell[inv.encoding] = inv.ell
             kb[inv.encoding] = kappa_mu(graph.bottom_orders())
         return cls(genus, tuple(orders), ell, kb)
@@ -179,26 +184,39 @@ def reduce_class(c: DivisorClass, ctx: ClassContext) -> DivisorClass:
         psi_i = (xi + sum_Gamma ell_Gamma D_Gamma) / (m_i + 1)
     and the tautological relation
         kappa_mu * xi = 12 lambda - D_h - sum_Gamma ell_Gamma kappa_bot D_Gamma.
-    Idempotent: a class with no psi/xi part is returned unchanged.
+    So with S = sum_i psi_i / (m_i + 1) and X = (xi + S) / kappa_mu, every
+    boundary coordinate the context holds gains ell_Gamma (S - kappa_bot X):
+    one Fraction per coordinate over the integer parts of its old value, S,
+    X and kappa_bot.  Idempotent: a class with no psi/xi part is returned
+    unchanged.  A class with more psi entries than the context has legs,
+    or with a boundary graph the context does not hold, raises ValueError.
     """
-    lam, d_h, xi = c.lam, c.d_h, c.xi
+    if len(c.psi) > len(ctx.orders):
+        raise ValueError(f"reduce_class: the class has {len(c.psi)} psi entries, "
+                         f"the context {len(ctx.orders)} legs")
+    strays = c.boundary.keys() - ctx.ell.keys()
+    if strays:
+        raise ValueError(f"reduce_class: the context holds no graph {min(strays)}")
     boundary = dict(c.boundary)
-    if any(c.psi):
-        for i, coeff in enumerate(c.psi):
-            if not coeff:
-                continue
-            m = ctx.orders[i]
-            xi += coeff / (m + 1)
-            for enc, ell in ctx.ell.items():
-                boundary[enc] = boundary.get(enc, Fraction(0)) + coeff * ell / (m + 1)
-    if xi:
-        kappa = ctx.kappa
-        lam += 12 * xi / kappa
-        d_h += -xi / kappa
-        for enc, ell in ctx.ell.items():
-            boundary[enc] = (boundary.get(enc, Fraction(0))
-                             - xi * ell * ctx.kappa_bot[enc] / kappa)
-    return DivisorClass(lam, d_h, (), Fraction(0), boundary)
+    s = sum((coeff / (m + 1) for coeff, m in zip(c.psi, ctx.orders) if coeff),
+            Fraction(0))
+    xi = c.xi + s
+    if not any(c.psi) and not xi:
+        return DivisorClass(c.lam, c.d_h, (), Fraction(0), boundary)
+    x = xi / ctx.kappa
+    sn, sd = s.numerator, s.denominator
+    xn, xd = x.numerator, x.denominator
+    den = sd * xd
+    zero = Fraction(0)
+    for enc, ell in ctx.ell.items():
+        kb = ctx.kappa_bot[enc]
+        kn, kd = kb.numerator, kb.denominator
+        old = boundary.get(enc, zero)
+        od = old.denominator
+        boundary[enc] = Fraction(
+            old.numerator * den * kd + ell * od * (sn * xd * kd - xn * kn * sd),
+            od * den * kd)
+    return DivisorClass(c.lam + 12 * x, c.d_h - x, (), Fraction(0), boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +226,19 @@ def reduce_class(c: DivisorClass, ctx: ClassContext) -> DivisorClass:
 # The helpers below take the graph's invariants from the caller, so one
 # graph_invariants call can serve every coefficient of the assembly check.
 # Only the canonical coefficient reads delta_H, the one invariant that
-# depends on the shape test.
+# depends on the shape test.  Each coefficient is one Fraction built from
+# integer numerators and denominators: the builders below negate or scale
+# a helper's integer pair, not its Fraction.
+
+
+def _invariants(g: int, graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInvariants:
+    """graph_invariants of a graph a genus-g class is built over; a graph
+    of another genus raises ValueError naming its encoding."""
+    inv = graph_invariants(graph, hbb_shape_test)
+    if inv.genus != g:
+        raise ValueError(f"graph {inv.encoding} has genus {inv.genus}, "
+                         f"not the class's genus {g}")
+    return inv
 
 
 def _canonical_coeff(graph: LevelGraph, inv: GraphInvariants) -> Fraction:
@@ -216,8 +246,7 @@ def _canonical_coeff(graph: LevelGraph, inv: GraphInvariants) -> Fraction:
     (2g-2)/(2g-1), with kappa_bot = a/b by direct signature evaluation:
     one Fraction over (2g-1) b."""
     g = graph.genus
-    kappa_bot = kappa_mu(graph.bottom_orders())
-    a, b = kappa_bot.numerator, kappa_bot.denominator
+    a, b = _kappa_mu_pair(graph.bottom_orders())
     return Fraction((2 * g - 2) * (inv.ell * inv.N_bot - 1 - inv.delta_H) * b
                     - (2 * g - 1) * inv.ell * a,
                     (2 * g - 1) * b)
@@ -234,16 +263,21 @@ def _divisor_integers(g: int) -> tuple:
     return (g + 8) * (3 * g - 1), 3 * g * g + 12 * g - 6, 3 * g + 4
 
 
-def _divisor_coeff(inv: GraphInvariants) -> Fraction:
-    """b_Gamma (odd genus) or h_Gamma (even genus): ell times the sum of
-    the per-edge contributions, summed on integers over den."""
+def _divisor_numerator(inv: GraphInvariants) -> int:
+    """den times b_Gamma (odd genus) or h_Gamma (even genus): ell times the
+    sum of the per-edge contributions, summed on integers."""
     g = inv.genus
-    den, hor, sep = _divisor_integers(g)
+    _, hor, sep = _divisor_integers(g)
     total = 0
     for p, target in zip(inv.prongs, inv.delta_assignments):
         coeff = hor if target == DELTA_IRR else 6 * target * (g - target) * sep
         total += coeff * (inv.ell // p)
-    return Fraction(total, den)
+    return total
+
+
+def _divisor_coeff(inv: GraphInvariants) -> Fraction:
+    """b_Gamma (odd genus) or h_Gamma (even genus), over den."""
+    return Fraction(_divisor_numerator(inv), _divisor_integers(inv.genus)[0])
 
 
 def wplus_w_lambda(g: int) -> Fraction:
@@ -254,16 +288,22 @@ def wplus_w_hor(g: int) -> Fraction:
     return Fraction(g + 3, 8 * g - 8)
 
 
-def wplus_w_gamma(graph: LevelGraph) -> Fraction:
-    """w_Gamma of the reduced form of the extra-vanishing Weierstrass class:
-    (kappa_bot / kappa) (1 + 1/(2g-1)) - 1/(2g-1) + (v_top-1)/2 with kappa
-    = 4g(g-1)/(2g-1), whose first term is a / (2(g-1) b) for kappa_bot =
-    a/b by direct signature evaluation; one Fraction over 2(g-1)(2g-1) b."""
+def _w_gamma_pair(graph: LevelGraph) -> tuple:
+    """w_Gamma of the reduced form of the extra-vanishing Weierstrass class
+    as an unreduced (numerator, denominator) pair: (kappa_bot / kappa) (1 +
+    1/(2g-1)) - 1/(2g-1) + (v_top-1)/2 with kappa = 4g(g-1)/(2g-1), whose
+    first term is a / (2(g-1) b) for kappa_bot = a/b by direct signature
+    evaluation; over 2(g-1)(2g-1) b."""
     g = graph.genus
-    kappa_bot = kappa_mu(graph.bottom_orders())
-    a, b = kappa_bot.numerator, kappa_bot.denominator
-    return Fraction((2 * g - 1) * (a + (g - 1) * (graph.v_top - 1) * b) - (2 * g - 2) * b,
-                    (2 * g - 2) * (2 * g - 1) * b)
+    a, b = _kappa_mu_pair(graph.bottom_orders())
+    return ((2 * g - 1) * (a + (g - 1) * (graph.v_top - 1) * b) - (2 * g - 2) * b,
+            (2 * g - 2) * (2 * g - 1) * b)
+
+
+def wplus_w_gamma(graph: LevelGraph) -> Fraction:
+    """w_Gamma of the reduced form of the extra-vanishing Weierstrass class
+    (see ``_w_gamma_pair``), one Fraction."""
+    return Fraction(*_w_gamma_pair(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +321,7 @@ def scaled_canonical_class(g: int, graphs: Iterable[LevelGraph],
         raise ValueError("genus must be >= 2")
     boundary = {}
     for graph in graphs:
-        inv = graph_invariants(graph, hbb_shape_test)
+        inv = _invariants(g, graph, hbb_shape_test)
         boundary[inv.encoding] = _canonical_coeff(graph, inv)
     return DivisorClass(lam=Fraction(12), d_h=-(1 + kappa_over_2g(g)), boundary=boundary)
 
@@ -290,7 +330,7 @@ def d_nc_class(g: int, graphs: Iterable[LevelGraph]) -> DivisorClass:
     """The non-canonical compensation divisor: b_NC per graph, no other parts."""
     boundary = {}
     for graph in graphs:
-        inv = graph_invariants(graph)
+        inv = _invariants(g, graph)
         boundary[inv.encoding] = inv.b_NC
     return DivisorClass(boundary=boundary)
 
@@ -300,8 +340,8 @@ def _divisor_class(g: int, graphs: Iterable[LevelGraph]) -> DivisorClass:
     den, hor, _ = _divisor_integers(g)
     boundary = {}
     for graph in graphs:
-        inv = graph_invariants(graph)
-        boundary[inv.encoding] = -_divisor_coeff(inv)
+        inv = _invariants(g, graph)
+        boundary[inv.encoding] = Fraction(-_divisor_numerator(inv), den)
     return DivisorClass(lam=Fraction(6), d_h=-Fraction(hor, den), boundary=boundary)
 
 
@@ -330,19 +370,22 @@ def wplus_class(g: int, graphs: Iterable[LevelGraph], form: str = "reduced") -> 
     if g < 4:
         raise ValueError("extra-vanishing Weierstrass class requires genus >= 4")
     if form == "raw":
-        psi0 = Fraction(g * (g - 1), 2) + 1
+        psi0 = Fraction(g * (g - 1) + 2, 2)
         boundary = {}
         for graph in graphs:
-            inv = graph_invariants(graph)
-            coeff = ((inv.P - inv.P_minus1) / 8 + Fraction(inv.v_top - 1, 2)) * inv.ell
-            boundary[inv.encoding] = -coeff
+            # -((P - P_{-1}) / 8 + (v_top - 1) / 2) ell, P_{-1} = pn / pd
+            inv = _invariants(g, graph)
+            pn, pd = inv.P_minus1.numerator, inv.P_minus1.denominator
+            boundary[inv.encoding] = Fraction(
+                -inv.ell * ((inv.P + 4 * (inv.v_top - 1)) * pd - pn), 8 * pd)
         return DivisorClass(lam=Fraction(-1), psi=(psi0,), xi=Fraction(1),
                             boundary=boundary)
     if form == "reduced":
         boundary = {}
         for graph in graphs:
-            inv = graph_invariants(graph)
-            boundary[inv.encoding] = -wplus_w_gamma(graph) * inv.ell
+            inv = _invariants(g, graph)
+            num, den = _w_gamma_pair(graph)
+            boundary[inv.encoding] = Fraction(-inv.ell * num, den)
         return DivisorClass(lam=wplus_w_lambda(g), d_h=-wplus_w_hor(g),
                             boundary=boundary)
     raise ValueError(f"unknown form: {form!r}")
@@ -406,9 +449,19 @@ def _aligned_alpha(orders, alpha, graph: LevelGraph) -> tuple:
     return tuple(a for _, a in paired)
 
 
+def _twist_pair(inv: GraphInvariants, alpha_bot, m_bot) -> tuple:
+    """The twist improvement bound (ell // 2)(alpha_bot - m_bot / 2) + (ell
+    / 8)(P - P_{-1}) as an unreduced (numerator, denominator) pair, over 8
+    pd ad md for P_{-1} = pn / pd and the integers or Fractions alpha_bot =
+    an / ad, m_bot = mn / md."""
+    an, ad = alpha_bot.numerator, alpha_bot.denominator
+    mn, md = m_bot.numerator, m_bot.denominator
+    pn, pd = inv.P_minus1.numerator, inv.P_minus1.denominator
+    return (4 * pd * (inv.ell // 2) * (2 * an * md - mn * ad)
+            + ad * md * inv.ell * (inv.P * pd - pn),
+            8 * pd * ad * md)
+
+
 def twist_improvement_bound(inv: GraphInvariants, alpha_bot, m_bot) -> Fraction:
     """Guaranteed coefficient gain of the twisted Weierstrass divisor."""
-    alpha_bot = Fraction(alpha_bot)
-    m_bot = Fraction(m_bot)
-    return ((inv.ell // 2) * (alpha_bot - m_bot / 2)
-            + Fraction(inv.ell, 8) * (inv.P - inv.P_minus1))
+    return Fraction(*_twist_pair(inv, Fraction(alpha_bot), Fraction(m_bot)))

@@ -33,7 +33,11 @@ The per-graph invariants are exact rationals whose per-prong sums are
 taken on integers, with one Fraction built per value: in
 ``graph_invariants`` over ell = lcm(prongs) (2 ell for R_NC), and in
 ``kappa_mu`` over lcm |m+1| of the orders (``graph_invariants`` reads the
-legs' kappa as that integer pair, unreduced).
+legs' kappa as that integer pair, unreduced).  ``graph_invariants`` reads
+the top vertices in one loop, which gathers the prongs, N_top, the edge
+classes, the delta targets and the HBB shape together (``classify_edges``
+and ``hbb_shape`` state the same rules for one graph), and returns a named
+tuple, which is immutable and cheap to build.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exactq import lcm_list, rational_str
 
@@ -101,11 +105,12 @@ class LevelGraph:
 
     def prongs(self) -> tuple:
         """All prongs, in canonical (vertex, prong) order."""
-        return tuple(p for v in self.top_vertices for p in v.prongs)
+        return tuple([p for v in self.top_vertices for p in v.prongs])
 
     def bottom_orders(self) -> tuple:
         """Leg orders on the bottom plus a pole of order -p-1 per edge."""
-        return self.bottom_legs + tuple(-p - 1 for p in self.prongs())
+        return self.bottom_legs + tuple([-p - 1 for v in self.top_vertices
+                                         for p in v.prongs])
 
 
 def minimal_graph(g: int, bottom_genus: int, tops: Iterable) -> LevelGraph:
@@ -121,8 +126,8 @@ def minimal_graph(g: int, bottom_genus: int, tops: Iterable) -> LevelGraph:
 def canonical_encoding(graph: LevelGraph) -> str:
     """Bit-exact canonical text form; equality iff coarse-type isomorphism."""
     legs = ",".join(map(str, graph.bottom_legs))
-    tops = ",".join(
-        f"({v.genus},[{','.join(map(str, v.prongs))}])" for v in graph.top_vertices)
+    tops = ",".join([
+        f"({v.genus},[{','.join(map(str, v.prongs))}])" for v in graph.top_vertices])
     return f"g={graph.genus};gb={graph.bottom_genus};legs={legs};top=[{tops}]"
 
 
@@ -224,9 +229,13 @@ def _kappa_mu_pair(orders: Sequence[int]) -> tuple:
     The sum is taken on integers over L = lcm |m+1|: each term is
     m(m+2) (L // (m+1)), exact for negative m+1 too.
     """
-    dens = [m + 1 for m in orders if m != -1]
-    big = math.lcm(*dens)  # lcm() is 1 and takes absolute values
-    return sum(m * (m + 2) * (big // (m + 1)) for m in orders if m != -1), big
+    # lcm() of nothing is 1, and it takes absolute values
+    big = math.lcm(*[m + 1 for m in orders if m != -1])
+    num = 0
+    for m in orders:
+        if m != -1:
+            num += m * (m + 2) * (big // (m + 1))
+    return num, big
 
 
 def kappa_mu(orders: Sequence[int]) -> Fraction:
@@ -254,9 +263,11 @@ def hbb_shape(graph: LevelGraph) -> bool:
     return has_pair
 
 
-@dataclass(frozen=True, slots=True)
-class GraphInvariants:
-    """Derived per-graph quantities used by the divisor-class formulas."""
+class GraphInvariants(NamedTuple):
+    """Derived per-graph quantities used by the divisor-class formulas.
+
+    A named tuple: immutable and hashable like a frozen dataclass, but
+    built in one tuple allocation instead of a setattr per field."""
 
     genus: int
     encoding: str
@@ -287,55 +298,82 @@ def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInv
     ``hbb_shape_test=False`` forces ``delta_H = 0`` (sensitivity switch;
     the HBB correction then drops out of every downstream class).
 
-    The per-prong sums are taken on integers over ell = lcm(prongs), with
-    share ell // p per prong: P_{-1} = sum(shares) / ell, and R_NC = S / (2
-    ell) with S the sum of twice each edge class's weight times its share,
-    so b_NC = ell R_NC - 1 = (S - 2) / 2.  Each value is one Fraction.
-    One loop over the top vertices gathers the prongs, N_top and the delta
-    targets.
+    One loop over the top vertices gathers the prongs, N_top, each edge's
+    class (as :func:`classify_edges`) and delta target, and the HBB shape
+    (as :func:`hbb_shape`).  The per-prong sums are then taken on integers
+    over ell = lcm(prongs), with share ell // p per prong: P_{-1} =
+    sum(shares) / ell, and R_NC = S / (2 ell) with S the sum of twice each
+    edge class's weight times its share, so b_NC = ell R_NC - 1 = (S - 2) /
+    2.  Each value is one Fraction.
     """
     g = graph.genus
+    g_b = graph.bottom_genus
+    tops = graph.top_vertices
+    v_top = len(tops)
     prongs = []
+    classes = []
     deltas = []
     n_top = 0
-    for v in graph.top_vertices:
-        d = len(v.prongs)
-        prongs += v.prongs
-        n_top += 2 * v.genus - 1 + d
-        deltas += [DELTA_IRR if d >= 2 else min(v.genus, g - v.genus)] * d
-    prongs = tuple(prongs)
-    e = len(prongs)
-    v_top = len(graph.top_vertices)
-    p_sum = sum(prongs)
+    # HBB shape: every vertex has one edge or an equal-prong pair, and at
+    # least one has the pair
+    shape = True
+    has_pair = False
+    for v in tops:
+        ps = v.prongs
+        d = len(ps)
+        h = v.genus
+        prongs += ps
+        n_top += 2 * h - 1 + d
+        if d == 1:
+            # separating: EDB only as the graph's unique edge
+            if v_top > 1:
+                cls = OCT
+            elif h == 1 or g_b == 1:
+                cls = EDB
+            elif g_b == 0:
+                cls = RBT
+            else:
+                cls = OCT
+            classes.append(cls)
+            deltas.append(min(h, g - h))
+        else:
+            classes += (NCT,) * d
+            deltas += (DELTA_IRR,) * d
+            if d == 2 and ps[0] == ps[1]:
+                has_pair = True
+            else:
+                shape = False
     ell = lcm_list(prongs)
-    shares = [ell // p for p in prongs]
-    share_sum = sum(shares)
-    classes = classify_edges(graph)
+    p_sum = sum(prongs)
+    share_sum = twice_rnc = 0
+    for p, cls in zip(prongs, classes):
+        share = ell // p
+        share_sum += share
+        twice_rnc += _RNC_WEIGHT2[cls] * share
+    e = len(prongs)
     # kappa of the bottom level via the prong identity kappa_legs - (P -
     # P_{-1}); the direct signature evaluation lives in the divisor-class
     # module and the two routes are compared by the identity suite.
     legs_num, legs_den = _kappa_mu_pair(graph.bottom_legs)
     kappa_bot = Fraction(legs_num * ell - legs_den * (p_sum * ell - share_sum),
                          legs_den * ell)
-    twice_rnc = sum(_RNC_WEIGHT2[cls] * share for cls, share in zip(classes, shares))
-    delta_h = 1 if (hbb_shape_test and hbb_shape(graph)) else 0
     return GraphInvariants(
         genus=g,
         encoding=canonical_encoding(graph),
-        prongs=prongs,
+        prongs=tuple(prongs),
         P=p_sum,
         P_minus1=Fraction(share_sum, ell),
         ell=ell,
         edges=e,
         v_top=v_top,
         N_top=n_top,
-        N_bot=2 * graph.bottom_genus + e - v_top,
+        N_bot=2 * g_b + e - v_top,
         kappa_bot=kappa_bot,
-        edge_classes=classes,
+        edge_classes=tuple(classes),
         delta_assignments=tuple(deltas),
         R_NC=Fraction(twice_rnc, 2 * ell),
         b_NC=Fraction(twice_rnc - 2, 2),
-        delta_H=delta_h,
+        delta_H=1 if (hbb_shape_test and shape and has_pair) else 0,
     )
 
 

@@ -26,7 +26,7 @@ from typing import Dict, Mapping, Sequence
 
 from .classes import (
     DivisorClass,
-    twist_improvement_bound,
+    _twist_pair,
     validate_weierstrass_alpha,
     wplus_class,
 )
@@ -181,18 +181,18 @@ def class_with_twist_bounds(g: int, mu: Sequence[int], alpha: Sequence[int],
     """The effective genus-(g+1) class that avoids Gamma_1 in its support:
     the raw degeneracy-locus class minus the exact Gamma_1 multiplicity
     g(g-1)/2 + 1 and, on every other boundary divisor, the guaranteed
-    twist gain plus the vanishing order ell (v_top - 1)/2."""
+    twist gain plus the vanishing order ell (v_top - 1)/2: one Fraction per
+    graph, over the twist gain's even denominator."""
     validate_weierstrass_alpha(mu, alpha)
     alpha_bot = sum(alpha)
     boundary: Dict[str, Fraction] = {}
     for enc, graph in graphs.items():
         if is_gamma1(graph, g):
-            boundary[enc] = -(Fraction(g * (g - 1), 2) + 1)
+            boundary[enc] = Fraction(-(g * (g - 1) + 2), 2)
             continue
         inv = graph_invariants(graph)
-        twist_gain = twist_improvement_bound(inv, alpha_bot, sum(graph.bottom_legs))
-        vanishing = Fraction(inv.ell * (inv.v_top - 1), 2)
-        boundary[enc] = -(twist_gain + vanishing)
+        num, den = _twist_pair(inv, alpha_bot, sum(graph.bottom_legs))
+        boundary[enc] = Fraction(-(num + inv.ell * (inv.v_top - 1) * (den // 2)), den)
     psi = tuple(Fraction(a * (a + 1), 2) for a in alpha)
     return DivisorClass(lam=Fraction(-1), psi=psi, xi=Fraction(1), boundary=boundary)
 

@@ -1,15 +1,17 @@
-"""Slow oracles: the per-graph pipeline and the identity battery summed
-one Fraction at a time.
+"""Slow oracles: the per-graph pipeline, the identity battery and the
+divisor classes summed one Fraction at a time.
 
 The package sums per-prong terms on integers and builds one Fraction per
 output (``kappa_mu``, ``graph_invariants``, ``six_coefficients``,
 ``s_gamma_affine``, the class helpers ``_canonical_coeff`` and
-``wplus_w_gamma``, and the assembly affine of ``checks``), runs the
-streaming certifier on integer rows, and compares rationals in the
-identity battery by cross-multiplication.  The functions here are the
-plain Fraction forms of the same formulas and checks; the tests compare
-the two on full atlases, raw atlases, pullback image graphs and samples
-of large-genus atlases (``ORACLE_CASES``).
+``wplus_w_gamma``, every class builder's boundary coefficient, each
+coordinate ``reduce_class`` updates, ``class_with_twist_bounds``, and the
+assembly affine of ``checks``), runs the streaming certifier on integer
+rows, and compares rationals in the identity battery by
+cross-multiplication.  The functions here are the plain Fraction forms of
+the same formulas and checks; the tests compare the two on full atlases,
+raw atlases, pullback image graphs and samples of large-genus atlases
+(``ORACLE_CASES``).
 """
 
 from fractions import Fraction
@@ -19,9 +21,12 @@ import pytest
 from stratacert.certify import SixCoefficients, _divisor
 from stratacert.checks import DEFAULT_Y_SAMPLES, is_rational_bottom_banana
 from stratacert.classes import (
-    _divisor_coeff,
+    ClassContext,
+    DivisorClass,
+    _divisor_integers,
     kappa_minimal,
     kappa_over_2g,
+    wplus_w_hor,
     wplus_w_lambda,
 )
 from stratacert.exactq import AffineInY, lcm_list
@@ -39,7 +44,7 @@ from stratacert.graphs import (
     sample_atlas,
     validate,
 )
-from stratacert.pullback import image_correspondence
+from stratacert.pullback import image_correspondence, is_gamma1
 
 # (kind, genus) of every graph collection the per-graph oracles are
 # compared on, as pytest parameters; see oracle_graphs.  A filtered atlas
@@ -256,3 +261,106 @@ def _assembly_failures(graph, inv, s_gamma, ys=DEFAULT_Y_SAMPLES):
                 bad.append(f"assembled coefficient differs at y={y}")
                 break
     return bad
+
+
+# ---------------------------------------------------------------------------
+# divisor classes
+
+
+def _divisor_coeff(inv):
+    """b_Gamma (odd genus) or h_Gamma (even genus): ell times the sum of the
+    per-edge contributions."""
+    g = inv.genus
+    den, hor, sep = _divisor_integers(g)
+    total = Fraction(0)
+    for p, target in zip(inv.prongs, inv.delta_assignments):
+        if target == DELTA_IRR:
+            total += Fraction(hor, den * p)
+        else:
+            total += Fraction(6 * target * (g - target) * sep, den * p)
+    return inv.ell * total
+
+
+def scaled_canonical_class(g, graphs, hbb_shape_test=True):
+    boundary = {}
+    for graph in graphs:
+        inv = graph_invariants(graph, hbb_shape_test)
+        boundary[inv.encoding] = _canonical_coeff(graph, inv)
+    return DivisorClass(lam=Fraction(12), d_h=-(1 + kappa_over_2g(g)), boundary=boundary)
+
+
+def d_nc_class(g, graphs):
+    return DivisorClass(boundary={inv.encoding: inv.b_NC
+                                  for inv in map(graph_invariants, graphs)})
+
+
+def divisor_class(g, graphs):
+    """bn_class for odd g, hur_class for even g."""
+    den, hor, _ = _divisor_integers(g)
+    boundary = {}
+    for graph in graphs:
+        inv = graph_invariants(graph)
+        boundary[inv.encoding] = -_divisor_coeff(inv)
+    return DivisorClass(lam=Fraction(6), d_h=-Fraction(hor, den), boundary=boundary)
+
+
+def wplus_class(g, graphs, form):
+    boundary = {}
+    for graph in graphs:
+        inv = graph_invariants(graph)
+        if form == "raw":
+            boundary[inv.encoding] = -((inv.P - inv.P_minus1) / 8
+                                       + Fraction(inv.v_top - 1, 2)) * inv.ell
+        else:
+            boundary[inv.encoding] = -wplus_w_gamma(graph) * inv.ell
+    if form == "raw":
+        return DivisorClass(lam=Fraction(-1), psi=(Fraction(g * (g - 1), 2) + 1,),
+                            xi=Fraction(1), boundary=boundary)
+    return DivisorClass(lam=wplus_w_lambda(g), d_h=-wplus_w_hor(g), boundary=boundary)
+
+
+def class_context(genus, orders, graphs):
+    ell, kappa_bot = {}, {}
+    for graph in graphs:
+        inv = graph_invariants(graph)
+        ell[inv.encoding] = inv.ell
+        kappa_bot[inv.encoding] = kappa_mu(graph.bottom_orders())
+    return ClassContext(genus, tuple(orders), ell, kappa_bot)
+
+
+def reduce_class(c, ctx):
+    """The psi relations, then the tautological relation, one coordinate
+    operation at a time."""
+    lam, d_h, xi = c.lam, c.d_h, c.xi
+    boundary = dict(c.boundary)
+    for coeff, m in zip(c.psi, ctx.orders):
+        if coeff:
+            xi += coeff / (m + 1)
+            for enc, ell in ctx.ell.items():
+                boundary[enc] = boundary.get(enc, Fraction(0)) + coeff * ell / (m + 1)
+    if xi:
+        kappa = kappa_mu(ctx.orders)
+        lam += 12 * xi / kappa
+        d_h -= xi / kappa
+        for enc, ell in ctx.ell.items():
+            boundary[enc] = (boundary.get(enc, Fraction(0))
+                             - xi * ell * ctx.kappa_bot[enc] / kappa)
+    return DivisorClass(lam, d_h, (), Fraction(0), boundary)
+
+
+def twist_improvement_bound(inv, alpha_bot, m_bot):
+    return ((inv.ell // 2) * (Fraction(alpha_bot) - Fraction(m_bot) / 2)
+            + Fraction(inv.ell, 8) * (inv.P - inv.P_minus1))
+
+
+def class_with_twist_bounds(g, alpha, graphs):
+    boundary = {}
+    for enc, graph in graphs.items():
+        if is_gamma1(graph, g):
+            boundary[enc] = -(Fraction(g * (g - 1), 2) + 1)
+            continue
+        inv = graph_invariants(graph)
+        gain = twist_improvement_bound(inv, sum(alpha), sum(graph.bottom_legs))
+        boundary[enc] = -(gain + Fraction(inv.ell * (inv.v_top - 1), 2))
+    psi = tuple(Fraction(a * (a + 1), 2) for a in alpha)
+    return DivisorClass(lam=Fraction(-1), psi=psi, xi=Fraction(1), boundary=boundary)

@@ -40,28 +40,28 @@ def _identity_cases():
         ("validate: bottom genus negative",
          replace(BASE, bottom_genus=-1), inv, six),
         ("kappa_bot: direct signature evaluation != prong identity",
-         BASE, replace(inv, kappa_bot=inv.kappa_bot + F(1, 3)), six),
+         BASE, inv._replace(kappa_bot=inv.kappa_bot + F(1, 3)), six),
         ("N_top + N_bot != 2g",
-         BASE, replace(inv, N_bot=inv.N_bot - 1), six),
+         BASE, inv._replace(N_bot=inv.N_bot - 1), six),
         ("N_bot != 2 g_b + E - v_top",
-         BASE, replace(inv, N_bot=inv.N_bot + 1), six),
+         BASE, inv._replace(N_bot=inv.N_bot + 1), six),
         ("N_top != P + v_top",
-         BASE, replace(inv, N_top=inv.N_top + 1), six),
+         BASE, inv._replace(N_top=inv.N_top + 1), six),
         ("b_NC != ell * R_NC - 1",
-         BASE, replace(inv, b_NC=inv.b_NC + F(1, 2)), six),
+         BASE, inv._replace(b_NC=inv.b_NC + F(1, 2)), six),
         ("ell != lcm of prongs",
-         BASE, replace(inv, ell=2 * inv.ell), six),
+         BASE, inv._replace(ell=2 * inv.ell), six),
         ("kappa_top != P - P_minus1",
-         BASE, replace(inv, P_minus1=inv.P_minus1 + F(1, 5)), six),
+         BASE, inv._replace(P_minus1=inv.P_minus1 + F(1, 5)), six),
         ("top vertex of genus 0 in a minimal-stratum graph",
          replace(BASE, top_vertices=BASE.top_vertices + (TopVertex(0, (1, 1, 1)),)),
          inv, six),
         ("RBT edge in a minimal-stratum graph",
-         BASE, replace(inv, edge_classes=(RBT,) + inv.edge_classes[1:]), six),
+         BASE, inv._replace(edge_classes=(RBT,) + inv.edge_classes[1:]), six),
         ("rational-bottom banana with P != 2g - 2",
-         BANANA, replace(b_inv, P=b_inv.P - 1), b_six),
+         BANANA, b_inv._replace(P=b_inv.P - 1), b_six),
         ("P > 2g - 3 off the rational-bottom banana family",
-         BASE, replace(inv, P=2 * 8 - 2), six),
+         BASE, inv._replace(P=2 * 8 - 2), six),
         ("decomposition 12 w_Gamma / w_lambda != "
          "12 (w_bar + (g-1)(v_top-1)/(g+11))",
          BASE, inv, replace(six, w_bar=six.w_bar + F(1, 7))),
@@ -86,7 +86,7 @@ def test_every_identity_check_fires(monkeypatch):
 
     def corrupted(graph, hbb_shape_test=True):
         inv = real(graph, hbb_shape_test)
-        return replace(inv, kappa_bot=inv.kappa_bot + F(1, 3))
+        return inv._replace(kappa_bot=inv.kappa_bot + F(1, 3))
 
     with monkeypatch.context() as patch:
         patch.setattr(checks, "graph_invariants", corrupted)
@@ -146,7 +146,7 @@ def test_battery_matches_fraction_oracle_on_corrupted_inputs(monkeypatch):
     for field, value in (("kappa_bot", inv.kappa_bot + F(1, 3)), ("ell", 2 * inv.ell),
                          ("N_bot", inv.N_bot + 1), ("delta_H", 1),
                          ("b_NC", inv.b_NC + F(1, 2))):
-        bad = replace(inv, **{field: value})
+        bad = inv._replace(**{field: value})
         # the certifier side from the corrupted invariants, so that the
         # assembly battery sees them on both routes
         _assert_matches_oracle(BASE, bad, six_coefficients(bad, 8))

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -28,6 +29,8 @@ from stratacert.graphs import (
     minimal_graph,
 )
 from stratacert.pullback import gamma1_graph, image_correspondence
+
+import fraction_oracle as oracle
 
 EDB2 = minimal_graph(2, 1, [(1, (1,))])
 BANANA2 = minimal_graph(2, 0, [(1, (1, 1))])
@@ -176,3 +179,96 @@ def test_kappa_bot_routes_agree():
         for graph in enumerate_level_graphs(g):
             inv = graph_invariants(graph)
             assert kappa_mu(graph.bottom_orders()) == inv.kappa_bot
+
+
+def _atlas(g):
+    return list(enumerate_level_graphs(g))
+
+
+# (builder, genus) of every class builder; each takes (g, graphs)
+BUILDERS = [
+    pytest.param(lambda g, graphs: ClassContext.from_graphs(g, (2 * g - 2,), graphs),
+                 6, id="context"),
+    pytest.param(scaled_canonical_class, 6, id="canonical"),
+    pytest.param(lambda g, graphs: scaled_canonical_class(g, graphs, hbb_shape_test=False),
+                 6, id="canonical-no-hbb-shape"),
+    pytest.param(d_nc_class, 6, id="dnc"),
+    pytest.param(bn_class, 7, id="bn"),
+    pytest.param(hur_class, 6, id="hur"),
+    pytest.param(lambda g, graphs: wplus_class(g, graphs, form="raw"), 6, id="wplus-raw"),
+    pytest.param(lambda g, graphs: wplus_class(g, graphs, form="reduced"),
+                 6, id="wplus-reduced"),
+]
+
+
+@pytest.mark.parametrize("build, g", BUILDERS)
+def test_builder_rejects_a_graph_of_another_genus(build, g):
+    build(g, _atlas(g))
+    # after the genus-g atlas, and alone
+    for graphs in (_atlas(g) + _atlas(g - 1)[:2], _atlas(g - 1)[:3]):
+        stray = next(canonical_encoding(x) for x in graphs if x.genus != g)
+        with pytest.raises(ValueError, match=re.escape(stray)):
+            build(g, graphs)
+
+
+def test_reduce_class_rejects_more_psi_entries_than_legs():
+    ctx = ClassContext.from_graphs(6, (10,), _atlas(6))
+    for psi in ((F(1), F(2)), (F(1), F(0))):
+        with pytest.raises(ValueError, match="2 psi entries, the context 1 legs"):
+            reduce_class(DivisorClass(psi=psi), ctx)
+
+
+def test_reduce_class_rejects_a_graph_the_context_does_not_hold():
+    ctx5 = ClassContext.from_graphs(5, (8,), _atlas(5))
+    for form in ("raw", "reduced"):
+        cls = wplus_class(6, _atlas(6), form=form)
+        with pytest.raises(ValueError, match="the context holds no graph g=6;"):
+            reduce_class(cls, ctx5)
+
+
+@pytest.mark.parametrize("kind, g", oracle.ORACLE_CASES)
+def test_class_builders_match_fraction_oracle(kind, g):
+    """Every builder, over the graphs of one oracle case, in its genus
+    domain; the canonical class in both shape modes."""
+    graphs = oracle.oracle_graphs(kind, g)
+    g = graphs[0].genus  # an image graph has genus g + 1
+    pairs = [(scaled_canonical_class(g, graphs, hbb),
+              oracle.scaled_canonical_class(g, graphs, hbb)) for hbb in (True, False)]
+    pairs.append((d_nc_class(g, graphs), oracle.d_nc_class(g, graphs)))
+    if g % 2 and g >= 3:
+        pairs.append((bn_class(g, graphs), oracle.divisor_class(g, graphs)))
+    if g % 2 == 0 and g >= 6:
+        pairs.append((hur_class(g, graphs), oracle.divisor_class(g, graphs)))
+    if g >= 4:
+        for form in ("raw", "reduced"):
+            pairs.append((wplus_class(g, graphs, form=form),
+                          oracle.wplus_class(g, graphs, form)))
+    for got, want in pairs:
+        assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("kind, g", oracle.ORACLE_CASES)
+def test_reduce_class_matches_fraction_oracle(kind, g):
+    """reduce_class on a psi entry per leg and a boundary over every other
+    graph, and on the raw W+ class, against the coordinate-at-a-time
+    relations."""
+    graphs = oracle.oracle_graphs(kind, g)
+    g = graphs[0].genus
+    orders = graphs[0].bottom_legs
+    ctx = ClassContext.from_graphs(g, orders, graphs)
+    octx = oracle.class_context(g, orders, graphs)
+    assert ctx == octx
+    half = {canonical_encoding(graph): F(i, 3) for i, graph in enumerate(graphs) if i % 2}
+    classes = [
+        DivisorClass(lam=F(1, 3), d_h=F(2), psi=tuple(F(i + 1, 2) for i in range(len(orders))),
+                     xi=F(-5, 7), boundary=half),
+        DivisorClass(psi=(F(0),) * len(orders), xi=F(3), boundary=half),
+        # psi without a net xi: every graph still gains ell psi_1 / (m_1 + 1)
+        DivisorClass(psi=(F(1),) + (F(0),) * (len(orders) - 1), xi=-F(1, orders[0] + 1),
+                     boundary=half),
+        DivisorClass(lam=F(1), boundary=half),
+    ]
+    if g >= 4:
+        classes.append(wplus_class(g, graphs, form="raw"))
+    for cls in classes:
+        assert reduce_class(cls, ctx).to_json() == oracle.reduce_class(cls, octx).to_json()

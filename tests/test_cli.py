@@ -425,6 +425,12 @@ def test_exact_scan_reports_first_feasible_genus(capsys):
      "invariants_g6_no_hbb_shape.csv"),
     (("class", "--genus", "6", "--which", "wplus", "--form", "raw"),
      "class_g6_wplus_raw.json"),
+    (("class", "--genus", "6", "--which", "wplus"), "class_g6_wplus_reduced.json"),
+    (("class", "--genus", "6", "--which", "canonical"), "class_g6_canonical.json"),
+    (("class", "--genus", "6", "--which", "canonical", "--no-hbb-shape"),
+     "class_g6_canonical_no_hbb_shape.json"),
+    (("class", "--genus", "6", "--which", "dnc"), "class_g6_dnc.json"),
+    (("class", "--genus", "6", "--which", "hur"), "class_g6_hur.json"),
 ])
 def test_artifact_bytes_are_pinned(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)

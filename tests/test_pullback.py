@@ -2,7 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from stratacert.classes import ClassContext, DivisorClass, reduce_class
+from stratacert.classes import (
+    ClassContext,
+    DivisorClass,
+    reduce_class,
+    twist_improvement_bound,
+)
 from stratacert.graphs import (
     LevelGraph,
     TopVertex,
@@ -13,6 +18,7 @@ from stratacert.graphs import (
 )
 from stratacert.pullback import (
     GAMMA1,
+    class_with_twist_bounds,
     gamma1_graph,
     image_correspondence,
     saturated_alpha,
@@ -21,6 +27,8 @@ from stratacert.pullback import (
     zeta_pull_class,
     zeta_pull_graph,
 )
+
+import fraction_oracle as oracle
 
 
 def test_gamma1_graph_shape():
@@ -135,3 +143,18 @@ def test_derivation_rejects_bad_input():
         wplus_derivation_check(4, (4, 3), 1)
     with pytest.raises(ValueError):
         wplus_derivation_check(4, (5, 3), 1)  # m_1 > g
+
+
+@pytest.mark.parametrize("g", range(4, 8))
+def test_class_with_twist_bounds_matches_fraction_oracle(g):
+    for mu, k in (((g, g), 1), ((g, g), 2), ((g + 1, g - 1), 2)):
+        graphs = image_correspondence(g, mu)
+        alpha = saturated_alpha(mu, k)
+        got = class_with_twist_bounds(g, mu, alpha, graphs)
+        assert got.to_json() == oracle.class_with_twist_bounds(g, alpha, graphs).to_json()
+        # the bound itself, at rational alpha_bot and m_bot too
+        for graph in graphs.values():
+            inv = graph_invariants(graph)
+            for a, m in ((g, 2 * g), (F(1, 3), F(5, 2)), (F(-7, 4), 3)):
+                assert (twist_improvement_bound(inv, a, m)
+                        == oracle.twist_improvement_bound(inv, a, m))
