@@ -1,14 +1,18 @@
 """Divisor classes in the Picard basis (lambda, psi, xi, D_h, {D_Gamma})
 and their exact conversion to the reduced basis (lambda, D_h, {D_Gamma}).
 
-Boundary coordinates are keyed by canonical graph encodings.  Each class
+Boundary coordinates are keyed by canonical graph encodings.  The class
+vector ``DivisorClass`` holds coordinates and does no arithmetic on them:
+two classes are compared coordinate by coordinate (``coefficient_diffs``,
+``==``), a missing psi entry or boundary key reading as zero.  Each class
 builder reads its boundary coefficients from a per-graph helper, so that
 large atlases can be processed streaming without materializing the full
-boundary map.  Every boundary coefficient a builder emits, and every
-coordinate ``reduce_class`` updates, is one Fraction built from integer
-numerators and denominators: no per-graph sum, product or negation runs
-on Fractions.  A builder of genus g raises ValueError on a graph of
-another genus, naming its encoding.
+boundary map.  Every boundary coefficient a builder emits (the
+generalized Weierstrass class's too), and every coordinate
+``reduce_class`` updates, is one Fraction built from integer numerators
+and denominators: no per-graph sum, product or negation runs on
+Fractions.  A builder of genus g raises ValueError on a graph of another
+genus, naming its encoding.
 
 The kappa value of a bottom level is evaluated here directly on the full
 bottom signature (legs plus a pole of order -p-1 per edge); the graph
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Dict, Iterable, Mapping, Sequence
 
 from .exactq import rational_str
@@ -72,62 +77,36 @@ class DivisorClass:
     xi: Fraction = Fraction(0)
     boundary: Mapping[str, Fraction] = field(default_factory=dict)
 
-    def psi_padded(self, n: int) -> tuple:
-        return self.psi + (Fraction(0),) * (n - len(self.psi))
+    def coefficient_diffs(self, other: "DivisorClass") -> dict:
+        """Nonzero coordinates of self - other, keyed by symbol name, in one
+        walk: lambda, d_h, psi_i (the shorter psi padded with zeros), xi,
+        then the boundary keys, self's first and then the other's."""
+        zero = Fraction(0)
+        out = {}
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        n = max(len(self.psi), len(other.psi))
-        bd = dict(self.boundary)
+        def put(name, a, b):
+            if a != b:
+                out[name] = a - b
+
+        put("lambda", self.lam, other.lam)
+        put("d_h", self.d_h, other.d_h)
+        for i, (a, b) in enumerate(zip_longest(self.psi, other.psi, fillvalue=zero)):
+            put(f"psi_{i + 1}", a, b)
+        put("xi", self.xi, other.xi)
+        for k, v in self.boundary.items():
+            put(k, v, other.boundary.get(k, zero))
         for k, v in other.boundary.items():
-            bd[k] = bd.get(k, Fraction(0)) + v
-        return DivisorClass(
-            self.lam + other.lam,
-            self.d_h + other.d_h,
-            tuple(a + b for a, b in zip(self.psi_padded(n), other.psi_padded(n))),
-            self.xi + other.xi,
-            bd,
-        )
-
-    def scaled(self, c) -> "DivisorClass":
-        c = Fraction(c)
-        return DivisorClass(
-            self.lam * c,
-            self.d_h * c,
-            tuple(a * c for a in self.psi),
-            self.xi * c,
-            {k: v * c for k, v in self.boundary.items()},
-        )
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + other.scaled(-1)
+            if k not in self.boundary:
+                put(k, zero, v)
+        return out
 
     def is_zero(self) -> bool:
-        return (self.lam == 0 and self.d_h == 0 and self.xi == 0
-                and all(a == 0 for a in self.psi)
-                and all(v == 0 for v in self.boundary.values()))
+        return not self.coefficient_diffs(DivisorClass())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DivisorClass):
             return NotImplemented
-        return (self - other).is_zero()
-
-    def coefficient_diffs(self, other: "DivisorClass") -> dict:
-        """Nonzero coordinates of self - other, keyed by symbol name."""
-        diff = self - other
-        out = {}
-        if diff.lam:
-            out["lambda"] = diff.lam
-        if diff.d_h:
-            out["d_h"] = diff.d_h
-        for i, a in enumerate(diff.psi):
-            if a:
-                out[f"psi_{i + 1}"] = a
-        if diff.xi:
-            out["xi"] = diff.xi
-        for k, v in diff.boundary.items():
-            if v:
-                out[k] = v
-        return out
+        return not self.coefficient_diffs(other)
 
     def to_json(self) -> dict:
         psi: object
@@ -417,36 +396,37 @@ def gen_weierstrass_class(orders: Sequence[int], alpha: Sequence[int],
     """The generalized Weierstrass class for a stratum of signature
     ``orders`` (a positive partition of 2g' - 2) and twist data ``alpha``.
 
-    The boundary sum runs over the supplied graph set; each graph must
-    carry the signature legs on its bottom vertex.
+    ``form="raw"`` is the psi/lambda/xi expression and reads no graph.
+    ``form="reduced"`` sums over the supplied graph set, each of genus g'
+    and carrying the signature legs on its bottom vertex.  The bottom
+    level's theta, over those legs with their alpha and the edge legs with
+    0, is then theta = theta(orders, alpha) itself, so with kappa =
+    kappa_mu(orders) and kappa_bot = a/b by direct signature evaluation
+    the coefficient -ell (kappa_bot (1 + theta) / kappa - theta) is one
+    Fraction per graph.
     """
     g_prime = validate_weierstrass_alpha(orders, alpha)
-    kappa = kappa_mu(orders)
-    v_theta = theta(orders, alpha)
     if form == "raw":
         psi = tuple(Fraction(a * (a + 1), 2) for a in alpha)
         return DivisorClass(lam=Fraction(-1), psi=psi, xi=Fraction(1))
-    if form == "reduced":
-        boundary = {}
-        for graph in graphs:
-            if tuple(sorted(graph.bottom_legs)) != tuple(sorted(orders)):
-                raise ValueError("graph legs do not match the signature")
-            inv = graph_invariants(graph)
-            kappa_bot = kappa_mu(graph.bottom_orders())
-            # bottom-level theta: legs keep their alpha, edge legs get 0
-            theta_bot = theta(graph.bottom_legs, _aligned_alpha(orders, alpha, graph))
-            coeff = -inv.ell * (kappa_bot / kappa * (1 + v_theta) - theta_bot)
-            boundary[inv.encoding] = coeff
-        lam = Fraction(12 + 12 * v_theta - kappa, 1) / kappa
-        d_h = -(1 + v_theta) / kappa
-        return DivisorClass(lam=lam, d_h=d_h, boundary=boundary)
-    raise ValueError(f"unknown form: {form!r}")
-
-
-def _aligned_alpha(orders, alpha, graph: LevelGraph) -> tuple:
-    # bottom legs are stored sorted; realign alpha accordingly
-    paired = sorted(zip(orders, alpha))
-    return tuple(a for _, a in paired)
+    if form != "reduced":
+        raise ValueError(f"unknown form: {form!r}")
+    kappa = kappa_mu(orders)
+    v_theta = theta(orders, alpha)
+    kn, kd = kappa.numerator, kappa.denominator
+    tn, td = v_theta.numerator, v_theta.denominator
+    legs = tuple(sorted(orders))
+    boundary = {}
+    for graph in graphs:
+        inv = _invariants(g_prime, graph)
+        if graph.bottom_legs != legs:
+            raise ValueError("graph legs do not match the signature")
+        a, b = _kappa_mu_pair(graph.bottom_orders())
+        boundary[inv.encoding] = Fraction(
+            -inv.ell * (a * kd * (td + tn) - tn * kn * b), b * kn * td)
+    lam = (12 + 12 * v_theta - kappa) / kappa
+    d_h = -(1 + v_theta) / kappa
+    return DivisorClass(lam=lam, d_h=d_h, boundary=boundary)
 
 
 def _twist_pair(inv: GraphInvariants, alpha_bot, m_bot) -> tuple:

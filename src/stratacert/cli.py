@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (an infeasible certificate is a successful run),
 1 on usage errors, 2 on internal invariant violations (a failing identity
-suite or an engine self-check).
+suite, a pullback derivation that does not match, or an engine
+self-check); a failing check still writes its artifact.
 
 Standard output carries only the requested artifact; progress and
 diagnostics go to standard error.  Every artifact embeds the resolved
@@ -385,7 +386,7 @@ def _cmd_pullback_check(args) -> int:
     payload["k"] = args.k
     payload["alpha"] = list(saturated_alpha(mu, args.k))
     _emit(_json_artifact(payload, args), args.out)
-    return 0
+    return 0 if report.match else 2
 
 
 def _identity_task(task) -> tuple:

@@ -184,6 +184,10 @@ def validate(graph: LevelGraph) -> list:
     top_genus = sum(v.genus for v in graph.top_vertices)
     if graph.bottom_genus + top_genus + e - graph.v_top != g:
         problems.append("genus balance violated")
+    # with the prong and genus balances, the bottom vertex's degree balance
+    if sum(graph.bottom_legs) != 2 * g - 2:
+        problems.append("degree balance violated at bottom vertex: "
+                        "legs do not total 2g - 2")
     if graph.bottom_genus == 0 and len(graph.bottom_legs) + e < 3:
         problems.append("bottom stability violated")
     n_top = sum(2 * v.genus - 1 + v.degree for v in graph.top_vertices)

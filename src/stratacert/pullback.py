@@ -20,14 +20,14 @@ graphs this package represents: a ``TopVertex`` carries no leg.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence
 
 from .classes import (
     DivisorClass,
     _twist_pair,
-    validate_weierstrass_alpha,
+    gen_weierstrass_class,
     wplus_class,
 )
 from .exactq import rational_str
@@ -179,11 +179,12 @@ def saturated_alpha(mu: Sequence[int], k: int) -> tuple:
 def class_with_twist_bounds(g: int, mu: Sequence[int], alpha: Sequence[int],
                             graphs: Mapping[str, LevelGraph]) -> DivisorClass:
     """The effective genus-(g+1) class that avoids Gamma_1 in its support:
-    the raw degeneracy-locus class minus the exact Gamma_1 multiplicity
-    g(g-1)/2 + 1 and, on every other boundary divisor, the guaranteed
-    twist gain plus the vanishing order ell (v_top - 1)/2: one Fraction per
-    graph, over the twist gain's even denominator."""
-    validate_weierstrass_alpha(mu, alpha)
+    the raw degeneracy-locus class (``gen_weierstrass_class``'s raw form)
+    minus the exact Gamma_1 multiplicity g(g-1)/2 + 1 and, on every other
+    boundary divisor, the guaranteed twist gain plus the vanishing order
+    ell (v_top - 1)/2: one Fraction per graph, over the twist gain's even
+    denominator."""
+    raw = gen_weierstrass_class(mu, alpha, (), form="raw")
     alpha_bot = sum(alpha)
     boundary: Dict[str, Fraction] = {}
     for enc, graph in graphs.items():
@@ -193,8 +194,7 @@ def class_with_twist_bounds(g: int, mu: Sequence[int], alpha: Sequence[int],
         inv = graph_invariants(graph)
         num, den = _twist_pair(inv, alpha_bot, sum(graph.bottom_legs))
         boundary[enc] = Fraction(-(num + inv.ell * (inv.v_top - 1) * (den // 2)), den)
-    psi = tuple(Fraction(a * (a + 1), 2) for a in alpha)
-    return DivisorClass(lam=Fraction(-1), psi=psi, xi=Fraction(1), boundary=boundary)
+    return replace(raw, boundary=boundary)
 
 
 def wplus_derivation_check(g: int, mu: Sequence[int], k: int) -> PullbackReport:

@@ -319,6 +319,30 @@ def wplus_class(g, graphs, form):
     return DivisorClass(lam=wplus_w_lambda(g), d_h=-wplus_w_hor(g), boundary=boundary)
 
 
+def gen_weierstrass_class(orders, alpha, graphs, form):
+    """The bottom-level theta summed over each graph's own bottom legs:
+    every leg takes the alpha of a signature entry of its order, and the
+    edge legs take 0."""
+    if form == "raw":
+        return DivisorClass(lam=Fraction(-1), psi=tuple(Fraction(a * (a + 1), 2) for a in alpha),
+                            xi=Fraction(1))
+    kappa = kappa_mu(orders)
+    v_theta = sum((Fraction(a * (a + 1), 2 * (m + 1)) for m, a in zip(orders, alpha)),
+                  Fraction(0))
+    boundary = {}
+    for graph in graphs:
+        inv = graph_invariants(graph)
+        unused = list(zip(orders, alpha))
+        theta_bot = Fraction(0)
+        for m in graph.bottom_legs:
+            _, a = unused.pop(next(i for i, (o, _) in enumerate(unused) if o == m))
+            theta_bot += Fraction(a * (a + 1), 2 * (m + 1))
+        kappa_bot = kappa_mu(graph.bottom_orders())
+        boundary[inv.encoding] = -inv.ell * (kappa_bot / kappa * (1 + v_theta) - theta_bot)
+    return DivisorClass(lam=(12 + 12 * v_theta - kappa) / kappa, d_h=-(1 + v_theta) / kappa,
+                        boundary=boundary)
+
+
 def class_context(genus, orders, graphs):
     ell, kappa_bot = {}, {}
     for graph in graphs:

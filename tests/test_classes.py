@@ -174,6 +174,28 @@ def test_divisor_class_json_round_trip():
                              "xi": "1", "boundary": {"enc": "-3/2"}}
 
 
+def test_divisor_class_comparison_reads_coordinates():
+    a = DivisorClass(lam=F(1), boundary={"x": F(2)})
+    # an empty psi equals (0,), and a missing boundary key an explicit zero
+    padded = DivisorClass(lam=F(1), psi=(F(0),), boundary={"x": F(2), "y": F(0)})
+    assert a == padded and padded == a
+    assert a.coefficient_diffs(padded) == padded.coefficient_diffs(a) == {}
+    assert DivisorClass(psi=(F(0), F(0)), boundary={"y": F(0)}).is_zero()
+    assert not a.is_zero()
+    b = DivisorClass(lam=F(1, 2), d_h=F(3), psi=(F(0), F(5)), xi=F(-1),
+                     boundary={"y": F(1, 3)})
+    diffs = a.coefficient_diffs(b)
+    assert diffs == {"lambda": F(1, 2), "d_h": F(-3), "psi_2": F(-5), "xi": F(1),
+                     "x": F(2), "y": F(-1, 3)}
+    assert list(diffs) == ["lambda", "d_h", "psi_2", "xi", "x", "y"]
+    back = b.coefficient_diffs(a)
+    assert back == {k: -v for k, v in diffs.items()}
+    assert list(back) == ["lambda", "d_h", "psi_2", "xi", "y", "x"]
+    assert a != b and b != a
+    assert a.__eq__("a class") is NotImplemented
+    assert a != "a class"
+
+
 def test_kappa_bot_routes_agree():
     for g in range(2, 8):
         for graph in enumerate_level_graphs(g):
@@ -198,6 +220,9 @@ BUILDERS = [
     pytest.param(lambda g, graphs: wplus_class(g, graphs, form="raw"), 6, id="wplus-raw"),
     pytest.param(lambda g, graphs: wplus_class(g, graphs, form="reduced"),
                  6, id="wplus-reduced"),
+    # the minimal signature, so that the genus-g atlas carries its legs
+    pytest.param(lambda g, graphs: gen_weierstrass_class((2 * g - 2,), (g - 1,), graphs),
+                 6, id="genw"),
 ]
 
 
@@ -243,6 +268,13 @@ def test_class_builders_match_fraction_oracle(kind, g):
         for form in ("raw", "reduced"):
             pairs.append((wplus_class(g, graphs, form=form),
                           oracle.wplus_class(g, graphs, form)))
+    if kind == "image":
+        mu = graphs[0].bottom_legs
+        for a in (0, 1, mu[0] // 2):
+            alpha = (mu[0] - a, a)
+            for form in ("raw", "reduced"):
+                pairs.append((gen_weierstrass_class(mu, alpha, graphs, form),
+                              oracle.gen_weierstrass_class(mu, alpha, graphs, form)))
     for got, want in pairs:
         assert got.to_json() == want.to_json()
 

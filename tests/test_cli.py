@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,26 @@ def test_pullback_check(capsys):
     assert data["match"] is True
     assert data["mu"] == [4, 4]
     assert data["alpha"] == [4, 0]
+
+
+def test_pullback_check_exits_2_on_a_mismatch_and_writes_the_report(monkeypatch, capsys,
+                                                                    tmp_path):
+    from stratacert import cli as cli_mod
+    from stratacert.pullback import PullbackReport
+
+    def mismatch(g, mu, k):
+        return PullbackReport(match=False, coordinate_diffs={"xi": F(1, 2)})
+
+    monkeypatch.setattr(cli_mod, "wplus_derivation_check", mismatch)
+    code, out, _ = run(capsys, "pullback-check", "--genus", "4")
+    assert code == 2
+    data = json.loads(out)
+    assert data["match"] is False
+    assert data["coordinate_diffs"] == {"xi": "1/2"}
+    path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "pullback-check", "--genus", "4", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(path.read_text())["match"] is False
 
 
 def test_pullback_check_rejects_a_bad_saturation_index(capsys):
@@ -431,6 +452,14 @@ def test_exact_scan_reports_first_feasible_genus(capsys):
      "class_g6_canonical_no_hbb_shape.json"),
     (("class", "--genus", "6", "--which", "dnc"), "class_g6_dnc.json"),
     (("class", "--genus", "6", "--which", "hur"), "class_g6_hur.json"),
+    (("class", "--genus", "7", "--which", "bn"), "class_g7_bn.json"),
+    (("class", "--genus", "4", "--which", "genw", "--mu", "4,4", "--alpha", "4,0",
+      "--form", "raw"), "class_g4_genw_raw.json"),
+    (("class", "--genus", "4", "--which", "genw", "--mu", "4,4", "--alpha", "4,0"),
+     "class_g4_genw_reduced.json"),
+    (("pullback-check", "--genus", "6"), "pullback_g6.json"),
+    (("pullback-check", "--genus", "7", "--mu", "9,5", "--k", "2"),
+     "pullback_g7_mu9_5_k2.json"),
 ])
 def test_artifact_bytes_are_pinned(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)

@@ -101,6 +101,11 @@ def test_validate_examples():
     assert "genus balance violated" in validate(bad_balance)
     bad_prongs = LevelGraph(2, 0, (2,), (TopVertex(0, (1, 1, 1)),))
     assert "prong balance violated at top vertex" in validate(bad_prongs)
+    # every other balance holds, but the legs total 8, not 2g - 2 = 10
+    short_legs = LevelGraph(6, 3, (4, 4), (TopVertex(3, (5,)),))
+    assert validate(short_legs) == [
+        "degree balance violated at bottom vertex: legs do not total 2g - 2"]
+    assert validate(LevelGraph(6, 3, (4, 6), (TopVertex(3, (5,)),))) == []
 
 
 def test_classify_edges():

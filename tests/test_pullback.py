@@ -49,6 +49,10 @@ def test_pull_graph_rules():
     delta = LevelGraph(g + 1, 2, (g, g), (TopVertex(g - 1, (2 * g - 3,)),))
     image = zeta_pull_graph(delta, g)
     assert image == LevelGraph(g, 1, (2 * g - 2,), (TopVertex(g - 1, (2 * g - 3,)),))
+    # a graph whose legs do not total 2g - 2 is refused
+    short_legs = LevelGraph(6, 3, (4, 4), (TopVertex(3, (5,)),))
+    with pytest.raises(ValueError, match="legs do not total 2g - 2"):
+        zeta_pull_graph(short_legs, 5)
 
 
 def test_surgery_is_two_sided_inverse():
