@@ -581,6 +581,9 @@ class _MinEngine:
         self._hbb_pack = (2 * g * max(abs(t) for types in self._hbb_types.values()
                                       for _, t in types) + 3) * place
         self._e1_family = None
+        # one TopVertex per witness vertex type (h, parts), made the first
+        # time a witness holds it (_vertex)
+        self._vertices: Dict[tuple, TopVertex] = {}
         self._dp_affines: Dict[LevelGraph, AffineInY] = {}
         self._analyses: Dict[bool, _Analysis] = {}
 
@@ -674,7 +677,7 @@ class _MinEngine:
             rows = []
             for h in sorted({1, g - 1}):
                 graph = LevelGraph(g, g - h, (2 * g - 2,),
-                                   (TopVertex(h, (2 * h - 1,)),))
+                                   (self._vertex((h, (2 * h - 1,))),))
                 inv = graph_invariants(graph, hbb_shape_test=False)
                 aff = s_gamma_affine(inv, g)
                 u, t = aff.intercept * self.den, aff.slope * self.den
@@ -783,12 +786,28 @@ class _MinEngine:
                           zip(count(1), digits[::2], digits[1::2]) if ns or np_)
 
     def hbb_witness(self, ref) -> LevelGraph:
+        """The HBB graph an ``_hbb_ref`` names, over the engine's shared
+        vertices (``_vertex``)."""
         g_b, spec = ref
+        vertex = self._vertex
         tops = []
         for h, ns, np_ in spec:
-            tops.extend([TopVertex(h, (2 * h - 1,))] * ns)
-            tops.extend([TopVertex(h, (h, h))] * np_)
+            if ns:
+                tops += (vertex((h, (2 * h - 1,))),) * ns
+            if np_:
+                tops += (vertex((h, (h, h))),) * np_
         return LevelGraph(self.g, g_b, (2 * self.g - 2,), tuple(tops))
+
+    def _vertex(self, ref: tuple) -> TopVertex:
+        """The engine's one TopVertex of type ref = (h, parts), made the
+        first time a witness holds it and shared by every later witness,
+        so its encoding fragment, lcm and shares are computed once per
+        engine.  Types no witness holds get none: building every type's
+        vertex with the type lines would slow the cold certificate."""
+        found = self._vertices.get(ref)
+        if found is None:
+            found = self._vertices[ref] = TopVertex(*ref)
+        return found
 
     # -- evaluation ---------------------------------------------------------
 
@@ -874,17 +893,18 @@ class _MinEngine:
         return best_all, best_d2
 
     def _reconstruct(self, plan, best_all, best_d2, choice) -> LevelGraph:
+        """The knapsack's witness graph, over the engine's shared vertices
+        (``_vertex``): the line refs (h, parts) name its vertex types."""
         g_b, d2_weight = plan
+        vertex = self._vertex
         tops = []
         rest = self.g - g_b
         if d2_weight is not None:
-            h, parts = best_d2[d2_weight][2]
-            tops.append(TopVertex(h, parts))
+            tops.append(vertex(best_d2[d2_weight][2]))
             rest -= d2_weight
         while rest:
             w = choice[rest]
-            h, parts = best_all[w][2]
-            tops.append(TopVertex(h, parts))
+            tops.append(vertex(best_all[w][2]))
             rest -= w
         return LevelGraph(self.g, g_b, (2 * self.g - 2,), tuple(tops))
 

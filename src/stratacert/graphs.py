@@ -33,11 +33,15 @@ The per-graph invariants are exact rationals whose per-prong sums are
 taken on integers, with one Fraction built per value: in
 ``graph_invariants`` over ell = lcm(prongs) (2 ell for R_NC), and in
 ``kappa_mu`` over lcm |m+1| of the orders (``graph_invariants`` reads the
-legs' kappa as that integer pair, unreduced).  ``graph_invariants`` reads
-the top vertices in one loop, which gathers the prongs, N_top, the edge
-classes, the delta targets and the HBB shape together (``classify_edges``
-and ``hbb_shape`` state the same rules for one graph), and returns a named
-tuple, which is immutable and cheap to build.
+legs' kappa as that integer pair, unreduced).  Each ``TopVertex`` takes
+its prongs' lcm, its sum of lcm // p and its encoding fragment once, when
+it is built, so a vertex shared by many graphs (the stream's, or the
+certify engine's witnesses') gives them all without another pass over
+its prongs.  ``graph_invariants`` reads the top vertices in one loop,
+which gathers the prongs, N_top, each vertex's share of the prong sums,
+the edge classes, the delta targets and the HBB shape together
+(``classify_edges`` and ``hbb_shape`` state the same rules for one
+graph), and returns a named tuple, which is immutable and cheap to build.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -65,13 +69,35 @@ DELTA_IRR = "irr"
 @dataclass(frozen=True, slots=True)
 class TopVertex:
     """A top-level vertex: genus and prong multiset.  It carries no marked
-    leg, since every leg of a graph sits on its bottom vertex."""
+    leg, since every leg of a graph sits on its bottom vertex.
+
+    Construction also computes, once, the vertex's share of every graph
+    that holds it: ``encoding``, its fragment ``(h,[p,...])`` of the
+    canonical encoding; ``lcm``, the lcm of its prongs (1 with no prong);
+    and ``shares``, the sum of lcm // p over its prongs.  A vertex with a
+    prong below 1 still constructs, with ``lcm`` and ``shares`` 0, so that
+    ``validate`` can report it.  The three are derived from genus and
+    prongs and take no part in ``==``, ``hash`` or ``repr``; a stream or an
+    engine that shares one vertex per type shares them too."""
 
     genus: int
     prongs: tuple
+    encoding: str = field(init=False, compare=False, repr=False)
+    lcm: int = field(init=False, compare=False, repr=False)
+    shares: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "prongs", tuple(sorted(self.prongs)))
+        ps = tuple(sorted(self.prongs))
+        setattr_ = object.__setattr__
+        setattr_(self, "prongs", ps)
+        setattr_(self, "encoding", f"({self.genus},[{','.join(map(str, ps))}])")
+        if ps and ps[0] < 1:  # sorted, so the least prong decides
+            lcm = shares = 0
+        else:
+            lcm = math.lcm(*ps)
+            shares = sum([lcm // p for p in ps])
+        setattr_(self, "lcm", lcm)
+        setattr_(self, "shares", shares)
 
     @property
     def degree(self) -> int:
@@ -124,10 +150,12 @@ def minimal_graph(g: int, bottom_genus: int, tops: Iterable) -> LevelGraph:
 
 
 def canonical_encoding(graph: LevelGraph) -> str:
-    """Bit-exact canonical text form; equality iff coarse-type isomorphism."""
+    """Bit-exact canonical text form; equality iff coarse-type isomorphism.
+
+    It joins the fragments each ``TopVertex`` formats once, when it is
+    built, so a vertex shared by many graphs is formatted once for all."""
     legs = ",".join(map(str, graph.bottom_legs))
-    tops = ",".join([
-        f"({v.genus},[{','.join(map(str, v.prongs))}])" for v in graph.top_vertices])
+    tops = ",".join([v.encoding for v in graph.top_vertices])
     return f"g={graph.genus};gb={graph.bottom_genus};legs={legs};top=[{tops}]"
 
 
@@ -164,37 +192,50 @@ def parse_canonical_encoding(text: str) -> LevelGraph:
 
 
 def validate(graph: LevelGraph) -> list:
-    """Check the full invariant battery; return the violated invariants."""
+    """Check the full invariant battery; return the violated invariants.
+
+    One loop reads each top vertex once: its own checks, in vertex order,
+    and the edge count, top genus and N_top the graph's balances need."""
     problems = []
     g = graph.genus
-    if graph.bottom_genus < 0:
+    g_b = graph.bottom_genus
+    tops = graph.top_vertices
+    v_top = len(tops)
+    if g_b < 0:
         problems.append("bottom genus negative")
-    if graph.v_top < 1:
+    if v_top < 1:
         problems.append("no top-level vertex")
-    for v in graph.top_vertices:
-        if v.genus < 0:
+    e = top_genus = n_top = 0
+    for v in tops:
+        h = v.genus
+        d = len(v.prongs)
+        if h < 0:
             problems.append("top vertex genus negative")
-        if any(p < 1 for p in v.prongs) or v.degree < 1:
+        # lcm is 0 on a vertex with a prong below 1
+        if not v.lcm or d < 1:
             problems.append("prong must be >= 1 on every edge")
-        if sum(v.prongs) != 2 * v.genus - 2 + v.degree:
+        if sum(v.prongs) != 2 * h - 2 + d:
             problems.append("prong balance violated at top vertex")
-        if v.genus == 0 and v.degree < 3:
+        if h == 0 and d < 3:
             problems.append("unstable genus-0 top vertex")
-    e = graph.edge_count
-    top_genus = sum(v.genus for v in graph.top_vertices)
-    if graph.bottom_genus + top_genus + e - graph.v_top != g:
+        e += d
+        top_genus += h
+        n_top += 2 * h - 1 + d
+    if g_b + top_genus + e - v_top != g:
         problems.append("genus balance violated")
+    legs = graph.bottom_legs
     # with the prong and genus balances, the bottom vertex's degree balance
-    if sum(graph.bottom_legs) != 2 * g - 2:
+    if sum(legs) != 2 * g - 2:
         problems.append("degree balance violated at bottom vertex: "
                         "legs do not total 2g - 2")
-    if graph.bottom_genus == 0 and len(graph.bottom_legs) + e < 3:
+    # every leg is a zero of the differential; legs are sorted
+    if legs and legs[0] < 1:
+        problems.append("bottom leg order must be >= 1")
+    if g_b == 0 and len(legs) + e < 3:
         problems.append("bottom stability violated")
-    n_top = sum(2 * v.genus - 1 + v.degree for v in graph.top_vertices)
-    n_bot = 2 * graph.bottom_genus + e - graph.v_top
     if n_top < 1:
         problems.append("nonemptiness violated: N_top < 1")
-    if n_bot < 1:
+    if 2 * g_b + e - v_top < 1:
         problems.append("nonemptiness violated: N_bot < 1")
     return problems
 
@@ -304,20 +345,28 @@ def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInv
 
     One loop over the top vertices gathers the prongs, N_top, each edge's
     class (as :func:`classify_edges`) and delta target, and the HBB shape
-    (as :func:`hbb_shape`).  The per-prong sums are then taken on integers
-    over ell = lcm(prongs), with share ell // p per prong: P_{-1} =
+    (as :func:`hbb_shape`).  The per-prong sums are taken on integers over
+    ell = lcm(prongs), with share ell // p per prong, and summed vertex by
+    vertex from what each ``TopVertex`` computed once when it was built: a
+    vertex of prong lcm l_v and shares s_v = sum(l_v // p) holds the share
+    (ell // l_v) s_v, and all its edges have one class.  So P_{-1} =
     sum(shares) / ell, and R_NC = S / (2 ell) with S the sum of twice each
     edge class's weight times its share, so b_NC = ell R_NC - 1 = (S - 2) /
-    2.  Each value is one Fraction.
+    2.  Each value is one Fraction.  A prong below 1 raises ValueError, as
+    :func:`lcm_list` words it.
     """
     g = graph.genus
     g_b = graph.bottom_genus
     tops = graph.top_vertices
     v_top = len(tops)
+    # lcm() of nothing is 1; a vertex with a prong below 1 has lcm 0
+    ell = math.lcm(*[v.lcm for v in tops])
+    if not ell:
+        lcm_list(graph.prongs())  # raises, naming the first prong below 1
     prongs = []
     classes = []
     deltas = []
-    n_top = 0
+    n_top = share_sum = twice_rnc = 0
     # HBB shape: every vertex has one edge or an equal-prong pair, and at
     # least one has the pair
     shape = True
@@ -328,6 +377,8 @@ def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInv
         h = v.genus
         prongs += ps
         n_top += 2 * h - 1 + d
+        share = ell // v.lcm * v.shares
+        share_sum += share
         if d == 1:
             # separating: EDB only as the graph's unique edge
             if v_top > 1:
@@ -341,19 +392,15 @@ def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInv
             classes.append(cls)
             deltas.append(min(h, g - h))
         else:
+            cls = NCT
             classes += (NCT,) * d
             deltas += (DELTA_IRR,) * d
             if d == 2 and ps[0] == ps[1]:
                 has_pair = True
             else:
                 shape = False
-    ell = lcm_list(prongs)
-    p_sum = sum(prongs)
-    share_sum = twice_rnc = 0
-    for p, cls in zip(prongs, classes):
-        share = ell // p
-        share_sum += share
         twice_rnc += _RNC_WEIGHT2[cls] * share
+    p_sum = sum(prongs)
     e = len(prongs)
     # kappa of the bottom level via the prong identity kappa_legs - (P -
     # P_{-1}); the direct signature evaluation lives in the divisor-class

@@ -8,7 +8,9 @@ output (``kappa_mu``, ``graph_invariants``, ``six_coefficients``,
 coordinate ``reduce_class`` updates, ``class_with_twist_bounds``, and the
 assembly affine of ``checks``), runs the streaming certifier on integer
 rows, and compares rationals in the identity battery by
-cross-multiplication.  The functions here are the plain Fraction forms of
+cross-multiplication; ``graph_invariants`` and ``canonical_encoding`` read
+each vertex's prong lcm, shares and encoding fragment from its
+``TopVertex``, computed once when it was built.  The functions here are the plain Fraction forms of
 the same formulas and checks; the tests compare the two on full atlases,
 raw atlases, pullback image graphs and samples of large-genus atlases
 (``ORACLE_CASES``).
@@ -37,7 +39,6 @@ from stratacert.graphs import (
     OCT,
     RBT,
     GraphInvariants,
-    canonical_encoding,
     classify_edges,
     enumerate_level_graphs,
     hbb_shape,
@@ -94,6 +95,14 @@ def kappa_mu(orders):
 
 
 _RNC_WEIGHT = {NCT: Fraction(1, 2), RBT: Fraction(1), OCT: Fraction(2), EDB: Fraction(4)}
+
+
+def canonical_encoding(graph):
+    """The canonical encoding formatted prong by prong, vertex by vertex."""
+    legs = ",".join(map(str, graph.bottom_legs))
+    tops = ",".join([
+        f"({v.genus},[{','.join(map(str, v.prongs))}])" for v in graph.top_vertices])
+    return f"g={graph.genus};gb={graph.bottom_genus};legs={legs};top=[{tops}]"
 
 
 def graph_invariants(graph, hbb_shape_test=True):

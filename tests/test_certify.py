@@ -1375,6 +1375,36 @@ def test_hbb_self_check_runs_on_warm_evaluate(monkeypatch, fresh_engines):
         engine.evaluate(y, True)
 
 
+@pytest.mark.parametrize("g", [10, 31])
+def test_engine_shares_witness_vertices(g, monkeypatch):
+    # the engine makes a witness vertex the first time its type wins and
+    # reuses it after: building the engine makes none, and a repeated
+    # evaluate at the same y makes none
+    built = []
+
+    def counting_vertex(*args):
+        built.append(args)
+        return TopVertex(*args)
+
+    monkeypatch.setattr(certify_module, "TopVertex", counting_vertex)
+    engine = _MinEngine(g)
+    assert built == []
+    ys = [F(0), F(1, 5), F(1)] + ([recipe_y(g)] if recipe_y(g) is not None else [])
+    for hbb in (False, True):
+        for y in ys:
+            first = engine.evaluate(y, hbb)
+            n_built = len(built)
+            again = engine.evaluate(y, hbb)
+            assert len(built) == n_built, (g, y, hbb)
+            assert again == first
+            assert all(a is b for a, b in zip(again[1].top_vertices,
+                                              first[1].top_vertices))
+    # each vertex type was made once, with the vertex's own fields
+    assert len(built) == len(set(built))
+    for ref, vertex in engine._vertices.items():
+        assert vertex == TopVertex(*ref) and vertex.encoding == TopVertex(*ref).encoding
+
+
 @pytest.mark.parametrize("g", range(2, 23))
 def test_single_edge_scan_matches_fraction_oracle(g):
     engine = _MinEngine(g)

@@ -373,6 +373,12 @@ def test_atlas_lines_are_validated(tmp_path, capsys):
     _, _, err = run(capsys, "enumerate", "--genus", "5",
                     "--atlas", str(tmp_path / "duplicate.txt"))
     assert "line 2: repeats line 1" in err
+    # legs that total 2g - 2 with one below order 1 fail validate itself
+    path = tmp_path / "negative_leg.txt"
+    path.write_text("g=6;gb=3;legs=12,-2;top=[(3,[5])]\n")
+    code, out, err = run(capsys, "enumerate", "--genus", "6", "--atlas", str(path))
+    assert (code, out) == (1, "")
+    assert "line 1: invalid graph: bottom leg order must be >= 1" in err
 
 
 def test_atlas_rejects_malformed_encodings(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations_with_replacement, groupby, islice
 from fractions import Fraction as F
@@ -106,6 +107,10 @@ def test_validate_examples():
     assert validate(short_legs) == [
         "degree balance violated at bottom vertex: legs do not total 2g - 2"]
     assert validate(LevelGraph(6, 3, (4, 6), (TopVertex(3, (5,)),))) == []
+    # the legs total 2g - 2, but a leg of order below 1 is no zero
+    for legs in ((12, -2), (10, 0)):
+        assert validate(LevelGraph(6, 3, legs, (TopVertex(3, (5,)),))) == [
+            "bottom leg order must be >= 1"], legs
 
 
 def test_classify_edges():
@@ -177,6 +182,62 @@ def test_graph_invariants_match_fraction_oracle(kind, g):
             for field in GraphInvariants._fields:
                 a, b = getattr(got, field), getattr(want, field)
                 assert (type(a), a) == (type(b), b), (field, got.encoding, hbb)
+
+
+@pytest.mark.parametrize("kind, g", oracle.ORACLE_CASES)
+def test_top_vertex_fields_and_encoding_match_from_scratch(kind, g):
+    # each vertex's share of the invariants, computed once when it is
+    # built, against the per-prong values; and the encoding joined from
+    # the vertices' fragments against the one formatted prong by prong
+    for graph in oracle.oracle_graphs(kind, g):
+        for v in graph.top_vertices:
+            lcm = math.lcm(*v.prongs)
+            assert (v.encoding, v.lcm, v.shares) == (
+                f"({v.genus},[{','.join(map(str, v.prongs))}])",
+                lcm, sum(lcm // p for p in v.prongs)), v
+        assert canonical_encoding(graph) == oracle.canonical_encoding(graph)
+
+
+def test_top_vertex_fields_stay_out_of_eq_hash_and_repr():
+    v = TopVertex(2, (3, 1))
+    assert repr(v) == "TopVertex(genus=2, prongs=(1, 3))"
+    assert hash(v) == hash((2, (1, 3)))
+    w = TopVertex(2, (1, 3))
+    object.__setattr__(w, "encoding", "other")
+    assert v == w and hash(v) == hash(w)
+
+
+@pytest.mark.parametrize("prongs, entry", [((0, 2), 0), ((3, -1), -1)])
+def test_vertex_with_a_prong_below_one_constructs(prongs, entry):
+    v = TopVertex(1, prongs)
+    assert (v.lcm, v.shares) == (0, 0)
+    assert v.encoding == f"(1,[{','.join(map(str, sorted(prongs)))}])"
+    alone = LevelGraph(3, 1, (4,), (v,))
+    behind = LevelGraph(4, 1, (6,), (TopVertex(1, (1,)), v))
+    for graph in (alone, behind):
+        assert validate(graph) == ["prong must be >= 1 on every edge"]
+        with pytest.raises(ValueError,
+                           match=f"^lcm_list: non-positive entry {entry}$"):
+            graph_invariants(graph)
+
+
+def test_vertex_without_prongs_constructs():
+    v = TopVertex(1, ())
+    assert (v.encoding, v.lcm, v.shares) == ("(1,[])", 1, 0)
+    alone = LevelGraph(3, 1, (4,), (v,))
+    assert validate(alone) == [
+        "prong must be >= 1 on every edge", "genus balance violated"]
+    beside = LevelGraph(4, 1, (6,), (TopVertex(2, ()), TopVertex(1, (1,))))
+    assert validate(beside) == [
+        "prong must be >= 1 on every edge",
+        "prong balance violated at top vertex", "genus balance violated"]
+    # the invariants such graphs had when every sum was taken per prong
+    assert oracle.typed(tuple(graph_invariants(alone))) == oracle.typed((
+        3, "g=3;gb=1;legs=4;top=[(1,[])]", (), 0, F(0), 1, 0, 1, 1, 1,
+        F(24, 5), (), (), F(0), F(-1), 0))
+    assert oracle.typed(tuple(graph_invariants(beside))) == oracle.typed((
+        4, "g=4;gb=1;legs=6;top=[(1,[1]),(2,[])]", (1,), 1, F(1), 1, 1, 2,
+        5, 1, F(48, 7), (OCT,), (1,), F(2), F(1), 0))
 
 
 def test_partitions_exact_and_unrank():

@@ -53,6 +53,10 @@ def test_pull_graph_rules():
     short_legs = LevelGraph(6, 3, (4, 4), (TopVertex(3, (5,)),))
     with pytest.raises(ValueError, match="legs do not total 2g - 2"):
         zeta_pull_graph(short_legs, 5)
+    # a leg of order below 1 is refused though the legs total 2g - 2
+    negative_leg = LevelGraph(6, 3, (12, -2), (TopVertex(3, (5,)),))
+    with pytest.raises(ValueError, match="bottom leg order must be >= 1"):
+        zeta_pull_graph(negative_leg, 5)
 
 
 def test_surgery_is_two_sided_inverse():
