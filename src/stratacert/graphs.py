@@ -25,9 +25,12 @@ enters a branch only where the same counts say it holds a graph, so one
 counting index states both the atlas's admissibility and its order.  The
 walk builds each vertex type's ``TopVertex`` once, when it first enters
 the type's block, and every graph it yields holds those shared vertices.
-The index, two rows of g + 1 counts per block, is kept for the last genus
-asked only; ``atlas_count`` grows such rows weight by weight instead, by
-the same product, and builds no index.
+Every partition count is read from one table per genus, P(n, at most k
+parts) for k <= g and n <= 2g, built column by column.  ``vertex_blocks``
+sizes the blocks from it; the index (two rows of g + 1 counts per block,
+kept for the last genus asked only) keeps it for ``partition_unrank``;
+``atlas_count`` builds its own, grows such rows weight by weight by the
+same product, and builds no index.
 
 The per-graph invariants are exact rationals whose per-prong sums are
 taken on integers, with one Fraction built per value: in
@@ -432,22 +435,17 @@ def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInv
 # partitions into exactly k parts (nondecreasing tuples, lexicographic)
 
 
-@lru_cache(maxsize=None)
-def _p_exact(n: int, k: int) -> int:
-    """Number of partitions of n into exactly k parts >= 1."""
-    if k == 0:
-        return 1 if n == 0 else 0
-    if n < k:
-        return 0
-    if k == 1:
-        return 1
-    return _p_exact(n - 1, k - 1) + _p_exact(n - k, k)
-
-
-def _p_exact_min(n: int, k: int, min_part: int) -> int:
-    """Partitions of n into exactly k parts, each >= min_part."""
-    shifted = n - k * (min_part - 1)
-    return _p_exact(shifted, k) if shifted >= 0 else 0
+def partition_table(g: int) -> list:
+    """T[k][n] = P(n, at most k parts) = P(n, parts <= k) for k <= g and
+    n <= 2g, column by column; P(n, exactly k parts) = T[k][n - k]."""
+    row = [1] + [0] * (2 * g)
+    table = [row]
+    for k in range(1, g + 1):
+        row = list(row)
+        for n in range(k, 2 * g + 1):
+            row[n] += row[n - k]
+        table.append(row)
+    return table
 
 
 def partitions_exact(n: int, k: int, min_part: int = 1) -> Iterator[tuple]:
@@ -465,18 +463,23 @@ def partitions_exact(n: int, k: int, min_part: int = 1) -> Iterator[tuple]:
             yield (p,) + rest
 
 
-def partition_unrank(n: int, k: int, rank: int, min_part: int = 1) -> tuple:
-    """The rank-th partition (0-based) in the order of partitions_exact."""
-    if rank < 0 or rank >= _p_exact_min(n, k, min_part):
+def partition_unrank(n: int, k: int, rank: int, table: list) -> tuple:
+    """The rank-th partition (0-based) in the order of partitions_exact,
+    counted from a :func:`partition_table` with n <= 2g and k <= g: those
+    of first part p and the rest >= p number P(n - k p, at most k - 1)."""
+    if not 0 <= rank < (table[k][n - k] if n >= k else 0):
         raise IndexError("partition rank out of range")
-    if k == 1:
-        return (n,)
-    for p in range(min_part, n // k + 1):
-        c = _p_exact_min(n - p, k - 1, p)
-        if rank < c:
-            return (p,) + partition_unrank(n - p, k - 1, rank, p)
-        rank -= c
-    raise AssertionError("unreachable")
+    parts = []
+    p = 1
+    while k > 1:
+        c = table[k - 1][n - k * p]
+        if rank >= c:
+            rank -= c
+            p += 1
+            continue
+        parts.append(p)
+        n, k = n - p, k - 1
+    return (*parts, n) if k else ()
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +496,11 @@ class Block:
     size: int
 
 
-def vertex_blocks(max_weight: int) -> tuple:
-    out = []
-    for w in range(1, max_weight + 1):
-        for d in range(1, w + 1):
-            h = w + 1 - d
-            n = _p_exact(2 * h - 2 + d, d)
-            if n:
-                out.append(Block(w, d, h, n))
-    return tuple(out)
+def vertex_blocks(table: list) -> tuple:
+    """Every block of weight <= g, sized from ``partition_table(g)``: its
+    types are the partitions of 2w - d into d parts, P(2w - 2d, at most d)."""
+    return tuple(Block(w, d, w + 1 - d, table[d][2 * (w - d)])
+                 for w in range(1, len(table)) for d in range(1, w + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -535,15 +534,18 @@ def _grow(row: list, weight: int, size: int, g: int) -> list:
 
 
 class _AtlasIndex:
-    """Counting tables over blocks for one genus.
+    """Counting tables over blocks for one genus, and its partition table.
 
-    Both tables are filled iteratively from the last block backwards so
+    Both block tables are filled iteratively from the last block backwards so
     that no recursion depth scales with the number of blocks (~g^2/2).
     """
 
     def __init__(self, g: int):
+        if g < 2:
+            raise ValueError("genus must be >= 2")
         self.g = g
-        self.blocks = vertex_blocks(g)
+        self.table = partition_table(g)
+        self.blocks = vertex_blocks(self.table)
         # any[b][budget] = number of multisets from blocks[b:] of that
         # total weight; d1 restricts to degree-1 blocks
         any_row = d1_row = [1] + [0] * g
@@ -574,15 +576,15 @@ _atlas_index = lru_cache(maxsize=1)(_AtlasIndex)
 
 def atlas_count(g: int, dimension_filter: bool = True) -> int:
     """Number of coarse types in the genus-g atlas (exact); the blocks of
-    one weight act as one, so it keeps O(g) integers and builds no index."""
+    one weight act as one: it grows two rows of g + 1 counts, no index."""
     if g < 2:
         raise ValueError("genus must be >= 2")
-    sizes = [0] * (g + 1)
-    for blk in vertex_blocks(g):
-        sizes[blk.weight] += blk.size
+    table = partition_table(g)
     any_row = d1_row = [1] + [0] * g
     for w in range(1, g + 1):
-        any_row = _grow(any_row, w, sizes[w], g)
+        # the types of weight w: its blocks' sizes, as vertex_blocks reads them
+        size = sum([table[d][2 * (w - d)] for d in range(1, w + 1)])
+        any_row = _grow(any_row, w, size, g)
         d1_row = _grow(d1_row, w, 1, g)
     # any_row[budget] graphs per bottom genus g - budget; at g_b = 0 the
     # filter drops the degree-1-only multisets, raw mode the single edge
@@ -621,8 +623,6 @@ def enumerate_level_graphs(g: int, dimension_filter: bool = True) -> Iterator[Le
     multisets lexicographically).  The graphs of one stream share one
     TopVertex per vertex type.
     """
-    if g < 2:
-        raise ValueError("genus must be >= 2")
     idx = _atlas_index(g)
     blocks = idx.blocks
     # block index -> one TopVertex per prong multiset, for this walk; every
@@ -670,11 +670,9 @@ def enumerate_level_graphs(g: int, dimension_filter: bool = True) -> Iterator[Le
 def atlas_unrank(g: int, rank: int) -> LevelGraph:
     """The graph at a given index of the (filtered) stream, without
     enumerating predecessors."""
-    if g < 2:
-        raise ValueError("genus must be >= 2")
+    idx = _atlas_index(g)
     if rank < 0:
         raise IndexError("negative atlas rank")
-    idx = _atlas_index(g)
     for g_b in range(g):
         n_here = idx.count_for_bottom(g_b)
         if rank >= n_here:
@@ -707,7 +705,8 @@ def _unrank_choice(idx: _AtlasIndex, budget: int, rank: int, need_d2: bool):
             if suffix and rank < ways * suffix:
                 combo_rank, rank = divmod(rank, suffix)
                 for j, m in _unrank_multiset(blk.size, k, combo_rank):
-                    prongs = partition_unrank(parts_total, blk.degree, j)
+                    prongs = partition_unrank(parts_total, blk.degree, j,
+                                              idx.table)
                     chosen += (TopVertex(blk.genus, prongs),) * m
                 budget -= k * blk.weight
                 need_d2 = need_after
@@ -724,7 +723,8 @@ def sample_atlas(g: int, count: int) -> list:
     graphs at evenly spaced ranks."""
     if count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
-    total = atlas_count(g)
+    idx = _atlas_index(g)  # unranking's index; the atlas is counted once
+    total = sum([idx.count_for_bottom(g_b) for g_b in range(g)])
     if count >= total:
         return list(enumerate_level_graphs(g))
     if count == 1:

@@ -45,6 +45,7 @@ from stratacert.exactq import AffineInY
 from stratacert.graphs import (
     LevelGraph,
     TopVertex,
+    atlas_count,
     atlas_unrank,
     canonical_encoding,
     enumerate_level_graphs,
@@ -1361,6 +1362,12 @@ def test_caches_keep_the_last_genus_only():
     atlas_unrank(34, 0)
     assert graphs_module._atlas_index.cache_info().currsize <= 1
     assert certify_module._engine.cache_info().currsize <= 1
+    # counting keeps no partition counts: each count builds its own table
+    for g in range(2, 301):
+        atlas_count(g)
+    caches = {name for name, obj in vars(graphs_module).items()
+              if hasattr(obj, "cache_info")}
+    assert caches == {"_atlas_index"}
 
 
 def test_hbb_self_check_runs_on_warm_evaluate(monkeypatch, fresh_engines):

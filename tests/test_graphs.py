@@ -1,5 +1,6 @@
 import math
 import random
+from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, islice
 from fractions import Fraction as F
 
@@ -25,10 +26,12 @@ from stratacert.graphs import (
     kappa_mu,
     minimal_graph,
     parse_canonical_encoding,
+    partition_table,
     partition_unrank,
     partitions_exact,
     sample_atlas,
     validate,
+    vertex_blocks,
     write_atlas,
 )
 
@@ -240,14 +243,48 @@ def test_vertex_without_prongs_constructs():
         5, 1, F(48, 7), (OCT,), (1,), F(2), F(1), 0))
 
 
+@lru_cache(maxsize=None)
+def _p_exact(n, k):
+    """Oracle: partitions of n into exactly k parts >= 1, by the usual
+    recursion (the smallest part is 1, or every part is >= 2)."""
+    if k == 0:
+        return 1 if n == 0 else 0
+    if n < k:
+        return 0
+    return _p_exact(n - 1, k - 1) + _p_exact(n - k, k)
+
+
+def test_partition_table_matches_recursion():
+    # T[k][n] = P(n, at most k parts) = sum of P(n, exactly j) over j <= k
+    at_most = [[sum(_p_exact(n, j) for j in range(k + 1)) for n in range(121)]
+               for k in range(61)]
+    for g in range(61):
+        assert partition_table(g) == [row[:2 * g + 1] for row in at_most[:g + 1]]
+
+
 def test_partitions_exact_and_unrank():
     parts = list(partitions_exact(7, 3))
     assert parts == sorted(parts)
     assert all(sum(p) == 7 and len(p) == 3 for p in parts)
+    table = partition_table(5)
     for i, p in enumerate(parts):
-        assert partition_unrank(7, 3, i) == p
-    with pytest.raises(IndexError):
-        partition_unrank(7, 3, len(parts))
+        assert partition_unrank(7, 3, i, table) == p
+    for rank in (-1, len(parts)):
+        with pytest.raises(IndexError):
+            partition_unrank(7, 3, rank, table)
+    # every rank of every block of every genus through 12, read from that
+    # genus's table, against the listing the stream builds
+    for g in range(2, 13):
+        table = partition_table(g)
+        for blk in vertex_blocks(table):
+            n = 2 * blk.genus - 2 + blk.degree
+            parts = list(partitions_exact(n, blk.degree))
+            assert blk.size == len(parts) == _p_exact(n, blk.degree)
+            for rank, p in enumerate(parts):
+                assert partition_unrank(n, blk.degree, rank, table) == p
+            for rank in (-1, len(parts)):
+                with pytest.raises(IndexError):
+                    partition_unrank(n, blk.degree, rank, table)
 
 
 @pytest.mark.parametrize("g", range(2, 7))
@@ -288,7 +325,7 @@ def _partition_count(n):
     return ways[n]
 
 
-@pytest.mark.parametrize("g", range(2, 41))
+@pytest.mark.parametrize("g", [*range(2, 81), 100, 150, 200])
 def test_count_matches_index(g):
     # the count grows one row per weight; the unranking index, one per
     # block, is its oracle.  Raw mode differs only at g_b = 0: the filter
@@ -299,15 +336,29 @@ def test_count_matches_index(g):
     assert atlas_count(g, False) - atlas_count(g) == _partition_count(g) - 1
 
 
+def test_atlas_count_pinned():
+    # filtered and raw counts; 31 and 34 are the benchmark's pinned values
+    assert atlas_count(31) == 5440744210
+    assert atlas_count(31, False) == 5440751051
+    assert atlas_count(34) == 35921597179
+    assert atlas_count(34, False) == 35921609488
+    assert atlas_count(400) == int(
+        "171989053242497371829249289834008972781317831804722767903674959651"
+        "396269251397091911501157")
+    assert atlas_count(400, False) == int(
+        "171989053242497371829249289834008972781317831804722767903674959651"
+        "396275978487143652543082")
+
+
 def test_finished_stream_keeps_no_partition_lists():
     # each walk keeps its blocks' prong multisets in a table of its own, so
-    # a finished stream frees them; the only module-level caches left hold
-    # partition counts and the counting index of the last genus asked
+    # a finished stream frees them; the one module-level cache left holds
+    # the counting index of the last genus asked, with its partition table
     for g in (10, 11):
         assert sum(1 for _ in enumerate_level_graphs(g)) == atlas_count(g)
     caches = {name for name, obj in vars(graphs_module).items()
               if hasattr(obj, "cache_info")}
-    assert caches == {"_p_exact", "_atlas_index"}
+    assert caches == {"_atlas_index"}
 
 
 def test_stream_shares_equal_top_vertices():
@@ -335,6 +386,23 @@ def test_sample_atlas_is_deterministic():
     assert len(a) == 50
     assert all(validate(x) == [] for x in a)
     assert sample_atlas(3, 100) == list(enumerate_level_graphs(3))
+
+
+@pytest.mark.parametrize("g", [4, 9, 31])
+def test_sample_atlas_spreads_over_the_counted_atlas(g):
+    # the sample takes its total from the unranking index; atlas_count,
+    # the other counting route, gives the same ranks: both ends included
+    total = atlas_count(g)
+    for count in (2, 7, 50):
+        if count < total:
+            ranks = sorted({i * (total - 1) // (count - 1)
+                            for i in range(count)})
+            assert sample_atlas(g, count) == [atlas_unrank(g, r)
+                                              for r in ranks]
+    if g < 31:
+        stream = list(enumerate_level_graphs(g))
+        assert sample_atlas(g, total) == stream
+        assert sample_atlas(g, total - 1) != stream
 
 
 def test_sample_atlas_count_below_one_rejected():
@@ -390,6 +458,10 @@ def test_genus_below_two_rejected():
     for g in (1, 0, -3):
         with pytest.raises(ValueError, match="genus must be >= 2"):
             atlas_unrank(g, 0)
+        with pytest.raises(ValueError, match="genus must be >= 2"):
+            atlas_unrank(g, -1)
+        with pytest.raises(ValueError, match="genus must be >= 2"):
+            sample_atlas(g, 5)
 
 
 def test_unrank_matches_stream_prefix_large_genus():
