@@ -14,11 +14,13 @@ Two exact engines are provided.
 
 * A streaming engine that enumerates the atlas and intersects positivity
   intervals graph by graph; practical only at small genus.  Each graph's
-  s_Gamma comes from ``_coefficients``, which sums on integers (the
-  divisor term over den * ell, den the divisor's denominator) and returns
-  integer (numerator, denominator) pairs, from which ``s_gamma_affine``
-  builds one Fraction for the intercept and one for the slope.  The
-  engine then scales every graph's s_Gamma to integers over the lcm of
+  s_Gamma is stated once on integer (numerator, denominator) pairs:
+  ``_coefficients`` sums its terms on integers (the divisor term over
+  den * ell, den the divisor's denominator), ``_s_gamma_pairs`` combines
+  them into the pairs of the intercept and the slope, and
+  ``s_gamma_affine`` builds one Fraction from each of the two (the
+  identity battery reads the same pairs and builds none).  The engine
+  then scales every graph's s_Gamma to integers over the lcm of
   all their denominators, its own denominator, and compares integers at
   each queried y.
 
@@ -168,18 +170,14 @@ class SixCoefficients:
     def s_gamma(self) -> AffineInY:
         """s_Gamma(y) = c_Gamma + y (12 w_Gamma / w_lambda) + (1-y) b_Gamma."""
         c, w, b = self.c_gamma, self.w_ratio_term, self.b_gamma_six
-        return _s_gamma((c.numerator, c.denominator), (w.numerator, w.denominator),
-                        (b.numerator, b.denominator))
+        return _affine(*_s_gamma_pairs((c.numerator, c.denominator),
+                                       (w.numerator, w.denominator),
+                                       (b.numerator, b.denominator)))
 
 
-def _s_gamma(c_gamma: tuple, w_ratio: tuple, b_six: tuple) -> AffineInY:
-    """s_Gamma(y) = c_Gamma + y (12 w_Gamma / w_lambda) + (1-y) b_Gamma from
-    (numerator, denominator) pairs, one Fraction for the intercept and one
-    for the slope; the one place the formula is written, for
-    s_gamma_affine and SixCoefficients.s_gamma alike."""
-    (cn, cd), (wn, wd), (bn, bd) = c_gamma, w_ratio, b_six
-    return AffineInY(Fraction(cn * bd + bn * cd, cd * bd),
-                     Fraction(wn * bd - bn * wd, wd * bd))
+def _affine(intercept: tuple, slope: tuple) -> AffineInY:
+    """The AffineInY of (numerator, denominator) pairs, one Fraction each."""
+    return AffineInY(Fraction(*intercept), Fraction(*slope))
 
 
 def _coefficients(inv: GraphInvariants, g: int) -> tuple:
@@ -214,40 +212,56 @@ def _coefficients(inv: GraphInvariants, g: int) -> tuple:
     return (r_num, r_den), c_gamma, w_ratio, (b_sum, den * ell)
 
 
-def six_coefficients(inv: GraphInvariants, g: int) -> SixCoefficients:
-    """c_Gamma, R_Gamma, the normalized effective-divisor coefficient, the
-    ratio 12 w_Gamma / w_lambda, and the two-term split of s_Gamma.
+def _s_gamma_pairs(c_gamma: tuple, w_ratio: tuple, b_six: tuple) -> tuple:
+    """s_Gamma(y) = c_Gamma + y (12 w_Gamma / w_lambda) + (1-y) b_Gamma as
+    the (numerator, denominator) pairs of its intercept and slope, from
+    those of its three terms, unreduced with positive denominators; the
+    one place the formula is written."""
+    (cn, cd), (wn, wd), (bn, bd) = c_gamma, w_ratio, b_six
+    return (cn * bd + bn * cd, cd * bd), (wn * bd - bn * wd, wd * bd)
+
+
+def _split_pairs(inv: GraphInvariants, g: int, r_gamma: tuple, b_six: tuple) -> tuple:
+    """(w_bar, T1 intercept, T1 slope, T2 intercept, T2 slope) of one graph
+    from its R_Gamma and b_Gamma pairs, each an unreduced (numerator,
+    denominator) pair with a positive denominator.
 
     With Q = (2g-2)/(2g-1), P_{-1} = pn/pd, R_Gamma = rn/rd and b_Gamma =
-    bn/bd, each remaining value is one Fraction:
+    bn/bd:
       w_bar = (2g-2 - P + P_{-1}) / (g+11), over (g+11) pd;
       T1 = -Q (v_top-1) + b_Gamma - P_{-1} - Q R_Gamma
            + y (12 (g-1)(v_top-1)/(g+11) - b_Gamma), over (2g-1) bd pd rd
            and (g+11) bd;
       T2 = P/(2g-1) - Q + 12 w_bar y, over 2g-1 and (g+11) pd.
     """
-    pairs = _coefficients(inv, g)
-    r_gamma, c_gamma, w_ratio, b_six = (Fraction(n, d) for n, d in pairs)
-    (rn, rd), _, _, (bn, bd) = pairs
+    (rn, rd), (bn, bd) = r_gamma, b_six
     pn, pd = inv.P_minus1.numerator, inv.P_minus1.denominator
     v1 = inv.v_top - 1
     w_bar_num = (2 * g - 2 - inv.P) * pd + pn
-    t1 = AffineInY(
-        Fraction((2 * g - 1) * (bn * pd - pn * bd) * rd
-                 - (2 * g - 2) * (v1 * rd + rn) * bd * pd,
-                 (2 * g - 1) * bd * pd * rd),
-        Fraction(12 * (g - 1) * v1 * bd - (g + 11) * bn, (g + 11) * bd),
-    )
-    t2 = AffineInY(Fraction(inv.P - 2 * g + 2, 2 * g - 1),
-                   Fraction(12 * w_bar_num, (g + 11) * pd))
-    return SixCoefficients(g, c_gamma, r_gamma, b_six, w_ratio,
-                           Fraction(w_bar_num, (g + 11) * pd), t1, t2)
+    return ((w_bar_num, (g + 11) * pd),
+            ((2 * g - 1) * (bn * pd - pn * bd) * rd
+             - (2 * g - 2) * (v1 * rd + rn) * bd * pd,
+             (2 * g - 1) * bd * pd * rd),
+            (12 * (g - 1) * v1 * bd - (g + 11) * bn, (g + 11) * bd),
+            (inv.P - 2 * g + 2, 2 * g - 1),
+            (12 * w_bar_num, (g + 11) * pd))
+
+
+def six_coefficients(inv: GraphInvariants, g: int) -> SixCoefficients:
+    """c_Gamma, R_Gamma, the normalized effective-divisor coefficient, the
+    ratio 12 w_Gamma / w_lambda, and the two-term split of s_Gamma: the
+    pairs of ``_coefficients`` and ``_split_pairs``, one Fraction each."""
+    r_gamma, c_gamma, w_ratio, b_six = _coefficients(inv, g)
+    w_bar, t1_0, t1_1, t2_0, t2_1 = _split_pairs(inv, g, r_gamma, b_six)
+    return SixCoefficients(g, Fraction(*c_gamma), Fraction(*r_gamma),
+                           Fraction(*b_six), Fraction(*w_ratio), Fraction(*w_bar),
+                           _affine(t1_0, t1_1), _affine(t2_0, t2_1))
 
 
 def s_gamma_affine(inv: GraphInvariants, g: int) -> AffineInY:
     """s_Gamma(y) = c_Gamma + y (12 w_Gamma / w_lambda) + (1-y) b_Gamma."""
     _, c_gamma, w_ratio, b_six = _coefficients(inv, g)
-    return _s_gamma(c_gamma, w_ratio, b_six)
+    return _affine(*_s_gamma_pairs(c_gamma, w_ratio, b_six))
 
 
 # ---------------------------------------------------------------------------

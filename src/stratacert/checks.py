@@ -6,6 +6,22 @@ the bottom signature versus derived through the prong identity), or pins
 a structural fact of the enumerated atlas.  The checks are shared by the
 ``identities`` command and the acceptance suite.
 
+After ``graph_invariants`` the per-graph battery runs on integers.  Every
+rational it reads or derives is an unreduced (numerator, denominator)
+pair with a positive denominator: the certifier's s_Gamma, w_bar, T1 and
+T2 (``certify._coefficients``, ``_s_gamma_pairs`` and ``_split_pairs``),
+the class helpers' coefficients (``classes._canonical_pair``,
+``_w_gamma_pair`` and ``_divisor_numerator``), kappa by direct evaluation
+(``_kappa_mu_pair``) and each spot value (``_at``).  Two rationals are
+compared by cross-multiplying, a sign is read off the numerator, and an
+invariant's Fraction is read through its numerator and denominator, so
+the battery builds no Fraction after ``graph_invariants``.  The assembly
+check keeps its two routes apart: the class side reads only the class
+helpers, which evaluate the bottom kappa directly on the bottom
+signature, with ell, N_bot, b_NC and delta_H; the certifier side reads
+only ``_coefficients``, which takes kappa_bot from the prong identity in
+``graph_invariants``.
+
 One deliberate deviation is documented here: the familiar bound
 ``P <= 2g - 3`` on the prong total fails for exactly one family, the
 rational-bottom banana (bottom genus 0, one top vertex, two edges), which
@@ -20,24 +36,30 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence
 
 from .certify import (
-    SixCoefficients,
-    s_gamma_affine,
+    _coefficients,
+    _s_gamma_pairs,
+    _split_pairs,
     s_hor_affine,
-    six_coefficients,
     y_hor,
 )
 from .classes import (
-    _canonical_coeff,
-    _divisor_coeff,
+    _canonical_pair,
     _divisor_integers,
-    kappa_mu,
+    _divisor_numerator,
+    _w_gamma_pair,
     kappa_over_2g,
-    wplus_w_gamma,
     wplus_w_hor,
     wplus_w_lambda,
 )
-from .exactq import AffineInY, lcm_list
-from .graphs import RBT, GraphInvariants, LevelGraph, graph_invariants, validate
+from .exactq import lcm_list
+from .graphs import (
+    RBT,
+    GraphInvariants,
+    LevelGraph,
+    _kappa_mu_pair,
+    graph_invariants,
+    validate,
+)
 
 DEFAULT_Y_SAMPLES = (
     Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
@@ -54,15 +76,17 @@ def is_rational_bottom_banana(graph: LevelGraph) -> bool:
 def graph_identity_failures(graph: LevelGraph, hbb_shape_test: bool = True) -> List[str]:
     """The per-graph identity battery; empty list when everything holds."""
     inv = graph_invariants(graph, hbb_shape_test)
-    return _identity_failures(graph, inv, six_coefficients(inv, graph.genus))
+    return _identity_failures(graph, inv, _coefficients(inv, graph.genus))
 
 
 def _identity_failures(graph: LevelGraph, inv: GraphInvariants,
-                       six: SixCoefficients) -> List[str]:
-    # rational comparisons cross-multiply numerators and denominators
+                       coeffs: tuple) -> List[str]:
+    """The battery on the invariants and the ``_coefficients`` pairs."""
     g = graph.genus
     bad = [f"validate: {msg}" for msg in validate(graph)]
-    if kappa_mu(graph.bottom_orders()) != inv.kappa_bot:
+    kn, kd = _kappa_mu_pair(graph.bottom_orders())
+    k_bot = inv.kappa_bot
+    if kn * k_bot.denominator != k_bot.numerator * kd:
         bad.append("kappa_bot: direct signature evaluation != prong identity")
     if inv.N_top + inv.N_bot != 2 * g:
         bad.append("N_top + N_bot != 2g")
@@ -76,9 +100,9 @@ def _identity_failures(graph: LevelGraph, inv: GraphInvariants,
         bad.append("b_NC != ell * R_NC - 1")
     if inv.ell != lcm_list(inv.prongs):
         bad.append("ell != lcm of prongs")
-    k_top, p_inv = kappa_mu([p - 1 for p in inv.prongs]), inv.P_minus1
-    if (k_top.numerator * p_inv.denominator
-            != (inv.P * p_inv.denominator - p_inv.numerator) * k_top.denominator):
+    kn, kd = _kappa_mu_pair([p - 1 for p in inv.prongs])
+    p_inv = inv.P_minus1
+    if kn * p_inv.denominator != (inv.P * p_inv.denominator - p_inv.numerator) * kd:
         bad.append("kappa_top != P - P_minus1")
     if any(v.genus < 1 for v in graph.top_vertices):
         bad.append("top vertex of genus 0 in a minimal-stratum graph")
@@ -89,81 +113,89 @@ def _identity_failures(graph: LevelGraph, inv: GraphInvariants,
             bad.append("rational-bottom banana with P != 2g - 2")
     elif inv.P > 2 * g - 3:
         bad.append("P > 2g - 3 off the rational-bottom banana family")
+    r_gamma, c_gamma, w_ratio, b_six = coeffs
+    (xn, xd), t1_0, t1_1, t2_0, t2_1 = _split_pairs(inv, g, r_gamma, b_six)
     # 12 w_Gamma / w_lambda == 12 (w_bar + (g-1)(v_top-1)/(g+11))
-    lhs, w_bar = six.w_ratio_term, six.w_bar
-    rhs_num = 12 * (w_bar.numerator * (g + 11)
-                    + (g - 1) * (inv.v_top - 1) * w_bar.denominator)
-    if lhs.numerator * w_bar.denominator * (g + 11) != rhs_num * lhs.denominator:
+    wn, wd = w_ratio
+    rhs_num = 12 * (xn * (g + 11) + (g - 1) * (inv.v_top - 1) * xd)
+    if wn * xd * (g + 11) != rhs_num * wd:
         bad.append("decomposition 12 w_Gamma / w_lambda != "
                    "12 (w_bar + (g-1)(v_top-1)/(g+11))")
     # T1 + T2 - s_Gamma = d0 + d1 y, with d0 = n0 / m0 and d1 = n1 / m1;
     # it exceeds 0 at y = 0, 1/2 or 1 iff n0, 2 n0 m1 + n1 m0 or
     # n0 m1 + n1 m0 is positive
-    s_aff, t1, t2 = six.s_gamma(), six.t1_affine, six.t2_affine
-    n0, m0 = _sum_terms((t1.intercept, t2.intercept), s_aff.intercept)
-    n1, m1 = _sum_terms((t1.slope, t2.slope), s_aff.slope)
+    s_0, s_1 = _s_gamma_pairs(c_gamma, w_ratio, b_six)
+    n0, m0 = _sum_terms((t1_0, t2_0), s_0)
+    n1, m1 = _sum_terms((t1_1, t2_1), s_1)
     if n0 > 0 or 2 * n0 * m1 + n1 * m0 > 0 or n0 * m1 + n1 * m0 > 0:
         bad.append("T1 + T2 exceeds s_Gamma")
     return bad
 
 
-def _sum_terms(terms: Sequence[Fraction], minus: Fraction) -> tuple:
-    """(numerator, positive denominator) of sum(terms) - minus, unreduced."""
-    num, den = -minus.numerator, minus.denominator
-    for x in terms:
-        num, den = num * x.denominator + x.numerator * den, den * x.denominator
+def _sum_terms(terms: Sequence[tuple], minus: tuple) -> tuple:
+    """(numerator, positive denominator) of sum(terms) - minus, all pairs
+    with positive denominators, unreduced."""
+    num, den = -minus[0], minus[1]
+    for n, d in terms:
+        num, den = num * d + n * den, den * d
     return num, den
 
 
-def _assembly_affine(graph: LevelGraph, inv: GraphInvariants) -> AffineInY:
+def _assembly_pairs(graph: LevelGraph, inv: GraphInvariants) -> tuple:
     """The divisor-class route to ell s_Gamma(y):
         canonical - Q b_NC + 2 b + y (12 ell w_Gamma / w_lambda - 2 b)
     with Q = kappa/2g = (2g-2)/(2g-1), w_lambda = (g+11)/(2g-2), and b the
     coefficient of the effective divisor genus g uses (Brill--Noether for
-    odd genus, Hurwitz for even).  Each coefficient is one Fraction over the
-    numerators and denominators of the class helpers' values."""
+    odd genus, Hurwitz for even): the unreduced (numerator, denominator)
+    pairs of the intercept and the slope, over the class helpers' pairs."""
     g = graph.genus
-    can = _canonical_coeff(graph, inv)
-    w_gamma = wplus_w_gamma(graph)
-    b = _divisor_coeff(inv)
-    cn, cd = can.numerator, can.denominator
-    wn, wd = w_gamma.numerator, w_gamma.denominator
-    bn, bd = b.numerator, b.denominator
+    cn, cd = _canonical_pair(graph, inv)
+    wn, wd = _w_gamma_pair(graph)
+    bn, bd = _divisor_numerator(inv), _divisor_integers(g)[0]
     nn, nd = inv.b_NC.numerator, inv.b_NC.denominator
     two_g1 = 2 * g - 1
-    intercept = Fraction(
-        (two_g1 * cn * nd - (2 * g - 2) * nn * cd) * bd + 2 * bn * two_g1 * cd * nd,
-        two_g1 * cd * nd * bd)
-    slope = Fraction(24 * (g - 1) * inv.ell * wn * bd - 2 * bn * (g + 11) * wd,
-                     (g + 11) * wd * bd)
-    return AffineInY(intercept, slope)
+    return (((two_g1 * cn * nd - (2 * g - 2) * nn * cd) * bd + 2 * bn * two_g1 * cd * nd,
+             two_g1 * cd * nd * bd),
+            (24 * (g - 1) * inv.ell * wn * bd - 2 * bn * (g + 11) * wd,
+             (g + 11) * wd * bd))
 
 
-def _is_ell_times(x: Fraction, y: Fraction, ell: int) -> bool:
-    """x == ell y, by cross-multiplication."""
-    return x.numerator * y.denominator == ell * y.numerator * x.denominator
+def _at(affine: tuple, y: Fraction) -> tuple:
+    """intercept + slope y of an affine given as the pairs of its intercept
+    and slope: an unreduced pair over the product of the three
+    denominators."""
+    (a, ad), (s, sd) = affine
+    yn, yd = y.numerator, y.denominator
+    return a * sd * yd + s * yn * ad, ad * sd * yd
+
+
+def _is_ell_times(x: tuple, y: tuple, ell: int) -> bool:
+    """x == ell y for (numerator, denominator) pairs, by cross-multiplication."""
+    return x[0] * y[1] == ell * y[0] * x[1]
 
 
 def assembly_failures(graph: LevelGraph, *, hbb_shape_test: bool = True) -> List[str]:
     """Check that the assembled boundary coefficient from the divisor-class
     route equals ell * s_Gamma(y) from the certifier route."""
     inv = graph_invariants(graph, hbb_shape_test)
-    return _assembly_failures(graph, inv, s_gamma_affine(inv, graph.genus))
+    return _assembly_failures(graph, inv, _coefficients(inv, graph.genus))
 
 
 def _assembly_failures(graph: LevelGraph, inv: GraphInvariants,
-                       s_gamma: AffineInY) -> List[str]:
-    via_classes = _assembly_affine(graph, inv)
+                       coeffs: tuple) -> List[str]:
+    """The assembly check on the invariants and the ``_coefficients`` pairs."""
+    via_classes = _assembly_pairs(graph, inv)
+    s_gamma = _s_gamma_pairs(*coeffs[1:])
     ell = inv.ell
     bad = []
-    if not (_is_ell_times(via_classes.intercept, s_gamma.intercept, ell)
-            and _is_ell_times(via_classes.slope, s_gamma.slope, ell)):
+    if not (_is_ell_times(via_classes[0], s_gamma[0], ell)
+            and _is_ell_times(via_classes[1], s_gamma[1], ell)):
         bad.append(f"assembled boundary coefficient mismatch on {inv.encoding}")
     else:
         # affine equality already implies equality at every sample; spot
         # evaluation guards the affine algebra itself
         for y in DEFAULT_Y_SAMPLES[:3]:
-            if not _is_ell_times(via_classes(y), s_gamma(y), ell):
+            if not _is_ell_times(_at(via_classes, y), _at(s_gamma, y), ell):
                 bad.append(f"assembled coefficient differs at y={y}")
                 break
     return bad
@@ -205,11 +237,11 @@ def identity_suite(graphs: Iterable[LevelGraph], hbb_shape_test: bool = True) ->
     failures: List[str] = []
     for graph in graphs:
         checked += 1
-        # one set of invariants and coefficients serves both batteries
+        # one set of invariants and coefficient pairs serves both batteries
         inv = graph_invariants(graph, hbb_shape_test)
-        six = six_coefficients(inv, graph.genus)
-        failures.extend(_identity_failures(graph, inv, six))
-        failures.extend(_assembly_failures(graph, inv, six.s_gamma()))
+        coeffs = _coefficients(inv, graph.genus)
+        failures.extend(_identity_failures(graph, inv, coeffs))
+        failures.extend(_assembly_failures(graph, inv, coeffs))
         if len(failures) > 20:
             failures.append("... (stopping after 20 failures)")
             break

@@ -207,7 +207,8 @@ def reduce_class(c: DivisorClass, ctx: ClassContext) -> DivisorClass:
 # Only the canonical coefficient reads delta_H, the one invariant that
 # depends on the shape test.  Each coefficient is one Fraction built from
 # integer numerators and denominators: the builders below negate or scale
-# a helper's integer pair, not its Fraction.
+# a helper's integer pair, not its Fraction, and the assembly check reads
+# the pairs and builds none.
 
 
 def _invariants(g: int, graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInvariants:
@@ -220,15 +221,20 @@ def _invariants(g: int, graph: LevelGraph, hbb_shape_test: bool = True) -> Graph
     return inv
 
 
-def _canonical_coeff(graph: LevelGraph, inv: GraphInvariants) -> Fraction:
+def _canonical_pair(graph: LevelGraph, inv: GraphInvariants) -> tuple:
     """-(ell kappa_bot - Q (ell N_bot - 1)) - delta_H Q, Q = kappa/2g =
-    (2g-2)/(2g-1), with kappa_bot = a/b by direct signature evaluation:
-    one Fraction over (2g-1) b."""
+    (2g-2)/(2g-1), as an unreduced (numerator, denominator) pair, with
+    kappa_bot = a/b by direct signature evaluation: over (2g-1) b."""
     g = graph.genus
     a, b = _kappa_mu_pair(graph.bottom_orders())
-    return Fraction((2 * g - 2) * (inv.ell * inv.N_bot - 1 - inv.delta_H) * b
-                    - (2 * g - 1) * inv.ell * a,
-                    (2 * g - 1) * b)
+    return ((2 * g - 2) * (inv.ell * inv.N_bot - 1 - inv.delta_H) * b
+            - (2 * g - 1) * inv.ell * a,
+            (2 * g - 1) * b)
+
+
+def _canonical_coeff(graph: LevelGraph, inv: GraphInvariants) -> Fraction:
+    """The canonical coefficient (see ``_canonical_pair``), one Fraction."""
+    return Fraction(*_canonical_pair(graph, inv))
 
 
 def _divisor_integers(g: int) -> tuple:
@@ -252,11 +258,6 @@ def _divisor_numerator(inv: GraphInvariants) -> int:
         coeff = hor if target == DELTA_IRR else 6 * target * (g - target) * sep
         total += coeff * (inv.ell // p)
     return total
-
-
-def _divisor_coeff(inv: GraphInvariants) -> Fraction:
-    """b_Gamma (odd genus) or h_Gamma (even genus), over den."""
-    return Fraction(_divisor_numerator(inv), _divisor_integers(inv.genus)[0])
 
 
 def wplus_w_lambda(g: int) -> Fraction:

@@ -5,15 +5,15 @@ The package sums per-prong terms on integers and builds one Fraction per
 output (``kappa_mu``, ``graph_invariants``, ``six_coefficients``,
 ``s_gamma_affine``, the class helpers ``_canonical_coeff`` and
 ``wplus_w_gamma``, every class builder's boundary coefficient, each
-coordinate ``reduce_class`` updates, ``class_with_twist_bounds``, and the
-assembly affine of ``checks``), runs the streaming certifier on integer
-rows, and compares rationals in the identity battery by
-cross-multiplication; ``graph_invariants`` and ``canonical_encoding`` read
-each vertex's prong lcm, shares and encoding fragment from its
-``TopVertex``, computed once when it was built.  The functions here are the plain Fraction forms of
-the same formulas and checks; the tests compare the two on full atlases,
-raw atlases, pullback image graphs and samples of large-genus atlases
-(``ORACLE_CASES``).
+coordinate ``reduce_class`` updates, and ``class_with_twist_bounds``),
+runs the streaming certifier on integer rows, and runs the identity
+battery on unreduced integer pairs after ``graph_invariants``, comparing
+rationals by cross-multiplication; ``graph_invariants`` and
+``canonical_encoding`` read each vertex's prong lcm, shares and encoding
+fragment from its ``TopVertex``, computed once when it was built.  The
+functions here are the plain Fraction forms of the same formulas and
+checks; the tests compare the two on full atlases, raw atlases, pullback
+image graphs and samples of large-genus atlases (``ORACLE_CASES``).
 """
 
 from fractions import Fraction
@@ -147,6 +147,18 @@ def _b_gamma_six(inv, g):
     return total
 
 
+def split(inv, g, r_gamma, b_six):
+    """(w_bar, T1, T2) from R_Gamma and b_Gamma."""
+    q = kappa_over_2g(g)
+    w_bar = (2 * g - 2 - inv.P + inv.P_minus1) / (g + 11)
+    t1 = AffineInY(
+        -q * (inv.v_top - 1) + b_six - inv.P_minus1 - q * r_gamma,
+        Fraction(12 * (g - 1) * (inv.v_top - 1), g + 11) - b_six,
+    )
+    t2 = AffineInY(Fraction(inv.P, 2 * g - 1) - q, 12 * w_bar)
+    return w_bar, t1, t2
+
+
 def six_coefficients(inv, g):
     q = kappa_over_2g(g)
     r_gamma = (inv.b_NC + 1 + inv.delta_H) / inv.ell
@@ -154,20 +166,19 @@ def six_coefficients(inv, g):
     w_gamma = (inv.kappa_bot / kappa_minimal(g) * (1 + Fraction(1, 2 * g - 1))
                - Fraction(1, 2 * g - 1) + Fraction(inv.v_top - 1, 2))
     w_ratio = 12 * w_gamma / Fraction(g + 11, 2 * g - 2)
-    w_bar = (2 * g - 2 - inv.P + inv.P_minus1) / (g + 11)
     b_six = _b_gamma_six(inv, g)
-    t1 = AffineInY(
-        -q * (inv.v_top - 1) + b_six - inv.P_minus1 - q * r_gamma,
-        Fraction(12 * (g - 1) * (inv.v_top - 1), g + 11) - b_six,
-    )
-    t2 = AffineInY(Fraction(inv.P, 2 * g - 1) - q, 12 * w_bar)
-    return SixCoefficients(g, c_gamma, r_gamma, b_six, w_ratio, w_bar, t1, t2)
+    return SixCoefficients(g, c_gamma, r_gamma, b_six, w_ratio,
+                           *split(inv, g, r_gamma, b_six))
+
+
+def s_gamma_of(six):
+    """s_Gamma = c_Gamma + b_Gamma + y (12 w_Gamma / w_lambda - b_Gamma)."""
+    return AffineInY(six.c_gamma + six.b_gamma_six,
+                     six.w_ratio_term - six.b_gamma_six)
 
 
 def s_gamma_affine(inv, g):
-    six = six_coefficients(inv, g)
-    return AffineInY(six.c_gamma + six.b_gamma_six,
-                     six.w_ratio_term - six.b_gamma_six)
+    return s_gamma_of(six_coefficients(inv, g))
 
 
 def stream_rows(g, hbb_shape_test):
@@ -239,13 +250,23 @@ def _identity_failures(graph, inv, six):
     if lhs != rhs:
         bad.append("decomposition 12 w_Gamma / w_lambda != "
                    "12 (w_bar + (g-1)(v_top-1)/(g+11))")
-    s_aff = six.s_gamma()
-    split = six.t1_affine + six.t2_affine
+    s_aff = s_gamma_of(six)
+    t1_t2 = six.t1_affine + six.t2_affine
     for y in (Fraction(0), Fraction(1, 2), Fraction(1)):
-        if split(y) > s_aff(y):
+        if t1_t2(y) > s_aff(y):
             bad.append("T1 + T2 exceeds s_Gamma")
             break
     return bad
+
+
+def graph_identity_failures(graph, hbb_shape_test=True):
+    inv = graph_invariants(graph, hbb_shape_test)
+    return _identity_failures(graph, inv, six_coefficients(inv, graph.genus))
+
+
+def assembly_failures(graph, hbb_shape_test=True):
+    inv = graph_invariants(graph, hbb_shape_test)
+    return _assembly_failures(graph, inv, s_gamma_affine(inv, graph.genus))
 
 
 def _assembly_affine(graph, inv):

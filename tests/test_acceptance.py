@@ -27,9 +27,9 @@ The full genus-31 and genus-34 atlases contain 5 440 744 210 and
 assembled-class identity on every graph for g <= 12 and on deterministic
 spread samples (plus targeted extreme graphs) at g in {31, 34}.  Set
 STRATACERT_FULL_SCALE=1 to stream entire large atlases instead: about
-4.1e10 graphs at roughly 0.055 ms each (enumeration 0.004 ms plus the
-assembly check 0.051 ms, measured at g = 31 on a 2-core container with
-Python 3.11.7), so about 26 core-days.
+4.1e10 graphs at roughly 0.04 ms each (enumeration 0.004 ms plus the
+assembly check 0.035-0.040 ms, measured at g = 31 on a 2-core container
+with Python 3.11.7), so about 19 core-days.
 """
 
 import os

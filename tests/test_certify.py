@@ -277,7 +277,7 @@ def test_identity_battery_small():
 
 
 def test_identity_suite_shares_invariants_across_batteries(monkeypatch):
-    calls = {"graph_invariants": 0, "six_coefficients": 0}
+    calls = {"graph_invariants": 0, "_coefficients": 0}
 
     def counted(name):
         real = getattr(checks_module, name)
@@ -291,7 +291,7 @@ def test_identity_suite_shares_invariants_across_batteries(monkeypatch):
         monkeypatch.setattr(checks_module, name, counted(name))
     checked, failures = checks_module.identity_suite(enumerate_level_graphs(8))
     assert (checked, failures) == (716, [])
-    assert calls == {"graph_invariants": 716, "six_coefficients": 716}
+    assert calls == {"graph_invariants": 716, "_coefficients": 716}
 
 
 def test_assembly_scalars_small():

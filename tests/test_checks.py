@@ -1,5 +1,6 @@
-"""The identity battery: every check fires on a corrupted input, and the
-integer battery agrees with its Fraction oracle."""
+"""The identity battery: every check fires on a corrupted input, the
+integer-pair battery agrees with its Fraction oracle, and a passing graph
+builds no Fraction after its invariants."""
 
 import itertools
 from dataclasses import replace
@@ -8,7 +9,8 @@ from fractions import Fraction as F
 import pytest
 
 from stratacert import checks
-from stratacert.certify import six_coefficients
+from stratacert import classes as classes_module
+from stratacert.certify import SixCoefficients, _coefficients
 from stratacert.classes import _canonical_coeff, wplus_w_gamma
 from stratacert.exactq import AffineInY
 from stratacert.graphs import (
@@ -29,56 +31,78 @@ BASE = minimal_graph(8, 1, [(1, (1, 1, 1)), (4, (7,))])
 BANANA = minimal_graph(8, 0, [(7, (3, 11))])
 
 
+def _plus(pair, q):
+    """The (numerator, denominator) pair of pair + q, unreduced."""
+    n, d = pair
+    return n * q.denominator + q.numerator * d, d * q.denominator
+
+
 def _identity_cases():
-    """(message, graph, invariants, coefficients) with one corruption each."""
+    """(message, graph, invariants, coefficient pairs) with one corruption
+    each."""
     inv = graph_invariants(BASE)
-    six = six_coefficients(inv, 8)
+    coeffs = _coefficients(inv, 8)
     b_inv = graph_invariants(BANANA)
-    b_six = six_coefficients(b_inv, 8)
-    t1 = six.t1_affine
+    b_coeffs = _coefficients(b_inv, 8)
+    r, c, w, b = coeffs
     return [
         ("validate: bottom genus negative",
-         replace(BASE, bottom_genus=-1), inv, six),
+         replace(BASE, bottom_genus=-1), inv, coeffs),
         ("kappa_bot: direct signature evaluation != prong identity",
-         BASE, inv._replace(kappa_bot=inv.kappa_bot + F(1, 3)), six),
+         BASE, inv._replace(kappa_bot=inv.kappa_bot + F(1, 3)), coeffs),
         ("N_top + N_bot != 2g",
-         BASE, inv._replace(N_bot=inv.N_bot - 1), six),
+         BASE, inv._replace(N_bot=inv.N_bot - 1), coeffs),
         ("N_bot != 2 g_b + E - v_top",
-         BASE, inv._replace(N_bot=inv.N_bot + 1), six),
+         BASE, inv._replace(N_bot=inv.N_bot + 1), coeffs),
         ("N_top != P + v_top",
-         BASE, inv._replace(N_top=inv.N_top + 1), six),
+         BASE, inv._replace(N_top=inv.N_top + 1), coeffs),
         ("b_NC != ell * R_NC - 1",
-         BASE, inv._replace(b_NC=inv.b_NC + F(1, 2)), six),
+         BASE, inv._replace(b_NC=inv.b_NC + F(1, 2)), coeffs),
         ("ell != lcm of prongs",
-         BASE, inv._replace(ell=2 * inv.ell), six),
+         BASE, inv._replace(ell=2 * inv.ell), coeffs),
         ("kappa_top != P - P_minus1",
-         BASE, inv._replace(P_minus1=inv.P_minus1 + F(1, 5)), six),
+         BASE, inv._replace(P_minus1=inv.P_minus1 + F(1, 5)), coeffs),
         ("top vertex of genus 0 in a minimal-stratum graph",
          replace(BASE, top_vertices=BASE.top_vertices + (TopVertex(0, (1, 1, 1)),)),
-         inv, six),
+         inv, coeffs),
         ("RBT edge in a minimal-stratum graph",
-         BASE, inv._replace(edge_classes=(RBT,) + inv.edge_classes[1:]), six),
+         BASE, inv._replace(edge_classes=(RBT,) + inv.edge_classes[1:]), coeffs),
         ("rational-bottom banana with P != 2g - 2",
-         BANANA, b_inv._replace(P=b_inv.P - 1), b_six),
+         BANANA, b_inv._replace(P=b_inv.P - 1), b_coeffs),
         ("P > 2g - 3 off the rational-bottom banana family",
-         BASE, inv._replace(P=2 * 8 - 2), six),
+         BASE, inv._replace(P=2 * 8 - 2), coeffs),
+        # 12 w_Gamma / w_lambda moved off 12 (w_bar + ...); s_Gamma gains
+        # y / 7, so T1 + T2 stays below it
         ("decomposition 12 w_Gamma / w_lambda != "
          "12 (w_bar + (g-1)(v_top-1)/(g+11))",
-         BASE, inv, replace(six, w_bar=six.w_bar + F(1, 7))),
+         BASE, inv, (r, c, _plus(w, F(1, 7)), b)),
+        # c_Gamma lowered, and with it s_Gamma, below the exact split
         ("T1 + T2 exceeds s_Gamma",
-         BASE, inv, replace(six, t1_affine=AffineInY(t1.intercept + F(1, 9), t1.slope))),
+         BASE, inv, (r, _plus(c, F(-1, 9)), w, b)),
     ]
+
+
+def _shift_spot_values(monkeypatch):
+    """Patch the pair evaluator so that its k-th call (from 0) adds k to
+    the value it returns."""
+    at = checks._at
+    calls = itertools.count()
+
+    def shifted(affine, y):
+        n, d = at(affine, y)
+        return n + next(calls) * d, d
+    monkeypatch.setattr(checks, "_at", shifted)
 
 
 def test_every_identity_check_fires(monkeypatch):
     for graph in (BASE, BANANA):
         inv = graph_invariants(graph)
-        assert checks._identity_failures(graph, inv, six_coefficients(inv, 8)) == []
+        assert checks._identity_failures(graph, inv, _coefficients(inv, 8)) == []
         assert checks.assembly_failures(graph) == []
     cases = _identity_cases()
     assert len({message for message, *_ in cases}) == 14
-    for message, graph, inv, six in cases:
-        assert message in checks._identity_failures(graph, inv, six), message
+    for message, graph, inv, coeffs in cases:
+        assert message in checks._identity_failures(graph, inv, coeffs), message
 
     # the assembly battery: a certifier-side kappa_bot that the
     # divisor-class route (direct evaluation) does not share ...
@@ -92,27 +116,62 @@ def test_every_identity_check_fires(monkeypatch):
         patch.setattr(checks, "graph_invariants", corrupted)
         assert checks.assembly_failures(BASE) == [
             f"assembled boundary coefficient mismatch on {real(BASE).encoding}"]
-    # ... and an affine evaluation that disagrees with the coefficients
-    evaluate = AffineInY.__call__
-    calls = itertools.count()
-    monkeypatch.setattr(AffineInY, "__call__",
-                        lambda self, y: evaluate(self, y) + next(calls))
+    # ... and a spot evaluation that disagrees with the coefficients
+    _shift_spot_values(monkeypatch)
     assert checks.assembly_failures(BASE) == ["assembled coefficient differs at y=0"]
 
 
-def _assert_matches_oracle(graph, inv, six):
-    """The integer battery and class helpers against their Fraction forms:
-    typed values and failure lists."""
+def test_assembly_reads_the_class_side_kappa(monkeypatch):
+    # the direct evaluation the class helpers read, off by 1/3; the prong
+    # identity in graph_invariants, which the certifier side reads, is
+    # left alone, so only the class route moves
+    real = classes_module._kappa_mu_pair
+
+    def off(orders):
+        n, d = real(orders)
+        return 3 * n + d, 3 * d
+
+    inv = graph_invariants(BASE)
+    monkeypatch.setattr(classes_module, "_kappa_mu_pair", off)
+    assert graph_invariants(BASE) == inv
+    assert checks.assembly_failures(BASE) == [
+        f"assembled boundary coefficient mismatch on {inv.encoding}"]
+    assert checks.graph_identity_failures(BASE) == []
+
+
+def _oracle_inputs(inv, g, coeffs):
+    """The SixCoefficients and s_Gamma the Fraction oracle reads for the
+    coefficient pairs ``coeffs``, corrupted or not: w_bar, T1 and T2 by the
+    oracle's own split of their R_Gamma and b_Gamma."""
+    r, c, w, b = (F(*pair) for pair in coeffs)
+    six = SixCoefficients(g, c, r, b, w, *oracle.split(inv, g, r, b))
+    return six, oracle.s_gamma_of(six)
+
+
+def _assert_matches_oracle(graph, inv, coeffs):
+    """The integer-pair battery and class helpers against their Fraction
+    forms: values, typed values and failure lists."""
     where = (inv.encoding, inv.delta_H)
-    assert (typed(checks._assembly_affine(graph, inv))
-            == typed(oracle._assembly_affine(graph, inv))), where
+    intercept, slope = checks._assembly_pairs(graph, inv)
+    want = oracle._assembly_affine(graph, inv)
+    assert (F(*intercept), F(*slope)) == (want.intercept, want.slope), where
     assert typed(_canonical_coeff(graph, inv)) == typed(oracle._canonical_coeff(graph, inv)), where
     assert typed(wplus_w_gamma(graph)) == typed(oracle.wplus_w_gamma(graph)), where
-    assert (checks._identity_failures(graph, inv, six)
+    six, s_gamma = _oracle_inputs(inv, graph.genus, coeffs)
+    assert (checks._identity_failures(graph, inv, coeffs)
             == oracle._identity_failures(graph, inv, six)), where
-    s_gamma = six.s_gamma()
-    assert (checks._assembly_failures(graph, inv, s_gamma)
+    assert (checks._assembly_failures(graph, inv, coeffs)
             == oracle._assembly_failures(graph, inv, s_gamma)), where
+
+
+def _assert_public_battery_matches_oracle(graph, hbb):
+    """The public entry points against the oracle's, each from its own
+    invariants."""
+    where = (graph, hbb)
+    assert (checks.graph_identity_failures(graph, hbb)
+            == oracle.graph_identity_failures(graph, hbb)), where
+    assert (checks.assembly_failures(graph, hbb_shape_test=hbb)
+            == oracle.assembly_failures(graph, hbb)), where
 
 
 @pytest.mark.parametrize("g", range(2, 11))
@@ -120,7 +179,8 @@ def test_battery_matches_fraction_oracle_on_full_atlases(g):
     for graph in enumerate_level_graphs(g):
         for hbb in (True, False):
             inv = graph_invariants(graph, hbb)
-            _assert_matches_oracle(graph, inv, six_coefficients(inv, g))
+            _assert_matches_oracle(graph, inv, _coefficients(inv, g))
+            _assert_public_battery_matches_oracle(graph, hbb)
 
 
 @pytest.mark.parametrize("g", (31, 34))
@@ -128,34 +188,69 @@ def test_battery_matches_fraction_oracle_on_samples(g):
     for graph in sample_atlas(g, 200):
         for hbb in (True, False):
             inv = graph_invariants(graph, hbb)
-            _assert_matches_oracle(graph, inv, six_coefficients(inv, g))
+            _assert_matches_oracle(graph, inv, _coefficients(inv, g))
+            _assert_public_battery_matches_oracle(graph, hbb)
 
 
 def test_battery_matches_fraction_oracle_on_corrupted_inputs(monkeypatch):
-    for _message, graph, inv, six in _identity_cases():
-        _assert_matches_oracle(graph, inv, six)
+    for _message, graph, inv, coeffs in _identity_cases():
+        _assert_matches_oracle(graph, inv, coeffs)
     inv = graph_invariants(BASE)
-    six = six_coefficients(inv, 8)
+    coeffs = _coefficients(inv, 8)
+    r, c, w, b = coeffs
     # T1 + T2 - s_Gamma moved to exceed 0 at y = 0 only, 1/2 and 1, 1 only,
-    # everywhere, and nowhere
-    t1 = six.t1_affine
+    # everywhere, and nowhere: s_Gamma moved by -(d0 + d1 y) through
+    # c_Gamma and 12 w_Gamma / w_lambda
     for d0, d1 in ((F(1, 9), -F(2, 9)), (0, F(1, 9)), (-F(1, 9), F(2, 9)),
                    (F(1, 9), 0), (-F(1, 9), 0)):
-        moved = AffineInY(t1.intercept + d0, t1.slope + d1)
-        _assert_matches_oracle(BASE, inv, replace(six, t1_affine=moved))
+        _assert_matches_oracle(BASE, inv, (r, _plus(c, -d0), _plus(w, -d1), b))
+    # R_Gamma moves T1 alone, b_Gamma moves T1 and s_Gamma alike
+    _assert_matches_oracle(BASE, inv, (_plus(r, F(1, 9)), c, w, b))
+    _assert_matches_oracle(BASE, inv, (r, c, w, _plus(b, F(1, 9))))
     for field, value in (("kappa_bot", inv.kappa_bot + F(1, 3)), ("ell", 2 * inv.ell),
                          ("N_bot", inv.N_bot + 1), ("delta_H", 1),
                          ("b_NC", inv.b_NC + F(1, 2))):
         bad = inv._replace(**{field: value})
         # the certifier side from the corrupted invariants, so that the
         # assembly battery sees them on both routes
-        _assert_matches_oracle(BASE, bad, six_coefficients(bad, 8))
-        _assert_matches_oracle(BASE, bad, six)
+        _assert_matches_oracle(BASE, bad, _coefficients(bad, 8))
+        _assert_matches_oracle(BASE, bad, coeffs)
+    # a spot evaluation that disagrees with the coefficients, in the
+    # package's pair evaluator and in the oracle's Fraction one
+    _shift_spot_values(monkeypatch)
     evaluate = AffineInY.__call__
     calls = itertools.count()
     monkeypatch.setattr(AffineInY, "__call__",
                         lambda self, y: evaluate(self, y) + next(calls))
-    s_gamma = six.s_gamma()
-    assert (checks._assembly_failures(BASE, inv, s_gamma)
+    _, s_gamma = _oracle_inputs(inv, 8, coeffs)
+    assert (checks._assembly_failures(BASE, inv, coeffs)
             == oracle._assembly_failures(BASE, inv, s_gamma)
             == ["assembled coefficient differs at y=0"])
+
+
+def test_passing_graph_builds_no_fraction_after_invariants(monkeypatch):
+    # counts every Fraction.__new__ call (on Python >= 3.12 Fraction
+    # arithmetic builds its results without one, so only explicit
+    # constructions are counted there)
+    built = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    graphs = list(enumerate_level_graphs(7)) + sample_atlas(31, 20) + [BASE, BANANA]
+    for graph in graphs:
+        for hbb in (True, False):
+            inv = graph_invariants(graph, hbb)
+            with monkeypatch.context() as patch:
+                patch.setattr(F, "__new__", staticmethod(counted))
+                coeffs = _coefficients(inv, graph.genus)
+                bad = (checks._identity_failures(graph, inv, coeffs)
+                       + checks._assembly_failures(graph, inv, coeffs))
+            assert (bad, built) == ([], []), (graph, hbb)
+    # the counter sees a construction when there is one
+    with monkeypatch.context() as patch:
+        patch.setattr(F, "__new__", staticmethod(counted))
+        F(1, 2)
+    assert built == [(1, 2)]

@@ -116,6 +116,77 @@ def test_validate_examples():
             "bottom leg order must be >= 1"], legs
 
 
+def _valid_by_definition(graph):
+    """Membership from the definition: a star of top vertices over one
+    bottom vertex that carries the legs, every top vertex joined to it by
+    at least one edge.  A top vertex of genus h >= 0 with prongs p >= 1 is
+    stable (2h - 2 + d > 0) and holds a holomorphic differential with a
+    zero of order p - 1 at each edge (so the orders total 2h - 2); the
+    bottom vertex of genus g_b >= 0 is stable and holds a differential with
+    a zero of order m >= 1 at each leg and a pole of order p + 1 at each
+    edge (so the orders total 2 g_b - 2); the arithmetic genus, the vertex
+    genera plus the first Betti number E - V + 1 with V = v_top + 1, is g;
+    and both levels are nonempty, N_top = sum(2h - 1 + d) >= 1 and N_bot =
+    2 g_b + E - v_top >= 1 (the package's dimension counts, the legs
+    standing for the single zero of the minimal stratum)."""
+    tops = graph.top_vertices
+    prongs = [p for v in tops for p in v.prongs]
+    if graph.bottom_genus < 0 or not tops:
+        return False
+    for v in tops:
+        if v.genus < 0 or not v.prongs or min(v.prongs) < 1:
+            return False
+        if 2 * v.genus - 2 + v.degree <= 0:
+            return False
+        if sum(p - 1 for p in v.prongs) != 2 * v.genus - 2:
+            return False
+    legs = graph.bottom_legs
+    if any(m < 1 for m in legs):
+        return False
+    if 2 * graph.bottom_genus - 2 + len(legs) + len(prongs) <= 0:
+        return False
+    if sum(legs) - sum(p + 1 for p in prongs) != 2 * graph.bottom_genus - 2:
+        return False
+    betti = len(prongs) - (len(tops) + 1) + 1
+    if graph.bottom_genus + sum(v.genus for v in tops) + betti != graph.genus:
+        return False
+    n_top = sum(2 * v.genus - 1 + v.degree for v in tops)
+    n_bot = 2 * graph.bottom_genus + len(prongs) - len(tops)
+    return n_top >= 1 and n_bot >= 1
+
+
+def _sorted_tuples(lo, hi, max_len, min_len=0):
+    return [t for n in range(min_len, max_len + 1)
+            for t in combinations_with_replacement(range(lo, hi + 1), n)]
+
+
+def _validation_box(g):
+    """Every genus-g graph with bottom genus below g, one or two legs of
+    order -1..2g-1, and up to three top vertices of genus 0..2 (at most 2
+    in all) with up to three prongs of 0..3 each (at most 3 in all)."""
+    types = [TopVertex(h, ps) for h in range(3) for ps in _sorted_tuples(0, 3, 3)]
+    tops = [t for n in range(4) for t in combinations_with_replacement(types, n)
+            if sum(v.degree for v in t) <= 3 and sum(v.genus for v in t) <= 2]
+    for g_b in range(g):
+        for legs in _sorted_tuples(-1, 2 * g - 1, 2, 1):
+            for top in tops:
+                yield LevelGraph(g, g_b, legs, top)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_validate_matches_definition_on_a_box(g):
+    single_leg = set()
+    for graph in _validation_box(g):
+        problems = validate(graph)
+        assert (not problems) == _valid_by_definition(graph), (graph, problems)
+        assert parse_canonical_encoding(canonical_encoding(graph)) == graph
+        if not problems and graph.bottom_legs == (2 * g - 2,):
+            single_leg.add(graph)
+    # the box holds the whole atlas, and its valid single-leg graphs are
+    # exactly the atlas
+    assert single_leg == set(enumerate_level_graphs(g))
+
+
 def test_classify_edges():
     assert classify_edges(EDB2) == (EDB,)
     assert classify_edges(BANANA2) == (NCT, NCT)
