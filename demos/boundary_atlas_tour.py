@@ -5,15 +5,24 @@ the edge taxonomy, then shows counting and random access at a genus where
 streaming every graph would already be unpleasant.
 """
 
+from fractions import Fraction
+
 from stratacert import (
     atlas_count,
     atlas_unrank,
     canonical_encoding,
     enumerate_level_graphs,
     graph_invariants,
+    rational_str,
     sample_atlas,
     validate,
 )
+
+
+def rational(pair):
+    """An invariant's (numerator, denominator) pair as ``p/q``."""
+    return rational_str(Fraction(*pair))
+
 
 GENUS = 5
 
@@ -27,9 +36,9 @@ print("the first few graphs with their invariants:")
 for graph in atlas[:6]:
     inv = graph_invariants(graph)
     print(f"  {inv.encoding}")
-    print(f"    P={inv.P}  P_inv={inv.P_minus1}  ell={inv.ell}  "
+    print(f"    P={inv.P}  P_inv={rational(inv.P_minus1)}  ell={inv.ell}  "
           f"N_top={inv.N_top}  N_bot={inv.N_bot}")
-    print(f"    kappa_bot={inv.kappa_bot}  b_NC={inv.b_NC}  "
+    print(f"    kappa_bot={rational(inv.kappa_bot)}  b_NC={rational(inv.b_NC)}  "
           f"delta_H={inv.delta_H}  edges={'|'.join(inv.edge_classes)}")
 print()
 

@@ -20,9 +20,10 @@ Two exact engines are provided.
   them into the pairs of the intercept and the slope, and
   ``s_gamma_affine`` builds one Fraction from each of the two (the
   identity battery reads the same pairs and builds none).  The engine
-  then scales every graph's s_Gamma to integers over the lcm of
+  reads the same pairs, each reduced by one gcd and none made a
+  Fraction, scales every graph's s_Gamma to integers over the lcm of
   all their denominators, its own denominator, and compares integers at
-  each queried y.
+  each queried y; only each query's least row becomes Fractions.
 
 * A minimization engine that computes min_Gamma s_Gamma(y) at any rational
   y without touching individual graphs.  s_Gamma is additive over the
@@ -71,6 +72,7 @@ from .exactq import (
     RationalInterval,
     affine_positivity_interval,
     rational_str,
+    reduced_pair,
 )
 from .classes import kappa_over_2g
 from .graphs import (
@@ -183,9 +185,11 @@ def _affine(intercept: tuple, slope: tuple) -> AffineInY:
 def _coefficients(inv: GraphInvariants, g: int) -> tuple:
     """(R_Gamma, c_Gamma, 12 w_Gamma / w_lambda, b_Gamma) of one graph, each
     an integer (numerator, denominator) pair with a positive, not
-    necessarily reduced, denominator; the callers build the Fractions.
+    necessarily reduced, denominator; the callers that need Fractions
+    build them.
 
-    With Q = (2g-2)/(2g-1), kappa_bot = a/b and b_NC = bn/bd:
+    With Q = (2g-2)/(2g-1), and the invariants' pairs kappa_bot = a/b and
+    b_NC = bn/bd:
       R_Gamma = (b_NC + 1 + delta_H) / ell, over bd ell;
       c_Gamma = Q (N_bot - R_Gamma) - kappa_bot, over (2g-1) bd ell b;
       12 w_Gamma / w_lambda = 12 (kappa_bot - Q + (g-1)(v_top-1)) / (g+11),
@@ -196,8 +200,8 @@ def _coefficients(inv: GraphInvariants, g: int) -> tuple:
         over den ell, with (den, hor, sep) the divisor's integers.
     """
     ell = inv.ell
-    a, b = inv.kappa_bot.numerator, inv.kappa_bot.denominator
-    bn, bd = inv.b_NC.numerator, inv.b_NC.denominator
+    a, b = inv.kappa_bot
+    bn, bd = inv.b_NC
     two_g1 = 2 * g - 1
     r_num, r_den = bn + (1 + inv.delta_H) * bd, bd * ell
     c_gamma = ((2 * g - 2) * (inv.N_bot * r_den - r_num) * b - two_g1 * r_den * a,
@@ -235,7 +239,7 @@ def _split_pairs(inv: GraphInvariants, g: int, r_gamma: tuple, b_six: tuple) -> 
       T2 = P/(2g-1) - Q + 12 w_bar y, over 2g-1 and (g+11) pd.
     """
     (rn, rd), (bn, bd) = r_gamma, b_six
-    pn, pd = inv.P_minus1.numerator, inv.P_minus1.denominator
+    pn, pd = inv.P_minus1
     v1 = inv.v_top - 1
     w_bar_num = (2 * g - 2 - inv.P) * pd + pn
     return ((w_bar_num, (g + 11) * pd),
@@ -434,27 +438,28 @@ def certify_exact_streaming(req: CertRequest) -> Certificate:
     rows = []
     for graph in enumerate_level_graphs(g):
         inv = graph_invariants(graph, req.hbb_shape_test)
-        rows.append((s_gamma_affine(inv, g), inv.encoding))
+        intercept, slope = _s_gamma_pairs(*_coefficients(inv, g)[1:])
+        rows.append((reduced_pair(*intercept), reduced_pair(*slope), inv.encoding))
     return _exact_certificate(req, _Analysis(_row_minimum(rows)), len(rows))
 
 
 def _row_minimum(rows: list) -> Callable:
     """evaluate(y) -> (least row value at y, its encoding, its affine) over
-    a nonempty list of (affine, encoding) rows; ties go to the least
-    encoding.
+    a nonempty list of (intercept, slope, encoding) rows, the intercept and
+    slope of each s_Gamma as reduced (numerator, denominator) integer
+    pairs; ties go to the least encoding.
 
     The rows are rewritten in place as integers (u, t, encoding) over den,
-    the lcm of every row's denominators, so that u + t y = affine(y) den;
+    the lcm of every row's denominators, so that u + t y = s_Gamma(y) den;
     a query compares u yd + t yn at y = yn / yd and builds Fractions for
     the winner only.  den comes from the rows alone, not from the
     minimization engine, so that the two engines stay independent.
     """
     den = 1
-    for aff, _ in rows:
-        den = math.lcm(den, aff.intercept.denominator, aff.slope.denominator)
-    for i, (aff, enc) in enumerate(rows):
-        rows[i] = (aff.intercept.numerator * (den // aff.intercept.denominator),
-                   aff.slope.numerator * (den // aff.slope.denominator), enc)
+    for (_, ad), (_, sd), _ in rows:
+        den = math.lcm(den, ad, sd)
+    for i, ((an, ad), (sn, sd), enc) in enumerate(rows):
+        rows[i] = (an * (den // ad), sn * (den // sd), enc)
 
     def evaluate(y: Fraction):
         yn, yd = y.numerator, y.denominator
@@ -932,10 +937,10 @@ class _MinEngine:
         if affine is None:
             inv = graph_invariants(graph, hbb_shape_test=False)
             if inv.edges == 1 and EDB in inv.edge_classes:
-                p = inv.prongs[0]
-                r_nc = Fraction(2, p)
-                inv = inv._replace(edge_classes=(OCT,), R_NC=r_nc,
-                                   b_NC=inv.ell * r_nc - 1)
+                # the OCT weight: R_NC = 2/p, and b_NC = ell R_NC - 1 = 1
+                # since ell = p
+                inv = inv._replace(edge_classes=(OCT,),
+                                   R_NC=reduced_pair(2, inv.prongs[0]), b_NC=(1, 1))
             affine = self._dp_affines[graph] = s_gamma_affine(inv, self.g)
         return affine
 

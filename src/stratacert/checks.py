@@ -6,21 +6,22 @@ the bottom signature versus derived through the prong identity), or pins
 a structural fact of the enumerated atlas.  The checks are shared by the
 ``identities`` command and the acceptance suite.
 
-After ``graph_invariants`` the per-graph battery runs on integers.  Every
-rational it reads or derives is an unreduced (numerator, denominator)
-pair with a positive denominator: the certifier's s_Gamma, w_bar, T1 and
-T2 (``certify._coefficients``, ``_s_gamma_pairs`` and ``_split_pairs``),
-the class helpers' coefficients (``classes._canonical_pair``,
-``_w_gamma_pair`` and ``_divisor_numerator``), kappa by direct evaluation
-(``_kappa_mu_pair``) and each spot value (``_at``).  Two rationals are
-compared by cross-multiplying, a sign is read off the numerator, and an
-invariant's Fraction is read through its numerator and denominator, so
-the battery builds no Fraction after ``graph_invariants``.  The assembly
-check keeps its two routes apart: the class side reads only the class
-helpers, which evaluate the bottom kappa directly on the bottom
-signature, with ell, N_bot, b_NC and delta_H; the certifier side reads
-only ``_coefficients``, which takes kappa_bot from the prong identity in
-``graph_invariants``.
+The per-graph battery runs on integers.  Every rational it reads or
+derives is a (numerator, denominator) pair with a positive denominator:
+the rational invariants of ``graph_invariants`` (reduced), the
+certifier's s_Gamma, w_bar, T1 and T2 (``certify._coefficients``,
+``_s_gamma_pairs`` and ``_split_pairs``), the class helpers'
+coefficients (``classes._canonical_pair``, ``_w_gamma_pair`` and
+``_divisor_numerator``), kappa by direct evaluation (``_kappa_mu_pair``)
+and each spot value (``_at``).  Two rationals are compared by
+cross-multiplying and a sign is read off the numerator, so the battery
+builds no Fraction, its invariants included.  The bottom kappa is
+evaluated directly on the bottom signature once per graph, and that one
+pair serves the kappa check and both class helpers.  The assembly check
+keeps its two routes apart: the class side reads only the class helpers,
+which take that direct evaluation, with ell, N_bot, b_NC and delta_H;
+the certifier side reads only ``_coefficients``, which takes kappa_bot
+from the prong identity in ``graph_invariants``.
 
 One deliberate deviation is documented here: the familiar bound
 ``P <= 2g - 3`` on the prong total fails for exactly one family, the
@@ -76,17 +77,19 @@ def is_rational_bottom_banana(graph: LevelGraph) -> bool:
 def graph_identity_failures(graph: LevelGraph, hbb_shape_test: bool = True) -> List[str]:
     """The per-graph identity battery; empty list when everything holds."""
     inv = graph_invariants(graph, hbb_shape_test)
-    return _identity_failures(graph, inv, _coefficients(inv, graph.genus))
+    return _identity_failures(graph, inv, _coefficients(inv, graph.genus),
+                              _kappa_mu_pair(graph.bottom_orders()))
 
 
 def _identity_failures(graph: LevelGraph, inv: GraphInvariants,
-                       coeffs: tuple) -> List[str]:
-    """The battery on the invariants and the ``_coefficients`` pairs."""
+                       coeffs: tuple, kappa_direct: tuple) -> List[str]:
+    """The battery on the invariants, the ``_coefficients`` pairs and the
+    bottom kappa by direct signature evaluation."""
     g = graph.genus
     bad = [f"validate: {msg}" for msg in validate(graph)]
-    kn, kd = _kappa_mu_pair(graph.bottom_orders())
-    k_bot = inv.kappa_bot
-    if kn * k_bot.denominator != k_bot.numerator * kd:
+    kn, kd = kappa_direct
+    an, ad = inv.kappa_bot
+    if kn * ad != an * kd:
         bad.append("kappa_bot: direct signature evaluation != prong identity")
     if inv.N_top + inv.N_bot != 2 * g:
         bad.append("N_top + N_bot != 2g")
@@ -94,15 +97,14 @@ def _identity_failures(graph: LevelGraph, inv: GraphInvariants,
         bad.append("N_bot != 2 g_b + E - v_top")
     if inv.N_top != inv.P + inv.v_top:
         bad.append("N_top != P + v_top")
-    b_nc, r_nc = inv.b_NC, inv.R_NC
-    if (b_nc.numerator * r_nc.denominator
-            != (inv.ell * r_nc.numerator - r_nc.denominator) * b_nc.denominator):
+    (bn, bd), (rn, rd) = inv.b_NC, inv.R_NC
+    if bn * rd != (inv.ell * rn - rd) * bd:
         bad.append("b_NC != ell * R_NC - 1")
     if inv.ell != lcm_list(inv.prongs):
         bad.append("ell != lcm of prongs")
     kn, kd = _kappa_mu_pair([p - 1 for p in inv.prongs])
-    p_inv = inv.P_minus1
-    if kn * p_inv.denominator != (inv.P * p_inv.denominator - p_inv.numerator) * kd:
+    pn, pd = inv.P_minus1
+    if kn * pd != (inv.P * pd - pn) * kd:
         bad.append("kappa_top != P - P_minus1")
     if any(v.genus < 1 for v in graph.top_vertices):
         bad.append("top vertex of genus 0 in a minimal-stratum graph")
@@ -141,18 +143,20 @@ def _sum_terms(terms: Sequence[tuple], minus: tuple) -> tuple:
     return num, den
 
 
-def _assembly_pairs(graph: LevelGraph, inv: GraphInvariants) -> tuple:
+def _assembly_pairs(graph: LevelGraph, inv: GraphInvariants,
+                    kappa_direct: tuple) -> tuple:
     """The divisor-class route to ell s_Gamma(y):
         canonical - Q b_NC + 2 b + y (12 ell w_Gamma / w_lambda - 2 b)
     with Q = kappa/2g = (2g-2)/(2g-1), w_lambda = (g+11)/(2g-2), and b the
     coefficient of the effective divisor genus g uses (Brill--Noether for
     odd genus, Hurwitz for even): the unreduced (numerator, denominator)
-    pairs of the intercept and the slope, over the class helpers' pairs."""
+    pairs of the intercept and the slope, over the class helpers' pairs,
+    which read the bottom kappa by direct signature evaluation."""
     g = graph.genus
-    cn, cd = _canonical_pair(graph, inv)
-    wn, wd = _w_gamma_pair(graph)
+    cn, cd = _canonical_pair(inv, kappa_direct)
+    wn, wd = _w_gamma_pair(graph, kappa_direct)
     bn, bd = _divisor_numerator(inv), _divisor_integers(g)[0]
-    nn, nd = inv.b_NC.numerator, inv.b_NC.denominator
+    nn, nd = inv.b_NC
     two_g1 = 2 * g - 1
     return (((two_g1 * cn * nd - (2 * g - 2) * nn * cd) * bd + 2 * bn * two_g1 * cd * nd,
              two_g1 * cd * nd * bd),
@@ -178,13 +182,15 @@ def assembly_failures(graph: LevelGraph, *, hbb_shape_test: bool = True) -> List
     """Check that the assembled boundary coefficient from the divisor-class
     route equals ell * s_Gamma(y) from the certifier route."""
     inv = graph_invariants(graph, hbb_shape_test)
-    return _assembly_failures(graph, inv, _coefficients(inv, graph.genus))
+    return _assembly_failures(graph, inv, _coefficients(inv, graph.genus),
+                              _kappa_mu_pair(graph.bottom_orders()))
 
 
 def _assembly_failures(graph: LevelGraph, inv: GraphInvariants,
-                       coeffs: tuple) -> List[str]:
-    """The assembly check on the invariants and the ``_coefficients`` pairs."""
-    via_classes = _assembly_pairs(graph, inv)
+                       coeffs: tuple, kappa_direct: tuple) -> List[str]:
+    """The assembly check on the invariants, the ``_coefficients`` pairs
+    and the bottom kappa by direct signature evaluation."""
+    via_classes = _assembly_pairs(graph, inv, kappa_direct)
     s_gamma = _s_gamma_pairs(*coeffs[1:])
     ell = inv.ell
     bad = []
@@ -237,11 +243,13 @@ def identity_suite(graphs: Iterable[LevelGraph], hbb_shape_test: bool = True) ->
     failures: List[str] = []
     for graph in graphs:
         checked += 1
-        # one set of invariants and coefficient pairs serves both batteries
+        # one set of invariants, coefficient pairs and directly evaluated
+        # bottom kappa serves both batteries
         inv = graph_invariants(graph, hbb_shape_test)
         coeffs = _coefficients(inv, graph.genus)
-        failures.extend(_identity_failures(graph, inv, coeffs))
-        failures.extend(_assembly_failures(graph, inv, coeffs))
+        kappa_direct = _kappa_mu_pair(graph.bottom_orders())
+        failures.extend(_identity_failures(graph, inv, coeffs, kappa_direct))
+        failures.extend(_assembly_failures(graph, inv, coeffs, kappa_direct))
         if len(failures) > 20:
             failures.append("... (stopping after 20 failures)")
             break

@@ -11,14 +11,20 @@ boundary map.  Every boundary coefficient a builder emits (the
 generalized Weierstrass class's too), and every coordinate
 ``reduce_class`` updates, is one Fraction built from integer numerators
 and denominators: no per-graph sum, product or negation runs on
-Fractions.  A builder of genus g raises ValueError on a graph of another
-genus, naming its encoding.
+Fractions.  The rational invariants of ``graph_invariants`` (P_{-1},
+kappa_bot, R_NC, b_NC) are reduced integer pairs, read here as integers;
+``d_nc_class`` makes its b_NC pair the coordinate's one Fraction.  A
+builder of genus g raises ValueError on a graph of another genus, naming
+its encoding.
 
 The kappa value of a bottom level is evaluated here directly on the full
 bottom signature (legs plus a pole of order -p-1 per edge); the graph
 module derives the same quantity through the prong identity
 ``kappa_bot = kappa_legs - (P - P_{-1})``, and the identity suite checks
-that the two routes agree on every enumerated graph.
+that the two routes agree on every enumerated graph.  The pair helpers
+``_canonical_pair`` and ``_w_gamma_pair`` take that direct evaluation
+from their caller as an integer pair, so the identity battery evaluates
+it once per graph for its kappa check and both helpers.
 """
 
 from __future__ import annotations
@@ -221,12 +227,13 @@ def _invariants(g: int, graph: LevelGraph, hbb_shape_test: bool = True) -> Graph
     return inv
 
 
-def _canonical_pair(graph: LevelGraph, inv: GraphInvariants) -> tuple:
+def _canonical_pair(inv: GraphInvariants, kappa_bot: tuple) -> tuple:
     """-(ell kappa_bot - Q (ell N_bot - 1)) - delta_H Q, Q = kappa/2g =
     (2g-2)/(2g-1), as an unreduced (numerator, denominator) pair, with
-    kappa_bot = a/b by direct signature evaluation: over (2g-1) b."""
-    g = graph.genus
-    a, b = _kappa_mu_pair(graph.bottom_orders())
+    kappa_bot = a/b the caller's pair by direct signature evaluation
+    (``_kappa_mu_pair`` of the bottom orders): over (2g-1) b."""
+    g = inv.genus
+    a, b = kappa_bot
     return ((2 * g - 2) * (inv.ell * inv.N_bot - 1 - inv.delta_H) * b
             - (2 * g - 1) * inv.ell * a,
             (2 * g - 1) * b)
@@ -234,7 +241,7 @@ def _canonical_pair(graph: LevelGraph, inv: GraphInvariants) -> tuple:
 
 def _canonical_coeff(graph: LevelGraph, inv: GraphInvariants) -> Fraction:
     """The canonical coefficient (see ``_canonical_pair``), one Fraction."""
-    return Fraction(*_canonical_pair(graph, inv))
+    return Fraction(*_canonical_pair(inv, _kappa_mu_pair(graph.bottom_orders())))
 
 
 def _divisor_integers(g: int) -> tuple:
@@ -268,14 +275,14 @@ def wplus_w_hor(g: int) -> Fraction:
     return Fraction(g + 3, 8 * g - 8)
 
 
-def _w_gamma_pair(graph: LevelGraph) -> tuple:
+def _w_gamma_pair(graph: LevelGraph, kappa_bot: tuple) -> tuple:
     """w_Gamma of the reduced form of the extra-vanishing Weierstrass class
     as an unreduced (numerator, denominator) pair: (kappa_bot / kappa) (1 +
     1/(2g-1)) - 1/(2g-1) + (v_top-1)/2 with kappa = 4g(g-1)/(2g-1), whose
-    first term is a / (2(g-1) b) for kappa_bot = a/b by direct signature
-    evaluation; over 2(g-1)(2g-1) b."""
+    first term is a / (2(g-1) b) for kappa_bot = a/b the caller's pair by
+    direct signature evaluation; over 2(g-1)(2g-1) b."""
     g = graph.genus
-    a, b = _kappa_mu_pair(graph.bottom_orders())
+    a, b = kappa_bot
     return ((2 * g - 1) * (a + (g - 1) * (graph.v_top - 1) * b) - (2 * g - 2) * b,
             (2 * g - 2) * (2 * g - 1) * b)
 
@@ -283,7 +290,7 @@ def _w_gamma_pair(graph: LevelGraph) -> tuple:
 def wplus_w_gamma(graph: LevelGraph) -> Fraction:
     """w_Gamma of the reduced form of the extra-vanishing Weierstrass class
     (see ``_w_gamma_pair``), one Fraction."""
-    return Fraction(*_w_gamma_pair(graph))
+    return Fraction(*_w_gamma_pair(graph, _kappa_mu_pair(graph.bottom_orders())))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +318,7 @@ def d_nc_class(g: int, graphs: Iterable[LevelGraph]) -> DivisorClass:
     boundary = {}
     for graph in graphs:
         inv = _invariants(g, graph)
-        boundary[inv.encoding] = inv.b_NC
+        boundary[inv.encoding] = Fraction(*inv.b_NC)
     return DivisorClass(boundary=boundary)
 
 
@@ -355,7 +362,7 @@ def wplus_class(g: int, graphs: Iterable[LevelGraph], form: str = "reduced") -> 
         for graph in graphs:
             # -((P - P_{-1}) / 8 + (v_top - 1) / 2) ell, P_{-1} = pn / pd
             inv = _invariants(g, graph)
-            pn, pd = inv.P_minus1.numerator, inv.P_minus1.denominator
+            pn, pd = inv.P_minus1
             boundary[inv.encoding] = Fraction(
                 -inv.ell * ((inv.P + 4 * (inv.v_top - 1)) * pd - pn), 8 * pd)
         return DivisorClass(lam=Fraction(-1), psi=(psi0,), xi=Fraction(1),
@@ -364,7 +371,7 @@ def wplus_class(g: int, graphs: Iterable[LevelGraph], form: str = "reduced") -> 
         boundary = {}
         for graph in graphs:
             inv = _invariants(g, graph)
-            num, den = _w_gamma_pair(graph)
+            num, den = _w_gamma_pair(graph, _kappa_mu_pair(graph.bottom_orders()))
             boundary[inv.encoding] = Fraction(-inv.ell * num, den)
         return DivisorClass(lam=wplus_w_lambda(g), d_h=-wplus_w_hor(g),
                             boundary=boundary)
@@ -437,7 +444,7 @@ def _twist_pair(inv: GraphInvariants, alpha_bot, m_bot) -> tuple:
     an / ad, m_bot = mn / md."""
     an, ad = alpha_bot.numerator, alpha_bot.denominator
     mn, md = m_bot.numerator, m_bot.denominator
-    pn, pd = inv.P_minus1.numerator, inv.P_minus1.denominator
+    pn, pd = inv.P_minus1
     return (4 * pd * (inv.ell // 2) * (2 * an * md - mn * ad)
             + ad * md * inv.ell * (inv.P * pd - pn),
             8 * pd * ad * md)

@@ -1,8 +1,9 @@
 """Exact scalar arithmetic: rationals, affine functions of the mixing
 parameter y, and rational intervals.
 
-Everything downstream of this module is built on `fractions.Fraction`; no
-floating point is used anywhere in the certification pipeline.  Intervals
+Everything downstream of this module is built on `fractions.Fraction`
+and on integer (numerator, denominator) pairs; no floating point is used
+anywhere in the certification pipeline.  Intervals
 support open/closed endpoints because positivity of the boundary
 coefficients is a strict inequality: a certificate must exhibit a rational
 y strictly inside the feasible set.  Their endpoints are finite: the
@@ -25,6 +26,13 @@ def rational_str(x: RationalLike) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def reduced_pair(num: int, den: int) -> tuple:
+    """num/den as its reduced (numerator, denominator) pair, for den > 0:
+    one gcd, and the denominator stays positive."""
+    k = math.gcd(num, den)
+    return num // k, den // k
 
 
 def lcm_list(values: Sequence[int]) -> int:

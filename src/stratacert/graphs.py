@@ -33,9 +33,10 @@ kept for the last genus asked only) keeps it for ``partition_unrank``;
 same product, and builds no index.
 
 The per-graph invariants are exact rationals whose per-prong sums are
-taken on integers, with one Fraction built per value: in
-``graph_invariants`` over ell = lcm(prongs) (2 ell for R_NC), and in
-``kappa_mu`` over lcm |m+1| of the orders (``graph_invariants`` reads the
+taken on integers: ``graph_invariants`` gives each rational invariant as
+a reduced (numerator, denominator) pair over ell = lcm(prongs) (2 ell
+for R_NC), with one gcd and no Fraction, and ``kappa_mu`` builds one
+Fraction over lcm |m+1| of the orders (``graph_invariants`` reads the
 legs' kappa as that integer pair, unreduced).  Each ``TopVertex`` takes
 its prongs' lcm, its sum of lcm // p and its encoding fragment once, when
 it is built, so a vertex shared by many graphs (the stream's, or the
@@ -59,7 +60,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exactq import lcm_list, rational_str
+from .exactq import lcm_list, rational_str, reduced_pair
 
 NCT = "NCT"
 RBT = "RBT"
@@ -315,23 +316,26 @@ class GraphInvariants(NamedTuple):
     """Derived per-graph quantities used by the divisor-class formulas.
 
     A named tuple: immutable and hashable like a frozen dataclass, but
-    built in one tuple allocation instead of a setattr per field."""
+    built in one tuple allocation instead of a setattr per field.  The
+    rational invariants P_minus1, kappa_bot, R_NC and b_NC are reduced
+    (numerator, denominator) integer pairs with a positive denominator;
+    their readers take the integers, and only outputs build a Fraction."""
 
     genus: int
     encoding: str
     prongs: tuple
     P: int
-    P_minus1: Fraction
+    P_minus1: tuple
     ell: int
     edges: int
     v_top: int
     N_top: int
     N_bot: int
-    kappa_bot: Fraction
+    kappa_bot: tuple
     edge_classes: tuple
     delta_assignments: tuple
-    R_NC: Fraction
-    b_NC: Fraction
+    R_NC: tuple
+    b_NC: tuple
     delta_H: int
 
 
@@ -355,7 +359,9 @@ def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInv
     (ell // l_v) s_v, and all its edges have one class.  So P_{-1} =
     sum(shares) / ell, and R_NC = S / (2 ell) with S the sum of twice each
     edge class's weight times its share, so b_NC = ell R_NC - 1 = (S - 2) /
-    2.  Each value is one Fraction.  A prong below 1 raises ValueError, as
+    2.  Each of P_minus1, kappa_bot, R_NC and b_NC is a reduced
+    (numerator, denominator) pair with a positive denominator, divided by
+    one gcd; no Fraction is built.  A prong below 1 raises ValueError, as
     :func:`lcm_list` words it.
     """
     g = graph.genus
@@ -409,14 +415,14 @@ def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInv
     # P_{-1}); the direct signature evaluation lives in the divisor-class
     # module and the two routes are compared by the identity suite.
     legs_num, legs_den = _kappa_mu_pair(graph.bottom_legs)
-    kappa_bot = Fraction(legs_num * ell - legs_den * (p_sum * ell - share_sum),
-                         legs_den * ell)
+    kappa_bot = reduced_pair(legs_num * ell - legs_den * (p_sum * ell - share_sum),
+                             legs_den * ell)
     return GraphInvariants(
         genus=g,
         encoding=canonical_encoding(graph),
         prongs=tuple(prongs),
         P=p_sum,
-        P_minus1=Fraction(share_sum, ell),
+        P_minus1=reduced_pair(share_sum, ell),
         ell=ell,
         edges=e,
         v_top=v_top,
@@ -425,8 +431,8 @@ def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInv
         kappa_bot=kappa_bot,
         edge_classes=tuple(classes),
         delta_assignments=tuple(deltas),
-        R_NC=Fraction(twice_rnc, 2 * ell),
-        b_NC=Fraction(twice_rnc - 2, 2),
+        R_NC=reduced_pair(twice_rnc, 2 * ell),
+        b_NC=reduced_pair(twice_rnc - 2, 2),
         delta_H=1 if (hbb_shape_test and shape and has_pair) else 0,
     )
 
@@ -746,7 +752,11 @@ _CSV_COLUMNS = (
 
 def write_atlas(graphs: Iterable[LevelGraph], out, fmt: str = "text",
                 hbb_shape_test: bool = True) -> None:
-    """Write an atlas to a file object as text, json, or csv."""
+    """Write an atlas to a file object as text, json, or csv; a rational
+    invariant's pair is written as one Fraction's ``p/q``."""
+    def rational(pair):
+        return rational_str(Fraction(*pair))
+
     if fmt == "text":
         for graph in graphs:
             out.write(canonical_encoding(graph) + "\n")
@@ -758,14 +768,14 @@ def write_atlas(graphs: Iterable[LevelGraph], out, fmt: str = "text",
                 "encoding": inv.encoding,
                 "invariants": {
                     "P": inv.P,
-                    "P_inv": rational_str(inv.P_minus1),
+                    "P_inv": rational(inv.P_minus1),
                     "ell": inv.ell,
                     "v_top": inv.v_top,
                     "N_top": inv.N_top,
                     "N_bot": inv.N_bot,
-                    "kappa_bot": rational_str(inv.kappa_bot),
-                    "R_NC": rational_str(inv.R_NC),
-                    "b_NC": rational_str(inv.b_NC),
+                    "kappa_bot": rational(inv.kappa_bot),
+                    "R_NC": rational(inv.R_NC),
+                    "b_NC": rational(inv.b_NC),
                     "delta_H": inv.delta_H,
                     "edge_classes": list(inv.edge_classes),
                 },
@@ -778,9 +788,9 @@ def write_atlas(graphs: Iterable[LevelGraph], out, fmt: str = "text",
         for graph in graphs:
             inv = graph_invariants(graph, hbb_shape_test)
             writer.writerow([
-                inv.encoding, inv.P, rational_str(inv.P_minus1), inv.ell,
-                inv.v_top, inv.N_bot, rational_str(inv.kappa_bot),
-                rational_str(inv.b_NC), inv.delta_H,
+                inv.encoding, inv.P, rational(inv.P_minus1), inv.ell,
+                inv.v_top, inv.N_bot, rational(inv.kappa_bot),
+                rational(inv.b_NC), inv.delta_H,
                 "|".join(inv.edge_classes),
             ])
     else:

@@ -1,19 +1,22 @@
 """Slow oracles: the per-graph pipeline, the identity battery and the
 divisor classes summed one Fraction at a time.
 
-The package sums per-prong terms on integers and builds one Fraction per
-output (``kappa_mu``, ``graph_invariants``, ``six_coefficients``,
-``s_gamma_affine``, the class helpers ``_canonical_coeff`` and
-``wplus_w_gamma``, every class builder's boundary coefficient, each
-coordinate ``reduce_class`` updates, and ``class_with_twist_bounds``),
-runs the streaming certifier on integer rows, and runs the identity
-battery on unreduced integer pairs after ``graph_invariants``, comparing
-rationals by cross-multiplication; ``graph_invariants`` and
+The package sums per-prong terms on integers.  ``graph_invariants``
+gives each rational invariant as a reduced (numerator, denominator)
+pair and builds no Fraction; the package builds one Fraction per output
+(``kappa_mu``, ``six_coefficients``, ``s_gamma_affine``, the class
+helpers ``_canonical_coeff`` and ``wplus_w_gamma``, every class
+builder's boundary coefficient, each coordinate ``reduce_class``
+updates, and ``class_with_twist_bounds``), runs the streaming certifier
+on integer rows, and runs the identity battery on integer pairs,
+comparing rationals by cross-multiplication; ``graph_invariants`` and
 ``canonical_encoding`` read each vertex's prong lcm, shares and encoding
 fragment from its ``TopVertex``, computed once when it was built.  The
 functions here are the plain Fraction forms of the same formulas and
-checks; the tests compare the two on full atlases, raw atlases, pullback
-image graphs and samples of large-genus atlases (``ORACLE_CASES``).
+checks, and their invariants hold Fractions (``as_fractions`` turns the
+package's pairs into them); the tests compare the two on full atlases,
+raw atlases, pullback image graphs and samples of large-genus atlases
+(``ORACLE_CASES``).
 """
 
 from fractions import Fraction
@@ -75,6 +78,22 @@ def oracle_graphs(kind, g):
     raise ValueError(f"unknown oracle case: {kind!r}")
 
 
+def count_fractions(patch):
+    """A list that gets the arguments of every Fraction construction while
+    ``patch`` (a monkeypatch context) is open; on Python >= 3.12 Fraction
+    arithmetic builds its results without ``__new__``, so only explicit
+    constructions are counted there."""
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    patch.setattr(Fraction, "__new__", staticmethod(counted))
+    return built
+
+
 def typed(x):
     """x with the type of every value, so that an int never passes for a
     Fraction."""
@@ -103,6 +122,17 @@ def canonical_encoding(graph):
     tops = ",".join([
         f"({v.genus},[{','.join(map(str, v.prongs))}])" for v in graph.top_vertices])
     return f"g={graph.genus};gb={graph.bottom_genus};legs={legs};top=[{tops}]"
+
+
+# the rational invariants: reduced integer pairs in the package, Fractions
+# here
+PAIR_FIELDS = ("P_minus1", "kappa_bot", "R_NC", "b_NC")
+
+
+def as_fractions(inv):
+    """The package's invariants with each pair field as its Fraction, for
+    the forms here that read invariants."""
+    return inv._replace(**{name: Fraction(*getattr(inv, name)) for name in PAIR_FIELDS})
 
 
 def graph_invariants(graph, hbb_shape_test=True):

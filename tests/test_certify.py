@@ -43,6 +43,8 @@ from stratacert.checks import (
 )
 from stratacert.exactq import AffineInY
 from stratacert.graphs import (
+    EDB,
+    OCT,
     LevelGraph,
     TopVertex,
     atlas_count,
@@ -124,12 +126,13 @@ def test_six_coefficients_match_fraction_oracle(kind, g):
         g = graph.genus  # an image graph has genus g + 1
         for hbb in (True, False):
             inv = graph_invariants(graph, hbb)
-            got, want = six_coefficients(inv, g), oracle.six_coefficients(inv, g)
+            o_inv = oracle.as_fractions(inv)
+            got, want = six_coefficients(inv, g), oracle.six_coefficients(o_inv, g)
             for field in fields(SixCoefficients):
                 assert (typed(getattr(got, field.name))
                         == typed(getattr(want, field.name))), (field.name, inv.encoding)
-            assert typed(got.s_gamma()) == typed(oracle.s_gamma_affine(inv, g))
-            assert typed(s_gamma_affine(inv, g)) == typed(oracle.s_gamma_affine(inv, g))
+            assert typed(got.s_gamma()) == typed(oracle.s_gamma_affine(o_inv, g))
+            assert typed(s_gamma_affine(inv, g)) == typed(oracle.s_gamma_affine(o_inv, g))
 
 
 def test_coarse_bounds_g31():
@@ -223,8 +226,11 @@ def test_resolve_effdiv():
 _WITNESS_FIELDS = ("worst_graph", "notes")
 
 
+# genus 13 is the first _LEMMA_GENUS, where the engine builds degrees 1,
+# 2 and w only: the one whole-atlas check of that reduced build
 @pytest.mark.parametrize("g,effdiv", [(7, "bn"), (8, "hur"), (9, "bn"),
-                                      (10, "hur"), (11, "bn"), (12, "hur")])
+                                      (10, "hur"), (11, "bn"), (12, "hur"),
+                                      (13, "bn")])
 def test_engines_agree(g, effdiv):
     for hbb in (True, False):
         req = CertRequest(g, "exact", effdiv, "auto_midpoint", hbb)
@@ -401,16 +407,51 @@ def test_streaming_evaluate_matches_fraction_loop(g, monkeypatch):
             assert typed(evaluate(y)) == typed(oracle.row_minimum(rows, y)), (g, hbb, y)
 
 
+@pytest.mark.parametrize("g", (4, 7, 12, 31))
+def test_self_check_reads_an_edb_edge_as_compact_type(g):
+    # the engine's self-check affine on the two single-edge elliptic
+    # dumbbells (top genus 1, and g - 1 over bottom genus 1) is their
+    # s_Gamma under the additive model: the edge counted as plain
+    # compact type, R_NC = 2/p and b_NC = ell R_NC - 1
+    engine = _MinEngine(g)
+    for h in (1, g - 1):
+        graph = minimal_graph(g, g - h, [(h, (2 * h - 1,))])
+        inv = oracle.graph_invariants(graph, hbb_shape_test=False)
+        assert inv.edge_classes == (EDB,)
+        r_nc = F(2, inv.prongs[0])
+        additive = inv._replace(edge_classes=(OCT,), R_NC=r_nc, b_NC=inv.ell * r_nc - 1)
+        assert (typed(engine._dp_convention_affine(graph))
+                == typed(oracle.s_gamma_affine(additive, g))), (g, h)
+
+
+def test_streaming_builds_fewer_fractions_than_graphs(monkeypatch):
+    # the rows are integer pairs from graph_invariants on; only each
+    # query's least row, the analysis and the certificate build Fractions
+    graphs = atlas_count(8)
+    assert graphs == 716
+    for hbb in (True, False):
+        req = CertRequest(8, "exact", "auto", "auto_midpoint", hbb)
+        with monkeypatch.context() as patch:
+            built = oracle.count_fractions(patch)
+            cert = certify_exact_streaming(req)
+        assert cert.graph_count == graphs
+        assert 0 < len(built) < graphs, (hbb, len(built))
+
+
 def test_streaming_ties_go_to_the_least_encoding():
     # at y = 1/2 the flat and the rising row tie on value, so the least
     # encoding decides, in whatever order the rows come
     flat = AffineInY(F(1, 3), F(0))
     rising = AffineInY(F(0), F(2, 3))
     high = AffineInY(F(5, 7), F(1, 7))  # above both on [0, 1]
+    def pair(q):
+        return q.numerator, q.denominator
+
     for names in (("a", "b"), ("b", "a")):
         rows = [(flat, names[0]), (rising, names[1]), (high, "c")]
         for order in itertools.permutations(rows):
-            evaluate = certify_module._row_minimum(list(order))
+            evaluate = certify_module._row_minimum(
+                [(pair(aff.intercept), pair(aff.slope), enc) for aff, enc in order])
             for y, winner in ((F(1, 2), "a"), (F(0), names[1]), (F(1), names[0])):
                 got = evaluate(y)
                 assert got[1] == winner, (order, y)

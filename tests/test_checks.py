@@ -1,6 +1,6 @@
 """The identity battery: every check fires on a corrupted input, the
 integer-pair battery agrees with its Fraction oracle, and a passing graph
-builds no Fraction after its invariants."""
+builds no Fraction from its invariants on."""
 
 import itertools
 from dataclasses import replace
@@ -16,6 +16,7 @@ from stratacert.exactq import AffineInY
 from stratacert.graphs import (
     RBT,
     TopVertex,
+    _kappa_mu_pair,
     enumerate_level_graphs,
     graph_invariants,
     minimal_graph,
@@ -37,9 +38,23 @@ def _plus(pair, q):
     return n * q.denominator + q.numerator * d, d * q.denominator
 
 
+def _kappa_direct(graph):
+    """The bottom kappa by direct signature evaluation, as the battery's
+    callers pass it."""
+    return _kappa_mu_pair(graph.bottom_orders())
+
+
+def _identity_failures(graph, inv, coeffs):
+    return checks._identity_failures(graph, inv, coeffs, _kappa_direct(graph))
+
+
+def _assembly_failures(graph, inv, coeffs):
+    return checks._assembly_failures(graph, inv, coeffs, _kappa_direct(graph))
+
+
 def _identity_cases():
     """(message, graph, invariants, coefficient pairs) with one corruption
-    each."""
+    each; a rational invariant is corrupted as its pair."""
     inv = graph_invariants(BASE)
     coeffs = _coefficients(inv, 8)
     b_inv = graph_invariants(BANANA)
@@ -49,7 +64,7 @@ def _identity_cases():
         ("validate: bottom genus negative",
          replace(BASE, bottom_genus=-1), inv, coeffs),
         ("kappa_bot: direct signature evaluation != prong identity",
-         BASE, inv._replace(kappa_bot=inv.kappa_bot + F(1, 3)), coeffs),
+         BASE, inv._replace(kappa_bot=_plus(inv.kappa_bot, F(1, 3))), coeffs),
         ("N_top + N_bot != 2g",
          BASE, inv._replace(N_bot=inv.N_bot - 1), coeffs),
         ("N_bot != 2 g_b + E - v_top",
@@ -57,11 +72,11 @@ def _identity_cases():
         ("N_top != P + v_top",
          BASE, inv._replace(N_top=inv.N_top + 1), coeffs),
         ("b_NC != ell * R_NC - 1",
-         BASE, inv._replace(b_NC=inv.b_NC + F(1, 2)), coeffs),
+         BASE, inv._replace(b_NC=_plus(inv.b_NC, F(1, 2))), coeffs),
         ("ell != lcm of prongs",
          BASE, inv._replace(ell=2 * inv.ell), coeffs),
         ("kappa_top != P - P_minus1",
-         BASE, inv._replace(P_minus1=inv.P_minus1 + F(1, 5)), coeffs),
+         BASE, inv._replace(P_minus1=_plus(inv.P_minus1, F(1, 5))), coeffs),
         ("top vertex of genus 0 in a minimal-stratum graph",
          replace(BASE, top_vertices=BASE.top_vertices + (TopVertex(0, (1, 1, 1)),)),
          inv, coeffs),
@@ -97,12 +112,12 @@ def _shift_spot_values(monkeypatch):
 def test_every_identity_check_fires(monkeypatch):
     for graph in (BASE, BANANA):
         inv = graph_invariants(graph)
-        assert checks._identity_failures(graph, inv, _coefficients(inv, 8)) == []
+        assert _identity_failures(graph, inv, _coefficients(inv, 8)) == []
         assert checks.assembly_failures(graph) == []
     cases = _identity_cases()
     assert len({message for message, *_ in cases}) == 14
     for message, graph, inv, coeffs in cases:
-        assert message in checks._identity_failures(graph, inv, coeffs), message
+        assert message in _identity_failures(graph, inv, coeffs), message
 
     # the assembly battery: a certifier-side kappa_bot that the
     # divisor-class route (direct evaluation) does not share ...
@@ -110,7 +125,7 @@ def test_every_identity_check_fires(monkeypatch):
 
     def corrupted(graph, hbb_shape_test=True):
         inv = real(graph, hbb_shape_test)
-        return inv._replace(kappa_bot=inv.kappa_bot + F(1, 3))
+        return inv._replace(kappa_bot=_plus(inv.kappa_bot, F(1, 3)))
 
     with monkeypatch.context() as patch:
         patch.setattr(checks, "graph_invariants", corrupted)
@@ -124,25 +139,43 @@ def test_every_identity_check_fires(monkeypatch):
 def test_assembly_reads_the_class_side_kappa(monkeypatch):
     # the direct evaluation the class helpers read, off by 1/3; the prong
     # identity in graph_invariants, which the certifier side reads, is
-    # left alone, so only the class route moves
-    real = classes_module._kappa_mu_pair
-
-    def off(orders):
-        n, d = real(orders)
-        return 3 * n + d, 3 * d
-
+    # left alone, so only the class route moves, and the kappa check sees
+    # the two routes part
     inv = graph_invariants(BASE)
-    monkeypatch.setattr(classes_module, "_kappa_mu_pair", off)
+    coeffs = _coefficients(inv, 8)
+    mismatch = [f"assembled boundary coefficient mismatch on {inv.encoding}"]
+    kappa_check = ["kappa_bot: direct signature evaluation != prong identity"]
+    off = _plus(_kappa_direct(BASE), F(1, 3))
+    assert checks._assembly_failures(BASE, inv, coeffs, off) == mismatch
+    assert checks._identity_failures(BASE, inv, coeffs, off) == kappa_check
+    # the public batteries and the class builders each evaluate it on the
+    # bottom signature; the same 1/3 there moves only their class route
+    bottom = BASE.bottom_orders()
+    for module in (checks, classes_module):
+        real = module._kappa_mu_pair
+
+        def moved(orders, real=real):
+            pair = real(orders)
+            return _plus(pair, F(1, 3)) if tuple(orders) == bottom else pair
+        monkeypatch.setattr(module, "_kappa_mu_pair", moved)
     assert graph_invariants(BASE) == inv
-    assert checks.assembly_failures(BASE) == [
-        f"assembled boundary coefficient mismatch on {inv.encoding}"]
-    assert checks.graph_identity_failures(BASE) == []
+    assert checks.assembly_failures(BASE) == mismatch
+    assert checks.graph_identity_failures(BASE) == kappa_check
+    # identity_suite's one evaluation for both batteries is the direct one
+    assert checks.identity_suite([BASE]) == (1, kappa_check + mismatch)
+    # the class helpers move by -ell/3 and by (1/3)(2g/(2g-1))/kappa
+    o_inv = oracle.as_fractions(inv)
+    assert (_canonical_coeff(BASE, inv)
+            == oracle._canonical_coeff(BASE, o_inv) - F(inv.ell, 3))
+    assert (wplus_w_gamma(BASE)
+            == oracle.wplus_w_gamma(BASE) + F(1, 3) * F(16, 15) / oracle.kappa_minimal(8))
 
 
 def _oracle_inputs(inv, g, coeffs):
     """The SixCoefficients and s_Gamma the Fraction oracle reads for the
     coefficient pairs ``coeffs``, corrupted or not: w_bar, T1 and T2 by the
-    oracle's own split of their R_Gamma and b_Gamma."""
+    oracle's own split of their R_Gamma and b_Gamma, over the invariants
+    ``inv`` with Fraction fields."""
     r, c, w, b = (F(*pair) for pair in coeffs)
     six = SixCoefficients(g, c, r, b, w, *oracle.split(inv, g, r, b))
     return six, oracle.s_gamma_of(six)
@@ -152,16 +185,18 @@ def _assert_matches_oracle(graph, inv, coeffs):
     """The integer-pair battery and class helpers against their Fraction
     forms: values, typed values and failure lists."""
     where = (inv.encoding, inv.delta_H)
-    intercept, slope = checks._assembly_pairs(graph, inv)
-    want = oracle._assembly_affine(graph, inv)
+    o_inv = oracle.as_fractions(inv)
+    intercept, slope = checks._assembly_pairs(graph, inv, _kappa_direct(graph))
+    want = oracle._assembly_affine(graph, o_inv)
     assert (F(*intercept), F(*slope)) == (want.intercept, want.slope), where
-    assert typed(_canonical_coeff(graph, inv)) == typed(oracle._canonical_coeff(graph, inv)), where
+    assert (typed(_canonical_coeff(graph, inv))
+            == typed(oracle._canonical_coeff(graph, o_inv))), where
     assert typed(wplus_w_gamma(graph)) == typed(oracle.wplus_w_gamma(graph)), where
-    six, s_gamma = _oracle_inputs(inv, graph.genus, coeffs)
-    assert (checks._identity_failures(graph, inv, coeffs)
-            == oracle._identity_failures(graph, inv, six)), where
-    assert (checks._assembly_failures(graph, inv, coeffs)
-            == oracle._assembly_failures(graph, inv, s_gamma)), where
+    six, s_gamma = _oracle_inputs(o_inv, graph.genus, coeffs)
+    assert (_identity_failures(graph, inv, coeffs)
+            == oracle._identity_failures(graph, o_inv, six)), where
+    assert (_assembly_failures(graph, inv, coeffs)
+            == oracle._assembly_failures(graph, o_inv, s_gamma)), where
 
 
 def _assert_public_battery_matches_oracle(graph, hbb):
@@ -207,9 +242,9 @@ def test_battery_matches_fraction_oracle_on_corrupted_inputs(monkeypatch):
     # R_Gamma moves T1 alone, b_Gamma moves T1 and s_Gamma alike
     _assert_matches_oracle(BASE, inv, (_plus(r, F(1, 9)), c, w, b))
     _assert_matches_oracle(BASE, inv, (r, c, w, _plus(b, F(1, 9))))
-    for field, value in (("kappa_bot", inv.kappa_bot + F(1, 3)), ("ell", 2 * inv.ell),
-                         ("N_bot", inv.N_bot + 1), ("delta_H", 1),
-                         ("b_NC", inv.b_NC + F(1, 2))):
+    for field, value in (("kappa_bot", _plus(inv.kappa_bot, F(1, 3))),
+                         ("ell", 2 * inv.ell), ("N_bot", inv.N_bot + 1), ("delta_H", 1),
+                         ("b_NC", _plus(inv.b_NC, F(1, 2)))):
         bad = inv._replace(**{field: value})
         # the certifier side from the corrupted invariants, so that the
         # assembly battery sees them on both routes
@@ -222,35 +257,30 @@ def test_battery_matches_fraction_oracle_on_corrupted_inputs(monkeypatch):
     calls = itertools.count()
     monkeypatch.setattr(AffineInY, "__call__",
                         lambda self, y: evaluate(self, y) + next(calls))
-    _, s_gamma = _oracle_inputs(inv, 8, coeffs)
-    assert (checks._assembly_failures(BASE, inv, coeffs)
-            == oracle._assembly_failures(BASE, inv, s_gamma)
+    o_inv = oracle.as_fractions(inv)
+    _, s_gamma = _oracle_inputs(o_inv, 8, coeffs)
+    assert (_assembly_failures(BASE, inv, coeffs)
+            == oracle._assembly_failures(BASE, o_inv, s_gamma)
             == ["assembled coefficient differs at y=0"])
 
 
 def test_passing_graph_builds_no_fraction_after_invariants(monkeypatch):
-    # counts every Fraction.__new__ call (on Python >= 3.12 Fraction
-    # arithmetic builds its results without one, so only explicit
-    # constructions are counted there)
-    built = []
-    new = F.__new__
-
-    def counted(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
+    # from graph_invariants on, through both verdicts: the invariants, the
+    # coefficient pairs and the direct bottom kappa, as identity_suite
+    # computes them once for both batteries
     graphs = list(enumerate_level_graphs(7)) + sample_atlas(31, 20) + [BASE, BANANA]
     for graph in graphs:
         for hbb in (True, False):
-            inv = graph_invariants(graph, hbb)
             with monkeypatch.context() as patch:
-                patch.setattr(F, "__new__", staticmethod(counted))
+                built = oracle.count_fractions(patch)
+                inv = graph_invariants(graph, hbb)
                 coeffs = _coefficients(inv, graph.genus)
-                bad = (checks._identity_failures(graph, inv, coeffs)
-                       + checks._assembly_failures(graph, inv, coeffs))
+                kappa = _kappa_mu_pair(graph.bottom_orders())
+                bad = (checks._identity_failures(graph, inv, coeffs, kappa)
+                       + checks._assembly_failures(graph, inv, coeffs, kappa))
             assert (bad, built) == ([], []), (graph, hbb)
     # the counter sees a construction when there is one
     with monkeypatch.context() as patch:
-        patch.setattr(F, "__new__", staticmethod(counted))
+        built = oracle.count_fractions(patch)
         F(1, 2)
     assert built == [(1, 2)]

@@ -200,7 +200,7 @@ def test_kappa_bot_routes_agree():
     for g in range(2, 8):
         for graph in enumerate_level_graphs(g):
             inv = graph_invariants(graph)
-            assert kappa_mu(graph.bottom_orders()) == inv.kappa_bot
+            assert kappa_mu(graph.bottom_orders()) == F(*inv.kappa_bot)
 
 
 def _atlas(g):

@@ -466,6 +466,10 @@ def test_exact_scan_reports_first_feasible_genus(capsys):
     (("pullback-check", "--genus", "6"), "pullback_g6.json"),
     (("pullback-check", "--genus", "7", "--mu", "9,5", "--k", "2"),
      "pullback_g7_mu9_5_k2.json"),
+    # only the json writer prints R_NC and N_top
+    (("invariants", "--genus", "6", "--format", "json"), "invariants_g6.json"),
+    (("invariants", "--genus", "6", "--format", "json", "--no-hbb-shape"),
+     "invariants_g6_no_hbb_shape.json"),
 ])
 def test_artifact_bytes_are_pinned(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)

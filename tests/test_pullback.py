@@ -163,6 +163,7 @@ def test_class_with_twist_bounds_matches_fraction_oracle(g):
         # the bound itself, at rational alpha_bot and m_bot too
         for graph in graphs.values():
             inv = graph_invariants(graph)
+            o_inv = oracle.as_fractions(inv)
             for a, m in ((g, 2 * g), (F(1, 3), F(5, 2)), (F(-7, 4), 3)):
                 assert (twist_improvement_bound(inv, a, m)
-                        == oracle.twist_improvement_bound(inv, a, m))
+                        == oracle.twist_improvement_bound(o_inv, a, m))
