@@ -129,6 +129,62 @@ EMPTY = RationalInterval(Fraction(1), Fraction(0))
 UNIT = RationalInterval(Fraction(0), Fraction(1), lo_open=False, hi_open=False)
 
 
+def least_rows(rows: list) -> list:
+    """The rows of a nonempty list that are least at some y in [0, 1],
+    by value and then by key.
+
+    A row is (intercept, slope, key): an affine function of y, its
+    intercept and slope as integer (numerator, denominator) pairs with
+    positive denominators, and a key that orders rows of equal value.
+    Over the rows returned, the least row at every y in [0, 1] is the
+    least row over all of them.
+
+    Those are the least rows at y = 0, at y = 1 and at each breakpoint of
+    the lower envelope, and inside each piece the least-key row on the
+    piece's line: at a y inside a piece only rows on its line reach the
+    envelope, since two distinct lines there make a breakpoint.  The rows
+    are scaled to integers (u, t) over the lcm of their denominators.  A
+    row whose values at both ends of [0, 1] exceed the larger end value
+    of some row is above that row throughout and is dropped.  The
+    envelope is then walked from y = 0: the line leaving a point is the
+    least-slope line at the least value there, and the next point is the
+    nearest crossing of that line by one of smaller slope, each y an
+    integer pair yn / yd.  A line of greater slope than the one leaving
+    a point, or of the same slope and off it, is above it from there on
+    and is dropped.
+    """
+    den = 1
+    for (_, ad), (_, sd), _ in rows:
+        den = math.lcm(den, ad, sd)
+    lines = []
+    cap = None
+    for row in rows:
+        (an, ad), (sn, sd), key = row
+        u, t = an * (den // ad), sn * (den // sd)
+        lines.append((t, key, u, row))
+        high = u + t if t > 0 else u
+        if cap is None or high < cap:
+            cap = high
+    lines = [line for line in lines if min(line[2], line[2] + line[0]) <= cap]
+    keep = {}
+    yn, yd = 0, 1
+    while True:
+        values = [u * yd + t * yn for t, _, u, _ in lines]
+        low = min(values)
+        at = [line for line, value in zip(lines, values) if value == low]
+        keep[min((key, row) for _, key, _, row in at)[1]] = None
+        if yn == yd:
+            return list(keep)
+        # least slope, then least key: the line leaving y, and its least row
+        ta, _, ua, row = min(at)
+        keep[row] = None
+        lines = [line for line in lines if line[0] < ta or line[0] == ta and line[2] == ua]
+        yn, yd = 1, 1
+        for t, _, u, _ in lines:
+            if t < ta and (u - ua) * yd < yn * (ta - t):
+                yn, yd = u - ua, ta - t
+
+
 def affine_positivity_interval(f: AffineInY, domain: RationalInterval) -> RationalInterval:
     """The subset of ``domain`` where ``f(y) > 0``, as an interval.
 

@@ -227,10 +227,10 @@ _WITNESS_FIELDS = ("worst_graph", "notes")
 
 
 # genus 13 is the first _LEMMA_GENUS, where the engine builds degrees 1,
-# 2 and w only: the one whole-atlas check of that reduced build
+# 2 and w only: the whole-atlas checks of that reduced build are 13 and 14
 @pytest.mark.parametrize("g,effdiv", [(7, "bn"), (8, "hur"), (9, "bn"),
                                       (10, "hur"), (11, "bn"), (12, "hur"),
-                                      (13, "bn")])
+                                      (13, "bn"), (14, "hur")])
 def test_engines_agree(g, effdiv):
     for hbb in (True, False):
         req = CertRequest(g, "exact", effdiv, "auto_midpoint", hbb)
@@ -456,6 +456,157 @@ def test_streaming_ties_go_to_the_least_encoding():
                 got = evaluate(y)
                 assert got[1] == winner, (order, y)
                 assert typed(got) == typed(oracle.row_minimum(order, y)), (order, y)
+
+
+def _recorded_folds(g, hbb, monkeypatch):
+    """(kept, chunk, result) of every fold of one streaming certificate,
+    as lists, and the certificate: each fold is one least_rows call on
+    the rows the last fold kept followed by one chunk."""
+    folds = []
+    fold = certify_module.least_rows
+
+    def spy(rows):
+        kept = folds[-1][2] if folds else []
+        assert rows[:len(kept)] == kept
+        result = fold(rows)
+        folds.append((kept, rows[len(kept):], list(result)))
+        return result
+
+    with monkeypatch.context() as mp:
+        mp.setattr(certify_module, "least_rows", spy)
+        cert = certify_exact_streaming(CertRequest(g, "exact", "auto", "auto_midpoint", hbb))
+    return folds, cert
+
+
+def _envelope_points(evaluate):
+    """0, 1 and every breakpoint of the concave envelope that evaluate
+    reads, found from the active lines it returns: two lines that touch
+    the envelope at a and b bound it on [a, b], and where they cross
+    either the envelope touches both, a breakpoint, or a third line is
+    active there and each half is split again."""
+    points = {F(0), F(1)}
+
+    def split(fa, fb):
+        la, lb = fa[2], fb[2]
+        if la == lb:
+            return
+        y = (lb.intercept - la.intercept) / (la.slope - lb.slope)
+        fy = evaluate(y)
+        if fy[0] == la(y):
+            points.add(y)
+        else:
+            split(fa, fy)
+            split(fy, fb)
+
+    split(evaluate(F(0)), evaluate(F(1)))
+    return sorted(points)
+
+
+@pytest.mark.parametrize("g", range(2, 13))
+def test_kept_rows_read_like_every_row(g, monkeypatch):
+    # the rows the fold keeps give what every row gives at 0, 1, every
+    # breakpoint of the whole-row envelope, every piece midpoint and
+    # 200 seeded y, witness and active affine included
+    rng = random.Random(36 + g)
+    for hbb in (False, True):
+        folds, _ = _recorded_folds(g, hbb, monkeypatch)
+        every = certify_module._row_minimum([row for _, chunk, _ in folds for row in chunk])
+        kept = certify_module._row_minimum(folds[-1][2])
+        points = _envelope_points(every)
+        ys = points + [(a + b) / 2 for a, b in zip(points, points[1:])]
+        for _ in range(200):
+            den = rng.randint(1, 10 ** 4)
+            ys.append(F(rng.randint(0, den), den))
+        for y in ys:
+            assert typed(kept(y)) == typed(every(y)), (g, hbb, y)
+
+
+def _made_up_rows(lines):
+    return [((aff.intercept.numerator, aff.intercept.denominator),
+             (aff.slope.numerator, aff.slope.denominator), enc)
+            for aff, enc in lines]
+
+
+# each case: (slope, intercept) lines with their encodings, and the least
+# row at some y
+_TIE_CASES = {
+    # three lines through (1/2, 1/3); the middle-slope line has the least
+    # encoding, so it is least at y = 1/2 alone
+    "three_through_a_point": (
+        [((F(1, 3), F(1, 6)), "c"), ((F(0), F(1, 3)), "a"),
+         ((F(-1, 3), F(1, 2)), "b"), ((F(1, 7), F(5, 7)), "d")],
+        [(F(0), "c"), (F(1, 4), "c"), (F(1, 2), "a"), (F(3, 4), "b"), (F(1), "b")]),
+    # two copies of each envelope line; they cross at y = 1/3
+    "identical_lines": (
+        [((F(1, 4), F(1, 4)), "e"), ((F(1, 4), F(1, 4)), "d"),
+         ((F(-1, 2), F(1, 2)), "g"), ((F(-1, 2), F(1, 2)), "f"),
+         ((F(0), F(3, 4)), "a")],
+        [(F(0), "d"), (F(1, 4), "d"), (F(1, 3), "d"), (F(1, 2), "f"), (F(1), "f")]),
+    # two copies of the middle piece's line, whose ends go to lesser
+    # encodings: only inside the piece is a copy least
+    "identical_lines_inside_a_piece": (
+        [((F(1), F(0)), "a"), ((F(0), F(1, 4)), "n"), ((F(0), F(1, 4)), "m"),
+         ((F(-1), F(1)), "b"), ((F(0), F(1)), "0")],
+        [(F(0), "a"), (F(1, 4), "a"), (F(1, 2), "m"), (F(3, 4), "b"), (F(1), "b")]),
+    # a line above each envelope line, parallel to it, with a lesser encoding
+    "equal_slopes": (
+        [((F(2, 3), F(0)), "b"), ((F(2, 3), F(1, 10)), "a"),
+         ((F(0), F(1, 3)), "c"), ((F(0), F(2, 5)), "0")],
+        [(F(0), "b"), (F(1, 2), "b"), (F(3, 4), "c"), (F(1), "c")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TIE_CASES))
+@pytest.mark.parametrize("chunk", (1, 2, 3))
+def test_fold_keeps_the_rows_least_at_ties(case, chunk, monkeypatch):
+    lines, winners = _TIE_CASES[case]
+    monkeypatch.setattr(certify_module, "_STREAM_CHUNK", chunk)
+    affines = [(AffineInY(b, a), enc) for (a, b), enc in lines]
+    ys = sorted({y for y, _ in winners} | {F(k, 12) for k in range(13)})
+    for order in itertools.permutations(affines):
+        rows = _made_up_rows(order)
+        kept, n = certify_module._fold_stream(iter(rows))
+        assert n == len(rows)
+        every = certify_module._row_minimum(list(rows))
+        evaluate = certify_module._row_minimum(kept)
+        for y in ys:
+            assert typed(evaluate(y)) == typed(every(y)), (order, y)
+            assert typed(every(y)) == typed(oracle.row_minimum(order, y)), (order, y)
+        for y, winner in winners:
+            assert evaluate(y)[1] == winner, (order, y)
+
+
+@pytest.mark.parametrize("g", range(2, 10))
+def test_streaming_certificates_do_not_depend_on_the_chunk(g, monkeypatch):
+    # the certificate from every row at once, against the folded stream at
+    # chunks of 1 and 2 rows, where every row straddles a chunk boundary
+    for hbb in (False, True):
+        rows = [certify_module._stream_row(graph_invariants(graph, hbb), g)
+                for graph in enumerate_level_graphs(g)]
+        for policy in ("paper_recipe", "auto_midpoint", F(3, 20), F(1, 2)):
+            req = CertRequest(g, "exact", "auto", policy, hbb)
+            analysis = certify_module._Analysis(certify_module._row_minimum(list(rows)))
+            expect = certify_module._exact_certificate(req, analysis, len(rows)).to_json()
+            for chunk in (1, 2):
+                monkeypatch.setattr(certify_module, "_STREAM_CHUNK", chunk)
+                assert certify_exact_streaming(req).to_json() == expect, (hbb, policy, chunk)
+
+
+# the envelope of min s_Gamma has few pieces: a probe of genus 2..14 kept
+# 1 to 8 rows after any fold, against 256 rows a chunk
+_KEPT_AT_MOST = 16
+
+
+@pytest.mark.parametrize("g", range(8, 14))
+def test_streaming_holds_one_chunk_and_a_few_rows(g, monkeypatch):
+    # each fold reads the rows the last one kept and one chunk, and keeps
+    # a few rows
+    for hbb in (False, True):
+        folds, cert = _recorded_folds(g, hbb, monkeypatch)
+        assert len(folds) == -(-cert.graph_count // certify_module._STREAM_CHUNK)
+        for _, chunk, result in folds:
+            assert 0 < len(chunk) <= certify_module._STREAM_CHUNK
+            assert len(result) <= _KEPT_AT_MOST, (g, hbb, len(result))
 
 
 def test_scan_rejects_bad_range_and_mode():
