@@ -36,14 +36,12 @@ from .classes import (
     d_nc_class,
     gen_weierstrass_class,
     hur_class,
-    kappa_minimal,
     kappa_mu,
     reduce_class,
     scaled_canonical_class,
     theta,
     twist_improvement_bound,
     wplus_class,
-    wplus_w_gamma,
     wplus_w_hor,
     wplus_w_lambda,
 )
@@ -65,11 +63,8 @@ from .graphs import (
     atlas_count,
     atlas_unrank,
     canonical_encoding,
-    classify_edges,
     enumerate_level_graphs,
     graph_invariants,
-    hbb_shape,
-    minimal_graph,
     parse_canonical_encoding,
     sample_atlas,
     validate,

@@ -54,11 +54,6 @@ def theta(orders: Sequence[int], alpha: Sequence[int]) -> Fraction:
     return total
 
 
-def kappa_minimal(g: int) -> Fraction:
-    """kappa of the minimal signature (2g-2); equals 4g(g-1)/(2g-1)."""
-    return Fraction(4 * g * (g - 1), 2 * g - 1)
-
-
 def kappa_over_2g(g: int) -> Fraction:
     """The recurring scale kappa_{(2g-2)} / 2g; equals (2g-2)/(2g-1)."""
     return Fraction(2 * g - 2, 2 * g - 1)
@@ -285,12 +280,6 @@ def _w_gamma_pair(graph: LevelGraph, kappa_bot: tuple) -> tuple:
     a, b = kappa_bot
     return ((2 * g - 1) * (a + (g - 1) * (graph.v_top - 1) * b) - (2 * g - 2) * b,
             (2 * g - 2) * (2 * g - 1) * b)
-
-
-def wplus_w_gamma(graph: LevelGraph) -> Fraction:
-    """w_Gamma of the reduced form of the extra-vanishing Weierstrass class
-    (see ``_w_gamma_pair``), one Fraction."""
-    return Fraction(*_w_gamma_pair(graph, _kappa_mu_pair(graph.bottom_orders())))
 
 
 # ---------------------------------------------------------------------------

@@ -68,13 +68,6 @@ class AffineInY:
             raise ZeroDivisionError("constant affine function has no root")
         return -self.intercept / self.slope
 
-    def __add__(self, other: "AffineInY") -> "AffineInY":
-        return AffineInY(self.intercept + other.intercept, self.slope + other.slope)
-
-    def scaled(self, c: RationalLike) -> "AffineInY":
-        c = Fraction(c)
-        return AffineInY(self.intercept * c, self.slope * c)
-
 
 @dataclass(frozen=True)
 class RationalInterval:

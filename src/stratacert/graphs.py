@@ -25,12 +25,13 @@ enters a branch only where the same counts say it holds a graph, so one
 counting index states both the atlas's admissibility and its order.  The
 walk builds each vertex type's ``TopVertex`` once, when it first enters
 the type's block, and every graph it yields holds those shared vertices.
-Every partition count is read from one table per genus, P(n, at most k
-parts) for k <= g and n <= 2g, built column by column.  ``vertex_blocks``
-sizes the blocks from it; the index (two rows of g + 1 counts per block,
-kept for the last genus asked only) keeps it for ``partition_unrank``;
-``atlas_count`` builds its own, grows such rows weight by weight by the
-same product, and builds no index.
+Every partition count is read from the rows of one table per genus,
+P(n, at most k parts) for k <= g and n <= 2g, built one k at a time.
+``vertex_blocks`` sizes the blocks from the table; the index (two rows of
+g + 1 counts per block, kept for the last genus asked only) keeps it for
+``partition_unrank``; ``atlas_count`` keeps no table: it sums each
+weight's block sizes as the rows pass, grows one row of g + 1 counts
+weight by weight by the same product, and builds no index.
 
 The per-graph invariants are exact rationals whose per-prong sums are
 taken on integers: ``graph_invariants`` gives each rational invariant as
@@ -43,9 +44,8 @@ it is built, so a vertex shared by many graphs (the stream's, or the
 certify engine's witnesses') gives them all without another pass over
 its prongs.  ``graph_invariants`` reads the top vertices in one loop,
 which gathers the prongs, N_top, each vertex's share of the prong sums,
-the edge classes, the delta targets and the HBB shape together
-(``classify_edges`` and ``hbb_shape`` state the same rules for one
-graph), and returns a named tuple, which is immutable and cheap to build.
+the edge classes, the delta targets and the HBB shape together, and
+returns a named tuple, which is immutable and cheap to build.
 """
 
 from __future__ import annotations
@@ -141,12 +141,6 @@ class LevelGraph:
         """Leg orders on the bottom plus a pole of order -p-1 per edge."""
         return self.bottom_legs + tuple([-p - 1 for v in self.top_vertices
                                          for p in v.prongs])
-
-
-def minimal_graph(g: int, bottom_genus: int, tops: Iterable) -> LevelGraph:
-    """Constructor for the minimal signature: ``tops`` = (genus, prongs) pairs."""
-    vertices = tuple(TopVertex(h, tuple(p)) for h, p in tops)
-    return LevelGraph(g, bottom_genus, (2 * g - 2,), vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -245,31 +239,7 @@ def validate(graph: LevelGraph) -> list:
 
 
 # ---------------------------------------------------------------------------
-# edge classification and invariants
-
-
-def classify_edges(graph: LevelGraph) -> tuple:
-    """Per-edge class in canonical edge order.
-
-    An edge at a top vertex of degree >= 2 is non-separating (NCT).  A
-    separating edge is EDB when it is the unique edge of the graph and one
-    of its ends has genus 1, RBT when the component below it is a single
-    rational vertex, and OCT otherwise.
-    """
-    classes = []
-    single_edge = graph.edge_count == 1
-    for v in graph.top_vertices:
-        d = len(v.prongs)
-        if d >= 2:
-            cls = NCT
-        elif single_edge and (v.genus == 1 or graph.bottom_genus == 1):
-            cls = EDB
-        elif graph.v_top == 1 and graph.bottom_genus == 0:
-            cls = RBT
-        else:
-            cls = OCT
-        classes += [cls] * d
-    return tuple(classes)
+# invariants
 
 
 def _kappa_mu_pair(orders: Sequence[int]) -> tuple:
@@ -290,26 +260,6 @@ def _kappa_mu_pair(orders: Sequence[int]) -> tuple:
 def kappa_mu(orders: Sequence[int]) -> Fraction:
     """sum of m(m+2)/(m+1) over entries m != -1 (simple poles excluded)."""
     return Fraction(*_kappa_mu_pair(orders))
-
-
-def hbb_shape(graph: LevelGraph) -> bool:
-    """Shape test for hyperelliptic-banana-backbone graphs.
-
-    True iff every top vertex is joined to the bottom by exactly one edge
-    or by a pair of edges with equal prong, and at least one pair occurs.
-    The hyperelliptic-membership and prong-matching conditions of the full
-    definition are deliberately not tested; this is a conservative
-    overestimate (it can only lower the certified coefficients).
-    """
-    has_pair = False
-    for v in graph.top_vertices:
-        if v.degree == 1:
-            continue
-        if v.degree == 2 and v.prongs[0] == v.prongs[1]:
-            has_pair = True
-            continue
-        return False
-    return has_pair
 
 
 class GraphInvariants(NamedTuple):
@@ -351,8 +301,16 @@ def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInv
     the HBB correction then drops out of every downstream class).
 
     One loop over the top vertices gathers the prongs, N_top, each edge's
-    class (as :func:`classify_edges`) and delta target, and the HBB shape
-    (as :func:`hbb_shape`).  The per-prong sums are taken on integers over
+    class and delta target, and the HBB shape.  An edge at a top vertex of
+    degree >= 2 is non-separating (NCT).  A separating edge is EDB when it
+    is the graph's unique edge and one of its ends has genus 1, RBT when
+    the component below it is a single rational vertex, and OCT otherwise.
+    The HBB shape holds when every top vertex is joined to the bottom by
+    one edge or by a pair of edges with equal prong, and at least one pair
+    occurs; the hyperelliptic-membership and prong-matching conditions of
+    the full definition are deliberately not tested, a conservative
+    overestimate that can only lower the certified coefficients.  The
+    per-prong sums are taken on integers over
     ell = lcm(prongs), with share ell // p per prong, and summed vertex by
     vertex from what each ``TopVertex`` computed once when it was built: a
     vertex of prong lcm l_v and shares s_v = sum(l_v // p) holds the share
@@ -441,17 +399,22 @@ def graph_invariants(graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInv
 # partitions into exactly k parts (nondecreasing tuples, lexicographic)
 
 
-def partition_table(g: int) -> list:
-    """T[k][n] = P(n, at most k parts) = P(n, parts <= k) for k <= g and
-    n <= 2g, column by column; P(n, exactly k parts) = T[k][n - k]."""
+def partition_rows(g: int) -> Iterator[list]:
+    """T[0], ..., T[g], one new list each, where T[k][n] = P(n, at most k
+    parts) = P(n, parts <= k) for n <= 2g; P(n, exactly k parts) =
+    T[k][n - k].  Row k is grown from row k - 1."""
     row = [1] + [0] * (2 * g)
-    table = [row]
+    yield row
     for k in range(1, g + 1):
         row = list(row)
         for n in range(k, 2 * g + 1):
             row[n] += row[n - k]
-        table.append(row)
-    return table
+        yield row
+
+
+def partition_table(g: int) -> list:
+    """The table T[k][n] of :func:`partition_rows`, every row kept."""
+    return list(partition_rows(g))
 
 
 def partitions_exact(n: int, k: int, min_part: int = 1) -> Iterator[tuple]:
@@ -581,20 +544,25 @@ _atlas_index = lru_cache(maxsize=1)(_AtlasIndex)
 
 
 def atlas_count(g: int, dimension_filter: bool = True) -> int:
-    """Number of coarse types in the genus-g atlas (exact); the blocks of
-    one weight act as one: it grows two rows of g + 1 counts, no index."""
+    """Number of coarse types in the genus-g atlas (exact).  It keeps no
+    partition table and builds no index: the blocks of one weight act as
+    one, and it grows one row of g + 1 counts."""
     if g < 2:
         raise ValueError("genus must be >= 2")
-    table = partition_table(g)
-    any_row = d1_row = [1] + [0] * g
+    # sizes[w]: the types of weight w; row d adds the size of block (w, d),
+    # as vertex_blocks reads it, to every weight w >= d (row 0 adds only
+    # to the unused weight 0)
+    sizes = [0] * (g + 1)
+    for d, row in enumerate(partition_rows(g)):
+        sizes[d:] = [s + t for s, t in zip(sizes[d:], row[::2])]
+    any_row = [1] + [0] * g
     for w in range(1, g + 1):
-        # the types of weight w: its blocks' sizes, as vertex_blocks reads them
-        size = sum([table[d][2 * (w - d)] for d in range(1, w + 1)])
-        any_row = _grow(any_row, w, size, g)
-        d1_row = _grow(d1_row, w, 1, g)
+        any_row = _grow(any_row, w, sizes[w], g)
     # any_row[budget] graphs per bottom genus g - budget; at g_b = 0 the
-    # filter drops the degree-1-only multisets, raw mode the single edge
-    return sum(any_row[1:]) - (d1_row[g] if dimension_filter else 1)
+    # filter drops the degree-1-only multisets, raw mode the single edge.
+    # There is one degree-1 type per weight, so those multisets are the
+    # partitions of g: p(g) = T[g][g], read from the last row.
+    return sum(any_row[1:]) - (row[g] if dimension_filter else 1)
 
 
 def _unrank_multiset(n: int, k: int, rank: int) -> list:

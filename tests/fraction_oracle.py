@@ -5,18 +5,23 @@ The package sums per-prong terms on integers.  ``graph_invariants``
 gives each rational invariant as a reduced (numerator, denominator)
 pair and builds no Fraction; the package builds one Fraction per output
 (``kappa_mu``, ``six_coefficients``, ``s_gamma_affine``, the class
-helpers ``_canonical_coeff`` and ``wplus_w_gamma``, every class
-builder's boundary coefficient, each coordinate ``reduce_class``
-updates, and ``class_with_twist_bounds``), runs the streaming certifier
-on integer rows, and runs the identity battery on integer pairs,
-comparing rationals by cross-multiplication; ``graph_invariants`` and
-``canonical_encoding`` read each vertex's prong lcm, shares and encoding
-fragment from its ``TopVertex``, computed once when it was built.  The
-functions here are the plain Fraction forms of the same formulas and
-checks, and their invariants hold Fractions (``as_fractions`` turns the
-package's pairs into them); the tests compare the two on full atlases,
-raw atlases, pullback image graphs and samples of large-genus atlases
-(``ORACLE_CASES``).
+helper ``_canonical_coeff``, every class builder's boundary coefficient,
+each coordinate ``reduce_class`` updates, and ``class_with_twist_bounds``),
+runs the streaming certifier on integer rows, and runs the identity
+battery on integer pairs, comparing rationals by cross-multiplication;
+``graph_invariants`` and ``canonical_encoding`` read each vertex's prong
+lcm, shares and encoding fragment from its ``TopVertex``, computed once
+when it was built.  The functions here are the plain Fraction forms of
+the same formulas and checks, and their invariants hold Fractions
+(``as_fractions`` turns the package's pairs into them); the tests
+compare the two on full atlases, raw atlases, pullback image graphs and
+samples of large-genus atlases (``ORACLE_CASES``).
+
+Some rules the package states only inline, inside the one loop of
+``graph_invariants`` or one integer pair, are stated here on their own as
+the references the tests compare it with: ``classify_edges`` (the edge
+classes), ``hbb_shape`` (the HBB shape test), ``kappa_minimal`` and
+``wplus_w_gamma``.  ``minimal_graph`` builds the tests' hand-made graphs.
 """
 
 from fractions import Fraction
@@ -29,7 +34,6 @@ from stratacert.classes import (
     ClassContext,
     DivisorClass,
     _divisor_integers,
-    kappa_minimal,
     kappa_over_2g,
     wplus_w_hor,
     wplus_w_lambda,
@@ -42,9 +46,9 @@ from stratacert.graphs import (
     OCT,
     RBT,
     GraphInvariants,
-    classify_edges,
+    LevelGraph,
+    TopVertex,
     enumerate_level_graphs,
-    hbb_shape,
     sample_atlas,
     validate,
 )
@@ -102,6 +106,56 @@ def typed(x):
     if isinstance(x, tuple):
         return tuple(typed(v) for v in x)
     return (type(x), x)
+
+
+def minimal_graph(g, bottom_genus, tops):
+    """A graph of the minimal signature: ``tops`` = (genus, prongs) pairs."""
+    vertices = tuple(TopVertex(h, tuple(p)) for h, p in tops)
+    return LevelGraph(g, bottom_genus, (2 * g - 2,), vertices)
+
+
+def classify_edges(graph):
+    """Per-edge class in canonical edge order.
+
+    An edge at a top vertex of degree >= 2 is non-separating (NCT).  A
+    separating edge is EDB when it is the unique edge of the graph and one
+    of its ends has genus 1, RBT when the component below it is a single
+    rational vertex, and OCT otherwise.
+    """
+    classes = []
+    single_edge = graph.edge_count == 1
+    for v in graph.top_vertices:
+        d = len(v.prongs)
+        if d >= 2:
+            cls = NCT
+        elif single_edge and (v.genus == 1 or graph.bottom_genus == 1):
+            cls = EDB
+        elif graph.v_top == 1 and graph.bottom_genus == 0:
+            cls = RBT
+        else:
+            cls = OCT
+        classes += [cls] * d
+    return tuple(classes)
+
+
+def hbb_shape(graph):
+    """Shape test for hyperelliptic-banana-backbone graphs: every top vertex
+    is joined to the bottom by exactly one edge or by a pair of edges with
+    equal prong, and at least one pair occurs."""
+    has_pair = False
+    for v in graph.top_vertices:
+        if v.degree == 1:
+            continue
+        if v.degree == 2 and v.prongs[0] == v.prongs[1]:
+            has_pair = True
+            continue
+        return False
+    return has_pair
+
+
+def kappa_minimal(g):
+    """kappa of the minimal signature (2g-2); equals 4g(g-1)/(2g-1)."""
+    return Fraction(4 * g * (g - 1), 2 * g - 1)
 
 
 def kappa_mu(orders):
@@ -281,9 +335,9 @@ def _identity_failures(graph, inv, six):
         bad.append("decomposition 12 w_Gamma / w_lambda != "
                    "12 (w_bar + (g-1)(v_top-1)/(g+11))")
     s_aff = s_gamma_of(six)
-    t1_t2 = six.t1_affine + six.t2_affine
+    t1, t2 = six.t1_affine, six.t2_affine
     for y in (Fraction(0), Fraction(1, 2), Fraction(1)):
-        if t1_t2(y) > s_aff(y):
+        if t1(y) + t2(y) > s_aff(y):
             bad.append("T1 + T2 exceeds s_Gamma")
             break
     return bad
@@ -310,7 +364,7 @@ def _assembly_affine(graph, inv):
 
 def _assembly_failures(graph, inv, s_gamma, ys=DEFAULT_Y_SAMPLES):
     via_classes = _assembly_affine(graph, inv)
-    via_certifier = s_gamma.scaled(inv.ell)
+    via_certifier = AffineInY(s_gamma.intercept * inv.ell, s_gamma.slope * inv.ell)
     bad = []
     if (via_classes.intercept != via_certifier.intercept
             or via_classes.slope != via_certifier.slope):

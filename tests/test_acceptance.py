@@ -56,7 +56,6 @@ from stratacert.graphs import (
     canonical_encoding,
     enumerate_level_graphs,
     graph_invariants,
-    minimal_graph,
     sample_atlas,
     validate,
 )
@@ -74,6 +73,7 @@ from stratacert.pullback import (
 from stratacert.classes import twist_improvement_bound
 
 from brute import brute_force_atlas, brute_key_to_encoding
+from fraction_oracle import minimal_graph
 
 FULL_SCALE = os.environ.get("STRATACERT_FULL_SCALE") == "1"
 

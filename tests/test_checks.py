@@ -11,7 +11,7 @@ import pytest
 from stratacert import checks
 from stratacert import classes as classes_module
 from stratacert.certify import SixCoefficients, _coefficients
-from stratacert.classes import _canonical_coeff, wplus_w_gamma
+from stratacert.classes import _canonical_coeff, _w_gamma_pair, wplus_class
 from stratacert.exactq import AffineInY
 from stratacert.graphs import (
     RBT,
@@ -19,12 +19,11 @@ from stratacert.graphs import (
     _kappa_mu_pair,
     enumerate_level_graphs,
     graph_invariants,
-    minimal_graph,
     sample_atlas,
 )
 
 import fraction_oracle as oracle
-from fraction_oracle import typed
+from fraction_oracle import minimal_graph, typed
 
 # ell = 7, two top vertices, bottom genus 1, NCT and OCT edges, delta_H = 0
 BASE = minimal_graph(8, 1, [(1, (1, 1, 1)), (4, (7,))])
@@ -163,12 +162,12 @@ def test_assembly_reads_the_class_side_kappa(monkeypatch):
     assert checks.graph_identity_failures(BASE) == kappa_check
     # identity_suite's one evaluation for both batteries is the direct one
     assert checks.identity_suite([BASE]) == (1, kappa_check + mismatch)
-    # the class helpers move by -ell/3 and by (1/3)(2g/(2g-1))/kappa
+    # the class helpers move by -ell/3 and w_Gamma by (1/3)(2g/(2g-1))/kappa
     o_inv = oracle.as_fractions(inv)
     assert (_canonical_coeff(BASE, inv)
             == oracle._canonical_coeff(BASE, o_inv) - F(inv.ell, 3))
-    assert (wplus_w_gamma(BASE)
-            == oracle.wplus_w_gamma(BASE) + F(1, 3) * F(16, 15) / oracle.kappa_minimal(8))
+    w_gamma = oracle.wplus_w_gamma(BASE) + F(1, 3) * F(16, 15) / oracle.kappa_minimal(8)
+    assert wplus_class(8, [BASE], form="reduced").boundary[inv.encoding] == -w_gamma * inv.ell
 
 
 def _oracle_inputs(inv, g, coeffs):
@@ -191,7 +190,7 @@ def _assert_matches_oracle(graph, inv, coeffs):
     assert (F(*intercept), F(*slope)) == (want.intercept, want.slope), where
     assert (typed(_canonical_coeff(graph, inv))
             == typed(oracle._canonical_coeff(graph, o_inv))), where
-    assert typed(wplus_w_gamma(graph)) == typed(oracle.wplus_w_gamma(graph)), where
+    assert F(*_w_gamma_pair(graph, _kappa_direct(graph))) == oracle.wplus_w_gamma(graph), where
     six, s_gamma = _oracle_inputs(o_inv, graph.genus, coeffs)
     assert (_identity_failures(graph, inv, coeffs)
             == oracle._identity_failures(graph, o_inv, six)), where

@@ -11,14 +11,12 @@ from stratacert.classes import (
     d_nc_class,
     gen_weierstrass_class,
     hur_class,
-    kappa_minimal,
     kappa_mu,
     reduce_class,
     scaled_canonical_class,
     theta,
     twist_improvement_bound,
     wplus_class,
-    wplus_w_gamma,
     wplus_w_hor,
     wplus_w_lambda,
 )
@@ -26,11 +24,11 @@ from stratacert.graphs import (
     canonical_encoding,
     enumerate_level_graphs,
     graph_invariants,
-    minimal_graph,
 )
 from stratacert.pullback import gamma1_graph, image_correspondence
 
 import fraction_oracle as oracle
+from fraction_oracle import minimal_graph
 
 EDB2 = minimal_graph(2, 1, [(1, (1,))])
 BANANA2 = minimal_graph(2, 0, [(1, (1, 1))])
@@ -42,7 +40,7 @@ def test_kappa_mu_values():
     assert kappa_mu([2, -2]) == F(8, 3)
     # simple poles are skipped
     assert kappa_mu([2, -1, -1]) == F(8, 3)
-    assert kappa_minimal(31) == F(3720, 61)
+    assert oracle.kappa_minimal(31) == F(3720, 61)
 
 
 def test_theta_values():
@@ -104,7 +102,9 @@ def test_wplus_scalars():
     assert wplus_w_lambda(31) == F(7, 10)
     assert wplus_w_hor(31) == F(17, 120)
     edb31 = minimal_graph(31, 30, [(1, (1,))])
-    assert wplus_w_gamma(edb31) == 1
+    assert oracle.wplus_w_gamma(edb31) == 1
+    # ell = 1, so the class's coefficient is -w_Gamma
+    assert wplus_class(31, [edb31], form="reduced").boundary[canonical_encoding(edb31)] == -1
 
 
 def test_wplus_raw_psi_coefficient():

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, islice
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ from stratacert.graphs import (
     EDB,
     NCT,
     OCT,
+    RBT,
     GraphInvariants,
     LevelGraph,
     TopVertex,
@@ -18,13 +20,10 @@ from stratacert.graphs import (
     atlas_count,
     atlas_unrank,
     canonical_encoding,
-    classify_edges,
     enumerate_level_graphs,
     graph_invariants,
-    hbb_shape,
     iter_atlas,
     kappa_mu,
-    minimal_graph,
     parse_canonical_encoding,
     partition_table,
     partition_unrank,
@@ -36,6 +35,7 @@ from stratacert.graphs import (
 )
 
 import fraction_oracle as oracle
+from fraction_oracle import minimal_graph
 from brute import brute_force_atlas, brute_key_to_encoding
 
 EDB2 = minimal_graph(2, 1, [(1, (1,))])
@@ -188,11 +188,16 @@ def test_validate_matches_definition_on_a_box(g):
 
 
 def test_classify_edges():
-    assert classify_edges(EDB2) == (EDB,)
-    assert classify_edges(BANANA2) == (NCT, NCT)
     two_tails = minimal_graph(4, 1, [(2, (3,)), (1, (1,))])
     assert validate(two_tails) == []
-    assert classify_edges(two_tails) == (OCT, OCT)
+    # a rational bottom with a single edge is unstable, so no atlas graph
+    # has an RBT edge; the rule still names it
+    rational_tail = minimal_graph(3, 0, [(3, (5,))])
+    assert "bottom stability violated" in validate(rational_tail)
+    for graph, classes in ((EDB2, (EDB,)), (BANANA2, (NCT, NCT)),
+                           (two_tails, (OCT, OCT)), (rational_tail, (RBT,))):
+        assert oracle.classify_edges(graph) == classes
+        assert graph_invariants(graph).edge_classes == classes
 
 
 def test_invariants_edb2():
@@ -223,12 +228,12 @@ def test_invariants_edb31():
 
 
 def test_hbb_shape():
-    assert hbb_shape(BANANA2)
-    assert not hbb_shape(EDB2)
     pair_and_tail = minimal_graph(5, 1, [(2, (2, 2)), (1, (1,))])
-    assert hbb_shape(pair_and_tail)
     uneven = minimal_graph(3, 0, [(2, (1, 3))])
-    assert not hbb_shape(uneven)
+    for graph, shape in ((BANANA2, True), (EDB2, False), (pair_and_tail, True),
+                         (uneven, False)):
+        assert oracle.hbb_shape(graph) is shape
+        assert graph_invariants(graph).delta_H == shape
 
 
 def test_hbb_shape_flag_off():
@@ -429,6 +434,19 @@ def test_atlas_count_pinned():
     assert atlas_count(400, False) == int(
         "171989053242497371829249289834008972781317831804722767903674959651"
         "396275978487143652543082")
+
+
+def test_atlas_count_keeps_no_partition_table():
+    # the count reads the partition rows as they pass: a kept table would be
+    # (g + 1)(2g + 1) big integers, about 28 MB at genus 600
+    tracemalloc.start()
+    try:
+        for flag in (True, False):
+            atlas_count(600, dimension_filter=flag)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_finished_stream_keeps_no_partition_lists():
