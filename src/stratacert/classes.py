@@ -25,6 +25,19 @@ that the two routes agree on every enumerated graph.  The pair helpers
 ``_canonical_pair`` and ``_w_gamma_pair`` take that direct evaluation
 from their caller as an integer pair, so the identity battery evaluates
 it once per graph for its kappa check and both helpers.
+
+A whole-atlas class algebra (the context and the six classes over one
+graph list) computes each graph's invariants once: ``_invariants`` keeps
+the shape-on ``graph_invariants`` in the graph's memo slot
+(``LevelGraph._inv``) on the first read, and every later builder reads
+the memo, still checking the genus on every read.  The shape test changes
+``delta_H`` alone, so the shape-off canonical class reads the memo with
+``delta_H = 0``.  Every boundary dict is keyed by the memo's encoding, so
+the classes of one atlas share one string per graph.  The class side's
+direct bottom kappa is not memoized: it is evaluated from the bottom
+signature wherever a formula reads it, so the identity suite's two kappa
+routes stay independent.  ``checks``, ``certify`` and ``pullback`` call
+``graph_invariants`` directly and leave the memo alone.
 """
 
 from __future__ import annotations
@@ -134,6 +147,7 @@ class ClassContext:
     The marked legs sit on the bottom vertex of every graph (a
     ``TopVertex`` carries none), so the bottom-level kappa is that of the
     bottom signature, and each psi_i relation runs over every graph.
+    ``orders`` keeps the caller's order, which the psi entries follow.
     """
 
     genus: int
@@ -144,13 +158,24 @@ class ClassContext:
     @classmethod
     def from_graphs(cls, genus: int, orders: Sequence[int],
                     graphs: Iterable[LevelGraph]) -> "ClassContext":
+        """The context of a positive signature of total 2g - 2 over graphs
+        whose bottom legs are that signature; anything else raises
+        ValueError, naming the first graph whose legs differ."""
+        orders = tuple(orders)
+        if any(m < 1 for m in orders) or sum(orders) != 2 * genus - 2:
+            raise ValueError(f"signature {orders} is not a positive partition "
+                             f"of 2g - 2 = {2 * genus - 2}")
+        legs = tuple(sorted(orders))
         ell: Dict[str, int] = {}
         kb: Dict[str, Fraction] = {}
         for graph in graphs:
             inv = _invariants(genus, graph)
+            if graph.bottom_legs != legs:
+                raise ValueError(f"graph {inv.encoding} has legs {graph.bottom_legs}, "
+                                 f"not the signature {orders}")
             ell[inv.encoding] = inv.ell
             kb[inv.encoding] = kappa_mu(graph.bottom_orders())
-        return cls(genus, tuple(orders), ell, kb)
+        return cls(genus, orders, ell, kb)
 
     @property
     def kappa(self) -> Fraction:
@@ -213,13 +238,20 @@ def reduce_class(c: DivisorClass, ctx: ClassContext) -> DivisorClass:
 
 
 def _invariants(g: int, graph: LevelGraph, hbb_shape_test: bool = True) -> GraphInvariants:
-    """graph_invariants of a graph a genus-g class is built over; a graph
-    of another genus raises ValueError naming its encoding."""
-    inv = graph_invariants(graph, hbb_shape_test)
+    """graph_invariants of a graph a genus-g class is built over, read
+    from the graph's memo (filled here on the first read, with the shape
+    test on); a graph of another genus raises ValueError naming its
+    encoding, on every read."""
+    try:
+        inv = graph._inv
+    except AttributeError:
+        inv = graph_invariants(graph)
+        object.__setattr__(graph, "_inv", inv)
     if inv.genus != g:
         raise ValueError(f"graph {inv.encoding} has genus {inv.genus}, "
                          f"not the class's genus {g}")
-    return inv
+    # delta_H is the one field the shape test changes
+    return inv if hbb_shape_test else inv._replace(delta_H=0)
 
 
 def _canonical_pair(inv: GraphInvariants, kappa_bot: tuple) -> tuple:

@@ -198,9 +198,19 @@ def _json_artifact(payload: dict, args) -> str:
     return json.dumps(payload, indent=1, sort_keys=False) + "\n"
 
 
+def _drain(items: list):
+    """The items of a list in order, each dropped from the list as it is
+    read, so that a reader that keeps none of them holds one at a time."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
 def _load_graphs(args, dimension_filter: bool = True):
     """The graphs a command reads: the genus-g atlas as a stream, or a
-    cached atlas, listed and validated in full before anything is written."""
+    cached atlas, listed and validated in full before anything is written
+    and then handed over by ``_drain``, so that a class builder, which
+    fills each graph's invariants memo, does not keep every memo."""
     if not args.atlas:
         if args.genus < 2:
             # the stream would raise only at its first graph, after the
@@ -224,7 +234,7 @@ def _load_graphs(args, dimension_filter: bool = True):
                 raise UsageError(f"{where}: repeats line {first_line[graph]}")
             first_line[graph] = lineno
             graphs.append(graph)
-    return graphs
+    return _drain(graphs)
 
 
 def _cmd_enumerate(args) -> int:

@@ -113,17 +113,34 @@ class TopVertex:
 
 @dataclass(frozen=True, slots=True)
 class LevelGraph:
-    """A two-level enhanced level graph with a unique bottom vertex."""
+    """A two-level enhanced level graph with a unique bottom vertex.
+
+    ``_inv`` is the divisor-class side's memo of the graph's
+    ``graph_invariants`` with the shape test on.  Construction leaves it
+    unset; the first class builder (or ``ClassContext.from_graphs``) that
+    reads the graph fills it, and every later one reads it, so a
+    whole-atlas class algebra computes each graph's invariants once.  It
+    holds the shape-on invariants only: the shape test changes ``delta_H``
+    alone, so a shape-off reader derives its invariants from the memo with
+    ``delta_H = 0``.  The memo takes no part in ``==``, ``hash`` or
+    ``repr``, and it does not travel: a pickled or copied graph is rebuilt
+    from its four fields."""
 
     genus: int
     bottom_genus: int
     bottom_legs: tuple
     top_vertices: tuple
+    _inv: GraphInvariants = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bottom_legs", tuple(sorted(self.bottom_legs)))
         tops = tuple(sorted(self.top_vertices, key=TopVertex.sort_key))
         object.__setattr__(self, "top_vertices", tops)
+
+    def __reduce__(self):
+        # the frozen-slots pickle state reads every field, the unset memo too
+        return (type(self), (self.genus, self.bottom_genus, self.bottom_legs,
+                             self.top_vertices))
 
     @property
     def edge_count(self) -> int:

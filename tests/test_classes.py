@@ -1,8 +1,12 @@
+import copy
+import dataclasses
+import pickle
 import re
 from fractions import Fraction as F
 
 import pytest
 
+from stratacert import classes
 from stratacert.classes import (
     ClassContext,
     DivisorClass,
@@ -229,11 +233,100 @@ BUILDERS = [
 @pytest.mark.parametrize("build, g", BUILDERS)
 def test_builder_rejects_a_graph_of_another_genus(build, g):
     build(g, _atlas(g))
-    # after the genus-g atlas, and alone
-    for graphs in (_atlas(g) + _atlas(g - 1)[:2], _atlas(g - 1)[:3]):
-        stray = next(canonical_encoding(x) for x in graphs if x.genus != g)
-        with pytest.raises(ValueError, match=re.escape(stray)):
-            build(g, graphs)
+    strays = _atlas(g - 1)[:3]
+    # fresh strays, then strays whose invariants memo a builder of their
+    # own genus filled; after the genus-g atlas, and alone
+    for fill in (False, True):
+        if fill:
+            d_nc_class(g - 1, strays)
+        for graphs in (_atlas(g) + strays[:2], strays):
+            stray = next(canonical_encoding(x) for x in graphs if x.genus != g)
+            with pytest.raises(ValueError, match=re.escape(stray)):
+                build(g, graphs)
+
+
+def test_class_algebra_computes_each_graphs_invariants_once(monkeypatch):
+    """The context and every class of the genus-10 stage read one
+    invariants memo per graph, whichever of them reads the graph first."""
+    g = 10
+    graphs = _atlas(g)
+    read = []
+    real = classes.graph_invariants
+
+    def counting(graph, *args, **kwargs):
+        read.append(graph)
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(classes, "graph_invariants", counting)
+    ctx = ClassContext.from_graphs(g, (2 * g - 2,), graphs)
+    for hbb in (True, False):
+        scaled_canonical_class(g, graphs, hbb)
+    d_nc_class(g, graphs)
+    hur_class(g, graphs)
+    raw = wplus_class(g, graphs, form="raw")
+    reduced = wplus_class(g, graphs, form="reduced")
+    assert reduce_class(raw, ctx) == reduced
+    assert len(read) == len(graphs) == 3363
+    assert set(map(id, read)) == set(map(id, graphs))
+
+
+@pytest.mark.parametrize("g", (6, 9))
+def test_shape_off_canonical_class_does_not_depend_on_the_memo(g):
+    """The shape-off canonical class reads the shape-on memo with delta_H
+    = 0: it equals its fresh-graph result before and after a shape-on
+    builder, and the shape-on class after a shape-off one."""
+    fresh_on = scaled_canonical_class(g, _atlas(g))
+    fresh_off = scaled_canonical_class(g, _atlas(g), hbb_shape_test=False)
+    assert fresh_on != fresh_off  # some graph at this genus has delta_H = 1
+    for first in (True, False):
+        graphs = _atlas(g)
+        assert scaled_canonical_class(g, graphs, first) == (fresh_on if first else fresh_off)
+        assert scaled_canonical_class(g, graphs, not first) == (fresh_off if first else fresh_on)
+
+
+def _copies(graph):
+    out = [pickle.loads(pickle.dumps(graph, protocol))
+           for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return out + [copy.copy(graph), copy.deepcopy(graph), dataclasses.replace(graph)]
+
+
+def test_graph_pickles_and_copies_before_and_after_its_memo_is_filled():
+    graphs = _atlas(6)
+    seen = [(repr(x), hash(x)) for x in graphs]
+    for filled in (False, True):
+        if filled:
+            d_nc_class(6, graphs)
+        # the memo takes no part in ==, hash or repr, and does not travel
+        assert [(repr(x), hash(x)) for x in graphs] == seen
+        assert all(hasattr(x, "_inv") == filled for x in graphs)
+        for x in graphs:
+            for y in _copies(x):
+                assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+                assert not hasattr(y, "_inv")
+    assert hur_class(6, [pickle.loads(pickle.dumps(x)) for x in graphs]) == \
+        hur_class(6, graphs)
+
+
+@pytest.mark.parametrize("orders, message", [
+    pytest.param((3,), "signature (3,) is not a positive partition of 2g - 2 = 10",
+                 id="total"),
+    pytest.param((11, -1), "signature (11, -1) is not a positive partition of 2g - 2 = 10",
+                 id="negative"),
+    pytest.param((4, 6), "has legs (10,), not the signature (4, 6)", id="legs"),
+])
+def test_class_context_rejects_a_signature_its_graphs_do_not_carry(orders, message):
+    graphs = _atlas(6)
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        ClassContext.from_graphs(6, orders, graphs)
+    if sum(orders) == 10 and min(orders) > 0:
+        assert f"graph {canonical_encoding(graphs[0])} has legs" in str(err.value)
+
+
+def test_class_context_keeps_the_callers_leg_order():
+    graphs = list(image_correspondence(4, (5, 3)).values())
+    assert {x.bottom_legs for x in graphs} == {(3, 5)}
+    for orders in ((5, 3), (3, 5)):
+        assert ClassContext.from_graphs(5, orders, graphs).orders == orders
 
 
 def test_reduce_class_rejects_more_psi_entries_than_legs():

@@ -394,6 +394,43 @@ def test_atlas_rejects_malformed_encodings(tmp_path, capsys):
         assert f"line 2: bad graph encoding: {line!r}" in err
 
 
+def test_class_over_a_cached_atlas(tmp_path, capsys):
+    atlas = tmp_path / "g6.txt"
+    assert run(capsys, "enumerate", "--genus", "6", "--out", str(atlas))[0] == 0
+    for which in ("canonical", "hur", "wplus"):
+        _, streamed, _ = run(capsys, "class", "--genus", "6", "--which", which)
+        code, cached, _ = run(capsys, "class", "--genus", "6", "--which", which,
+                              "--atlas", str(atlas))
+        assert code == 0
+        # the same class; only the config names the atlas
+        want, got = json.loads(streamed), json.loads(cached)
+        assert got.pop("config")["atlas"] == str(atlas)
+        want.pop("config")
+        assert got == want
+    # a malformed last line exits 1 before anything is written
+    text = atlas.read_text()
+    atlas.write_text(text + "g=6;gb=0;legs=10;top=[(5,[5,5])]junk\n")
+    last = text.count("\n") + 1
+    out_path = tmp_path / "class.json"
+    code, out, err = run(capsys, "class", "--genus", "6", "--which", "hur",
+                         "--atlas", str(atlas), "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert f"line {last}: bad graph encoding" in err
+    assert not out_path.exists()
+
+
+def test_a_cached_atlas_is_handed_over_as_it_is_read():
+    from stratacert.cli import _drain
+
+    items = list("abcde")
+    drained = _drain(items)
+    for i, item in enumerate(drained):
+        assert item == "abcde"[i]
+        # the list no longer holds what has been read
+        assert sorted(items) == list("abcde"[i + 1:])
+    assert items == []
+
+
 def test_identities_workers_equivalence(capsys):
     _, out1, err1 = run(capsys, "identities", "--genus-max", "6")
     _, out2, err2 = run(capsys, "identities", "--genus-max", "6", "--workers", "2")
